@@ -286,11 +286,11 @@ func BenchmarkReplayEndToEnd(b *testing.B) {
 		}
 		w2 := simmpi.NewWorld(ranks, simmpi.Options{Seed: int64(i) + 7777, MaxJitter: 8})
 		err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-			recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+			rp, err := replay.Open(lamport.WrapManual(mpi), replay.RecordBytes(files[rank]), replay.Options{})
 			if err != nil {
 				return err
 			}
-			rp := replay.New(lamport.WrapManual(mpi), recFile, replay.Options{})
+			defer rp.Close()
 			res, rerr := mcb.Run(rp, params)
 			if rerr != nil {
 				return rerr

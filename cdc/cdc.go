@@ -313,26 +313,6 @@ func (r *ReplayReport) Released() uint64 {
 	return n
 }
 
-// scanRankMeta runs the prescan pass: one streaming decode of rank's
-// record, summarized into the RecordMeta a streaming replayer needs.
-func scanRankMeta(st Store, rank int, o core.DecoderOptions) (*replay.RecordMeta, error) {
-	it, blob, err := store.OpenRankIter(st, rank, o)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := replay.ScanRecord(it) // closes it
-	return meta, errors.Join(err, blob.Close())
-}
-
-// rankSource feeds a streaming replay from a rank blob, extending the
-// iterator's Close to release the blob too.
-type rankSource struct {
-	replay.ChunkSource
-	blob io.Closer
-}
-
-func (s rankSource) Close() error { return errors.Join(s.ChunkSource.Close(), s.blob.Close()) }
-
 // Replay runs app on every rank of world under the CDC replay stack,
 // releasing receive events in the order recorded in the store named by
 // WithDir (layout discovered from the manifest) or passed via WithStore.
@@ -363,20 +343,6 @@ func Replay(world *simmpi.World, app App, opts ...Option) (*ReplayReport, error)
 		Ranks:    make([]RankReplay, world.Size()),
 	}
 	err = world.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		// Two streaming passes replace the old eager LoadRank: a prescan
-		// summarizes the rank's record (per-callsite event totals and
-		// exception pins) in bounded memory, then the replayer pulls chunks
-		// from a second pass as replay progresses — with WithDecodeWorkers,
-		// both passes run through the parallel decode pipeline and the feed
-		// pass stays a prefetch window ahead of the consumption frontier.
-		meta, err := scanRankMeta(st, rank, cfg.decoderOptions())
-		if err != nil {
-			return fmt.Errorf("rank %d: prescan: %w", rank, err)
-		}
-		it, blob, err := store.OpenRankIter(st, rank, cfg.decoderOptions())
-		if err != nil {
-			return fmt.Errorf("rank %d: %w", rank, err)
-		}
 		ropts := replay.Options{
 			Timeout:            cfg.timeout,
 			DisableMFID:        cfg.disableMFID,
@@ -390,8 +356,18 @@ func Replay(world *simmpi.World, app App, opts ...Option) (*ReplayReport, error)
 			onRelease := cfg.onRelease
 			ropts.OnRelease = func(st simmpi.Status) { onRelease(rank, st) }
 		}
-		src := rankSource{ChunkSource: replay.IterSource(it), blob: blob}
-		rp := replay.NewStream(lamport.WrapManual(mpi), meta, src, ropts)
+		// Two streaming passes: a prescan summarizes the rank's record
+		// (per-callsite event totals and exception pins) in bounded memory,
+		// then the replayer pulls chunks from a second pass as replay
+		// progresses — with WithDecodeWorkers, both passes run through the
+		// parallel decode pipeline and the feed pass stays a prefetch window
+		// ahead of the consumption frontier.
+		rp, err := replay.Open(lamport.WrapManual(mpi), func() (*core.RecordIter, io.Closer, error) {
+			return store.OpenRankIter(st, rank, cfg.decoderOptions())
+		}, ropts)
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", rank, err)
+		}
 		appErr := app(rank, rp)
 		var verifyErr error
 		if appErr == nil {

@@ -16,6 +16,9 @@ import (
 
 // recordFeedFixture records the MCB app into a fresh memstore with a
 // deterministic flush cadence, so the run carries several epoch cuts.
+// Rank 1 commits between roughly 40 and 60 epochs depending on the
+// message interleaving, always more than the fixed starts of
+// TestOpenFeedStreamsRecord.
 func recordFeedFixture(t *testing.T) Store {
 	t.Helper()
 	st := memstore.New()
@@ -23,7 +26,7 @@ func recordFeedFixture(t *testing.T) Store {
 	var tally float64
 	w := simmpi.NewWorld(testRanks, simmpi.Options{Seed: 41, MaxJitter: 8})
 	_, err := Record(w, mcbApp(&tally, &mu),
-		WithStore(st), WithApp("mcb"), WithFlushEveryRows(64))
+		WithStore(st), WithApp("mcb"), WithFlushEveryRows(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,9 @@ func batchFrames(t *testing.T, st Store, rank, epoch int) []string {
 
 // TestOpenFeedStreamsRecord is the facade's end-to-end pin: a feed opened
 // through cdc options streams exactly the frames a batch replay decodes,
-// for the head of the record and for a mid-record start epoch.
+// for the head of the record, for fixed mid-record start epochs and for a
+// start at the record's end. The epoch count varies with the interleaving,
+// so the end case is named "end" to keep subtest names stable.
 func TestOpenFeedStreamsRecord(t *testing.T) {
 	st := recordFeedFixture(t)
 	m, err := st.Manifest()
@@ -93,12 +98,19 @@ func TestOpenFeedStreamsRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	epochs := len(m.RankIndex(1))
-	if epochs == 0 {
-		t.Fatal("fixture committed no epochs")
+	starts := []int{0, 1, 23, 29, 30}
+	if last := starts[len(starts)-1]; epochs <= last {
+		t.Fatalf("fixture committed %d epochs, want more than %d", epochs, last)
 	}
 
-	for _, start := range []int{0, 1, epochs} {
-		t.Run(fmt.Sprintf("start=%d", start), func(t *testing.T) {
+	names := make([]string, 0, len(starts)+1)
+	for _, start := range starts {
+		names = append(names, fmt.Sprintf("start=%d", start))
+	}
+	starts = append(starts, epochs)
+	names = append(names, "start=end")
+	for i, start := range starts {
+		t.Run(names[i], func(t *testing.T) {
 			f, err := OpenFeed(
 				WithStore(st), WithApp("mcb"),
 				WithFeedRank(1),

@@ -31,8 +31,8 @@ type refKey struct {
 // accumulators, and the LPE column staging all live on the Builder and are
 // recycled across chunks. After warm-up a Build + AppendMarshal pair
 // allocates nothing (pinned by TestBuilderAllocs), which is what lets the
-// parallel encode pipeline keep one pooled Builder per worker instead of
-// churning the GC once per chunk.
+// encoder build every chunk — on its own Builder inline, or on one pooled
+// Builder per worker — without churning the GC once per chunk.
 //
 // The produced chunk is equivalent to BuildChunk/BuildChunkWithSenders and
 // AppendMarshal's bytes are identical to Chunk.Marshal's (pinned by the

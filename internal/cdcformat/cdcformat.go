@@ -117,7 +117,9 @@ func (c *Chunk) ValueCount() int {
 	return 2*len(c.Moves) + len(c.WithNext) + 2*len(c.Unmatched) + 2*len(c.EpochLine)
 }
 
-// Marshal appends the serialized chunk to dst.
+// Marshal appends the serialized chunk to dst. It is the straightforward
+// reference serializer: the encoder writes chunks through
+// Builder.AppendMarshal, whose bytes the Builder tests pin to Marshal's.
 func (c *Chunk) Marshal(dst []byte) []byte {
 	w := varint.Writer{}
 	w.Uint(c.Callsite)
@@ -395,13 +397,19 @@ func readLPColumn(r *varint.Reader, n int) ([]int64, error) {
 // permutation-difference encoding and epoch-line construction. The chunk
 // carries no sender column (the paper-faithful format); see
 // BuildChunkWithSenders.
+//
+// BuildChunk is the allocating, definition-by-definition reference build.
+// The encoder builds every chunk with Builder instead; BuildChunk stays as
+// the oracle TestBuilderMatchesBuildChunk compares Builder against, and
+// as a convenience for tests.
 func BuildChunk(callsite uint64, events []tables.Event) *Chunk {
 	red := tables.Eliminate(events)
 	return buildFromReduced(callsite, &red, false)
 }
 
 // BuildChunkWithSenders is BuildChunk plus the reference-order sender
-// column robustness extension.
+// column robustness extension. Like BuildChunk it is a test reference; the
+// encoder uses Builder.
 func BuildChunkWithSenders(callsite uint64, events []tables.Event) *Chunk {
 	red := tables.Eliminate(events)
 	return buildFromReduced(callsite, &red, true)

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"sync/atomic"
 
 	"cdcreplay/internal/cdcformat"
 	"cdcreplay/internal/obs"
@@ -80,8 +81,8 @@ type EncoderOptions struct {
 	Durable bool
 	// EncodeWorkers > 1 fans chunk building and serialization across that
 	// many workers, with an ordered-commit stage keeping the record file
-	// byte-identical to single-threaded output (DESIGN.md §9). 0 or 1 keeps
-	// everything on the calling goroutine. With workers, Stats and
+	// byte-identical to the inline encoder's (DESIGN.md §9). 0 or 1 runs
+	// the same steps on the calling goroutine. With workers, Stats and
 	// BytesWritten are exact only after Close.
 	EncodeWorkers int
 	// Obs, when non-nil, receives per-stage pipeline metrics (encode.*
@@ -341,24 +342,34 @@ type Encoder struct {
 	// clock is the best lower bound on the writing rank's Lamport clock:
 	// the max of FlushAll-supplied samples and observed receive clocks. It
 	// stamps flush-point frames.
-	clock   uint64
-	stats   Stats
-	scratch []byte
-	closed  bool
-	// pipe is the parallel encode pipeline, non-nil when
-	// EncoderOptions.EncodeWorkers > 1 (pipeline.go).
-	pipe *encodePipeline
+	clock  uint64
+	stats  Stats
+	closed bool
+
+	// pipe is the parallel encode pool, non-nil when
+	// EncoderOptions.EncodeWorkers > 1; otherwise jobs run inline on the
+	// Encoder's own job and Builder (pipeline.go).
+	pipe    *encodePipeline
+	inline  encodeJob
+	builder cdcformat.Builder
+	// err is the first write error; once set no further frame is written
+	// and every entry point returns it.
+	err atomic.Pointer[error]
+	// Build-step stat deltas, which pool workers accumulate concurrently.
+	permuted  atomic.Uint64
+	valuesCDC atomic.Uint64
 
 	// obs instruments, nil when Options.Obs is nil. mLPE doubles as the
 	// "stage sizing enabled" flag: computing RE/PE sizes costs a pass over
 	// the chunk, which a disabled registry must not pay.
-	mChunks *obs.Counter
-	mRaw    *obs.Counter
-	mRE     *obs.Counter
-	mPE     *obs.Counter
-	mLPE    *obs.Counter
-	mGzip   *obs.Counter
-	obsReg  *obs.Registry
+	mChunks  *obs.Counter
+	mRaw     *obs.Counter
+	mRE      *obs.Counter
+	mPE      *obs.Counter
+	mLPE     *obs.Counter
+	mGzip    *obs.Counter
+	mStageNs *obs.Histogram
+	obsReg   *obs.Registry
 	// gzipReported is how much of fw.BytesWritten() has been added to
 	// mGzip, so the shared-registry counter sums correctly across the
 	// world's per-rank encoders.
@@ -406,6 +417,7 @@ func NewEncoder(w io.Writer, opts EncoderOptions) (*Encoder, error) {
 		e.mPE = reg.Counter("encode.bytes.pe")
 		e.mLPE = reg.Counter("encode.bytes.lpe")
 		e.mGzip = reg.Counter("encode.bytes.gzip")
+		e.mStageNs = reg.Histogram("encode.stage.ns", obs.LatencyBounds())
 	}
 	if opts.EncodeWorkers > 1 {
 		e.pipe = newEncodePipeline(e, opts.EncodeWorkers)
@@ -420,18 +432,11 @@ func (e *Encoder) RegisterCallsite(id uint64, name string) error {
 		return nil
 	}
 	e.named[id] = true
-	var w varint.Writer
-	w.Uint(id)
-	w.Bytes([]byte(name))
-	if e.pipe != nil {
-		j := e.pipe.getJob()
-		j.kind = jobFrame
-		j.frameKind = frameCallsite
-		j.payload = append(j.payload[:0], w.Result()...)
-		e.pipe.submit(j)
-		return e.pipe.firstErr()
-	}
-	return e.fw.WriteFrame(frameCallsite, w.Result())
+	j := e.getJob(jobCallsite)
+	j.payload = varint.AppendUint(j.payload[:0], id)
+	j.payload = varint.AppendUint(j.payload, uint64(len(name)))
+	j.payload = append(j.payload, name...)
+	return e.submit(j)
 }
 
 // Observe feeds one event row for a callsite. Matched rows are flushed in
@@ -467,54 +472,42 @@ func (e *Encoder) Observe(callsite uint64, ev tables.Event) error {
 	return nil
 }
 
+// flush prepares the stream's buffered events as one chunk job and submits
+// it. The order-sensitive bookkeeping happens here, on the caller's
+// goroutine: the boundary-exception scan against the frontier left by the
+// callsite's previous chunks, then the frontier advance. The pending
+// buffer is swapped with the job's recycled one, so steady-state flushing
+// allocates nothing.
 func (e *Encoder) flush(callsite uint64, ps *pendingStream) error {
-	if e.pipe != nil {
-		return e.flushAsync(callsite, ps)
-	}
 	if len(ps.events) == 0 {
-		return nil
+		return e.firstErr()
 	}
-	var chunk *cdcformat.Chunk
-	if e.opts.OmitSenderColumn {
-		chunk = cdcformat.BuildChunk(callsite, ps.events)
-	} else {
-		chunk = cdcformat.BuildChunkWithSenders(callsite, ps.events)
-	}
-	// Pin messages that an application-level same-sender inversion pushed
-	// past a flush boundary: their clocks do not exceed a previously
-	// flushed frontier, so window-based membership needs the explicit
-	// exception entry.
 	if ps.frontier == nil {
 		ps.frontier = make(map[int32]uint64)
 	}
+	j := e.getJob(jobChunk)
+	j.callsite = callsite
+	// Pin messages that an application-level same-sender inversion pushed
+	// past a flush boundary: their clocks do not exceed a previously
+	// flushed frontier, so window-based membership needs the explicit
+	// exception entry. Two passes, exceptions before frontier advance: an
+	// exception tests against the frontier as of the previous chunk, and a
+	// same-rank event earlier in this chunk must not hide a later inversion.
 	for _, ev := range ps.events {
 		if ev.Flag && ev.Clock <= ps.frontier[ev.Rank] {
-			chunk.Exceptions = append(chunk.Exceptions,
+			j.exceptions = append(j.exceptions,
 				tables.MatchedEntry{Rank: ev.Rank, Clock: ev.Clock})
 		}
 	}
-	for _, ep := range chunk.EpochLine {
-		if ep.Clock > ps.frontier[ep.Rank] {
-			ps.frontier[ep.Rank] = ep.Clock
+	for _, ev := range ps.events {
+		if ev.Flag && ev.Clock > ps.frontier[ev.Rank] {
+			ps.frontier[ev.Rank] = ev.Clock
 		}
 	}
-	if e.mLPE != nil {
-		span := e.obsReg.StartSpan("encode.chunk")
-		re, pe, lp := cdcformat.StageSizes(ps.events, chunk)
-		e.mChunks.Inc()
-		e.mRaw.Add(uint64(len(ps.events)) * rawBitsPerRow / 8)
-		e.mRE.Add(uint64(re))
-		e.mPE.Add(uint64(pe))
-		e.mLPE.Add(uint64(lp))
-		span.End()
-	}
-	ps.events = ps.events[:0]
+	j.events, ps.events = ps.events, j.events[:0]
 	ps.matched = 0
 	e.stats.Chunks++
-	e.stats.PermutedMessages += uint64(len(chunk.Moves))
-	e.stats.ValuesCDC += uint64(chunk.ValueCount())
-	e.scratch = chunk.Marshal(e.scratch[:0])
-	return e.fw.WriteFrame(frameChunk, e.scratch)
+	return e.submit(j)
 }
 
 // FlushAll flushes every pending stream to storage as chunks, regardless
@@ -551,38 +544,22 @@ func (e *Encoder) FlushAll(clock uint64) error {
 			return err
 		}
 	}
-	if e.pipe != nil {
-		j := e.pipe.getJob()
-		if skipped {
-			j.kind = jobFlushOnly
-		} else {
-			e.stats.FlushPoints++
-			j.kind = jobFlushPoint
-			j.clock = e.clock
-		}
-		if err := e.pipe.run(j); err != nil || skipped {
-			return err
-		}
-		return e.notifyFlushPoint()
+	kind := jobFlushOnly
+	if !skipped {
+		kind = jobFlushPoint
+		e.stats.FlushPoints++
 	}
-	if skipped {
-		err := e.fw.Flush()
-		e.reportGzipBytes()
-		return err
-	}
-	e.stats.FlushPoints++
-	err := e.fw.FlushPoint(e.clock)
-	e.reportGzipBytes()
-	if err != nil {
+	j := e.getJob(kind)
+	j.clock = e.clock
+	if err := e.run(j); err != nil || skipped {
 		return err
 	}
 	return e.notifyFlushPoint()
 }
 
 // notifyFlushPoint invokes the OnFlushPoint commit hook after a mark
-// reached the underlying writer. Safe in parallel mode too: run(j) only
-// returns after the committer executed the mark, so the FrameWriter is
-// quiescent and BytesWritten is exact.
+// reached the underlying writer. run only returns after the mark
+// committed, so the FrameWriter is quiescent and BytesWritten is exact.
 func (e *Encoder) notifyFlushPoint() error {
 	if e.opts.OnFlushPoint == nil {
 		return nil
@@ -591,23 +568,29 @@ func (e *Encoder) notifyFlushPoint() error {
 }
 
 // Close flushes every pending stream and finalizes the gzip stream (whose
-// final frame is a flush-point mark). The Encoder cannot be used afterwards.
+// final frame is a flush-point mark), then stops the worker pool if there
+// is one. The Encoder cannot be used afterwards.
 func (e *Encoder) Close() error {
 	if e.closed {
 		return nil
 	}
 	e.closed = true
-	if e.pipe != nil {
-		return e.closeParallel()
-	}
+	var flushErr error
 	for _, cs := range e.order {
-		if err := e.flush(cs, e.pending[cs]); err != nil {
-			return err
+		if err := e.flush(cs, e.pending[cs]); err != nil && flushErr == nil {
+			flushErr = err
 		}
 	}
 	e.stats.FlushPoints++
-	err := e.fw.Close(e.clock)
-	e.reportGzipBytes()
+	j := e.getJob(jobClose)
+	j.clock = e.clock
+	err := e.run(j)
+	if e.pipe != nil {
+		e.pipe.shutdown()
+	}
+	if flushErr != nil {
+		return flushErr
+	}
 	if err != nil {
 		return err
 	}
@@ -633,89 +616,12 @@ func (e *Encoder) reportGzipBytes() {
 func (e *Encoder) BytesWritten() int64 { return e.fw.BytesWritten() }
 
 // Stats returns the accumulated statistics. With EncodeWorkers > 1,
-// PermutedMessages and ValuesCDC are computed by the workers and folded in
-// at Close; the remaining fields are always current.
-func (e *Encoder) Stats() Stats { return e.stats }
-
-// Record is a fully decoded record file.
-type Record struct {
-	// Chunks holds each callsite's chunks in record order.
-	Chunks map[uint64][]*cdcformat.Chunk
-	// Names maps callsite IDs to their registered names.
-	Names map[uint64]string
-	// order lists chunk callsites in stream order (with repeats).
-	order []uint64
-}
-
-// Callsites returns the callsite IDs present, in first-chunk order.
-func (r *Record) Callsites() []uint64 {
-	seen := make(map[uint64]bool, len(r.Chunks))
-	var out []uint64
-	for _, cs := range r.order {
-		if !seen[cs] {
-			seen[cs] = true
-			out = append(out, cs)
-		}
-	}
-	return out
-}
-
-// ReadRecord decodes a complete record file into memory. It is a thin
-// drain-everything wrapper over OpenRecord + DrainRecord.
-//
-// Deprecated: open a streaming RecordIter (OpenRecord or, for a pooled
-// decode, OpenRecordOptions) and iterate it — or DrainRecord it when a
-// materialized *Record is genuinely needed. RecordIter is the canonical
-// decode path; this wrapper exists for callers that predate it.
-func ReadRecord(rd io.Reader) (*Record, error) {
-	rec, err := ReadRecordPrefix(rd)
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// ReadRecordPrefix decodes like ReadRecord but keeps what it verified: on
-// a damaged or truncated stream the CRC-valid prefix record is returned
-// alongside the error (a *TruncatedRecordError for truncation), instead of
-// being discarded. Storage backends use it to read a live run's blob
-// pinned at a committed cut, where running out of bytes mid-frame is the
-// pin boundary, not damage.
-//
-// Deprecated: open a streaming RecordIter and DrainRecord it; the prefix
-// semantics live there now. This wrapper exists for callers that predate
-// the unified reader.
-func ReadRecordPrefix(rd io.Reader) (*Record, error) {
-	it, err := OpenRecord(rd)
-	if err != nil {
-		return &Record{Chunks: make(map[uint64][]*cdcformat.Chunk)}, err
-	}
-	return DrainRecord(it)
-}
-
-// DrainRecord consumes the iterator's remaining frames into a materialized
-// *Record, closing the iterator. On a damaged or truncated stream the
-// CRC-valid prefix record is returned alongside the error (a
-// *TruncatedRecordError for truncation) — ReadRecordPrefix semantics for
-// any RecordIter, however its frames are decoded (serial, pooled, or
-// segment-parallel).
-func DrainRecord(it *RecordIter) (*Record, error) {
-	rec := &Record{
-		Chunks: make(map[uint64][]*cdcformat.Chunk),
-	}
-	defer it.Close() //cdc:allow(errsink) read-side close; decode and checksum errors surface from Next
-	for {
-		f, err := it.Next()
-		rec.Names = it.Names()
-		if err == io.EOF {
-			return rec, nil
-		}
-		if err != nil {
-			return rec, err
-		}
-		if f.Chunk != nil {
-			rec.Chunks[f.Chunk.Callsite] = append(rec.Chunks[f.Chunk.Callsite], f.Chunk)
-			rec.order = append(rec.order, f.Chunk.Callsite)
-		}
-	}
+// PermutedMessages and ValuesCDC count only the chunks workers have built
+// so far and are exact after Close; the remaining fields are always
+// current.
+func (e *Encoder) Stats() Stats {
+	s := e.stats
+	s.PermutedMessages = e.permuted.Load()
+	s.ValuesCDC = e.valuesCDC.Load()
+	return s
 }

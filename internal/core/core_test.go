@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"cdcreplay/internal/cdcformat"
 	"cdcreplay/internal/tables"
 )
 
@@ -48,6 +50,30 @@ func synthEvents(rng *rand.Rand, n, senders, window int) []tables.Event {
 	return events
 }
 
+// decodeChunks streams a record through OpenRecord, returning each
+// callsite's chunks in record order and the callsite names.
+func decodeChunks(t testing.TB, data []byte) (map[uint64][]*cdcformat.Chunk, map[uint64]string) {
+	t.Helper()
+	it, err := OpenRecord(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	chunks := map[uint64][]*cdcformat.Chunk{}
+	for {
+		f, err := it.Next()
+		if err == io.EOF {
+			return chunks, it.Names()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Chunk != nil {
+			chunks[f.Chunk.Callsite] = append(chunks[f.Chunk.Callsite], f.Chunk)
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var buf bytes.Buffer
@@ -88,16 +114,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("BytesWritten %d != buffer %d", enc.BytesWritten(), buf.Len())
 	}
 
-	rec, err := ReadRecord(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Names[1] != "mcb.go:42" || rec.Names[2] != "mcb.go:99" {
-		t.Fatalf("names = %v", rec.Names)
+	chunks, names := decodeChunks(t, buf.Bytes())
+	if names[1] != "mcb.go:42" || names[2] != "mcb.go:99" {
+		t.Fatalf("names = %v", names)
 	}
 	for cs, want := range streams {
 		var got []tables.Event
-		for _, chunk := range rec.Chunks[cs] {
+		for _, chunk := range chunks[cs] {
 			var msgs []tables.MatchedEntry
 			// In tests we reconstruct from the original message multiset
 			// (shuffled) — at replay these come from live messages.
@@ -233,15 +256,21 @@ func TestDoubleCloseIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestReadRecordRejectsGarbage(t *testing.T) {
-	if _, err := ReadRecord(bytes.NewReader([]byte("not a record"))); err == nil {
-		t.Fatal("accepted garbage")
-	}
-	if _, err := ReadRecord(bytes.NewReader([]byte("CDCRECv1 garbage follows"))); err == nil {
-		t.Fatal("accepted corrupt gzip stream")
-	}
-	if _, err := ReadRecord(bytes.NewReader(nil)); err == nil {
-		t.Fatal("accepted empty input")
+func TestOpenRecordRejectsGarbage(t *testing.T) {
+	for what, data := range map[string][]byte{
+		"garbage":             []byte("not a record"),
+		"corrupt gzip stream": []byte("CDCRECv1 garbage follows"),
+		"empty input":         nil,
+	} {
+		it, err := OpenRecord(bytes.NewReader(data))
+		if err == nil {
+			if _, err = drainToError(it); err == io.EOF {
+				err = nil
+			}
+		}
+		if err == nil {
+			t.Fatalf("accepted %s", what)
+		}
 	}
 }
 

@@ -489,18 +489,3 @@ func OpenRecordSegmentsAt(ra io.ReaderAt, size, start int64, cuts []int64, o Dec
 	go d.dispatchSegments(segs)
 	return &RecordIter{src: d, names: make(map[uint64]string)}, nil
 }
-
-// ReadRecordOptions decodes a complete record into memory through a decode
-// policy — ReadRecord behind DecoderOptions. Like ReadRecord it fails on
-// damage; use OpenRecordOptions + DrainRecord for prefix semantics.
-func ReadRecordOptions(rd io.Reader, o DecoderOptions) (*Record, error) {
-	it, err := OpenRecordOptions(rd, o)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := DrainRecord(it)
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
-}

@@ -276,7 +276,7 @@ func TestParallelDecodeStress(t *testing.T) {
 				done <- err
 				return
 			}
-			if _, err := DrainRecord(it); err != nil {
+			if _, err := drainToError(it); err != io.EOF {
 				done <- err
 				return
 			}
@@ -288,7 +288,7 @@ func TestParallelDecodeStress(t *testing.T) {
 				done <- err
 				return
 			}
-			if _, err := DrainRecord(it); err != nil {
+			if _, err := drainToError(it); err != io.EOF {
 				done <- err
 				return
 			}
@@ -298,29 +298,6 @@ func TestParallelDecodeStress(t *testing.T) {
 	for i := 0; i < 2*iters; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestReadRecordOptionsMatchesReadRecord pins the convenience wrapper to
-// the eager reader's result.
-func TestReadRecordOptionsMatchesReadRecord(t *testing.T) {
-	data, _ := buildSeekableRecord(t, 107, 600, 4)
-	want, err := ReadRecord(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRecordOptions(bytes.NewReader(data), DecoderOptions{DecodeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Names) != len(want.Names) || len(got.Chunks) != len(want.Chunks) {
-		t.Fatalf("pooled read: %d names/%d callsites, serial %d/%d",
-			len(got.Names), len(got.Chunks), len(want.Names), len(want.Chunks))
-	}
-	for cs, chunks := range want.Chunks {
-		if len(got.Chunks[cs]) != len(chunks) {
-			t.Fatalf("callsite %d: %d chunks, serial %d", cs, len(got.Chunks[cs]), len(chunks))
 		}
 	}
 }
@@ -440,10 +417,11 @@ func FuzzParallelDecode(f *testing.F) {
 // never a panic or a wrong stream.
 func TestOpenRecordSegmentsBadCuts(t *testing.T) {
 	data, _ := buildSeekableRecord(t, 108, 400, 4)
-	serial, err := ReadRecord(bytes.NewReader(data))
+	serialIt, err := OpenRecord(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, serialNames := drainFlat(t, serialIt)
 	for _, cuts := range [][]int64{
 		nil,
 		{},
@@ -456,14 +434,13 @@ func TestOpenRecordSegmentsBadCuts(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		rec, err := DrainRecord(it)
-		if err != nil {
+		if _, err := drainToError(it); err != io.EOF {
 			// Bogus interior cuts can legitimately fail decode; what they
 			// cannot do is silently deliver a different record.
 			continue
 		}
-		if len(rec.Names) != len(serial.Names) {
-			t.Fatalf("cuts %v: decoded %d names, serial %d", cuts, len(rec.Names), len(serial.Names))
+		if len(it.Names()) != len(serialNames) {
+			t.Fatalf("cuts %v: decoded %d names, serial %d", cuts, len(it.Names()), len(serialNames))
 		}
 	}
 }

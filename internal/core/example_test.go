@@ -8,8 +8,8 @@ import (
 	"cdcreplay/internal/tables"
 )
 
-// A recorder feeds observed events into the Encoder; ReadRecord recovers
-// the chunked tables. Here four in-reference-order receives compress to a
+// A recorder feeds observed events into the Encoder; a RecordIter streams
+// the chunked tables back. Here four in-reference-order receives compress to a
 // chunk with no permutation moves at all (§3.3).
 func ExampleEncoder() {
 	var buf bytes.Buffer
@@ -20,10 +20,18 @@ func ExampleEncoder() {
 	}
 	enc.Close()
 
-	rec, _ := core.ReadRecord(bytes.NewReader(buf.Bytes()))
-	chunk := rec.Chunks[1][0]
-	fmt.Println("callsite:", rec.Names[1])
-	fmt.Println("events:", chunk.NumMatched, "moves:", len(chunk.Moves))
+	it, _ := core.OpenRecord(bytes.NewReader(buf.Bytes()))
+	defer it.Close()
+	for {
+		f, err := it.Next()
+		if err != nil {
+			break
+		}
+		if f.Chunk != nil {
+			fmt.Println("callsite:", it.Names()[f.Chunk.Callsite])
+			fmt.Println("events:", f.Chunk.NumMatched, "moves:", len(f.Chunk.Moves))
+		}
+	}
 	// Output:
 	// callsite: app.go:42
 	// events: 4 moves: 0

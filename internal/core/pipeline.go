@@ -1,37 +1,40 @@
-// Parallel chunk-encoding pipeline (DESIGN.md §9).
+// Chunk-encoding stages and the parallel encode pool (DESIGN.md §9).
 //
-// The paper keeps record-time overhead flat by moving CDC encoding off the
-// application's critical path onto a dedicated thread; this file goes one
-// step further and fans the CPU-bound part of that thread's work — building
-// and serializing chunks — across a bounded worker pool, while an
-// ordered-commit stage funnels the results through the single FrameWriter
-// in submission order. Because gzip runs over the committed byte stream and
-// the committer preserves submission order, the record file is byte-for-byte
-// identical to the single-threaded encoder's output (pinned by
-// TestParallelEncodeByteIdentical).
+// Every chunk passes through the same three steps, whatever the worker
+// count:
 //
-// Stage boundaries:
+//	prepare (Encoder.flush)   build (Encoder.build)        commit (Encoder.commit)
+//	───────────────────────   ─────────────────────        ───────────────────────
+//	exception scan            Builder.Build                fw.WriteFrame
+//	frontier update           Builder.AppendMarshal        (submission order)
+//	events → job              encode.* metrics
 //
-//	CDC goroutine            workers (EncodeWorkers)        committer
-//	─────────────            ───────────────────────        ─────────
-//	exception scan   ──jobs──▶ Builder.Build          ──▶   <-j.ready
-//	frontier update            Builder.AppendMarshal        fw.WriteFrame
-//	submit (FIFO)              close(j.ready)               (submission order)
+// Prepare is order-sensitive (an exception tests against the frontier left
+// by the same callsite's previous chunk) and always runs on the CDC
+// goroutine. With EncodeWorkers ≤ 1 build and commit run inline right after
+// it, on a Builder the Encoder owns: a sync.Pool may drop its items at any
+// GC, so only an owned Builder keeps the inline steady state
+// allocation-free. With EncodeWorkers > 1 build fans out across a bounded
+// worker pool, each worker taking a pooled Builder, and a single committer
+// goroutine writes the results in submission order.
 //
-// The CDC goroutine submits every job to the commit queue first and the
-// worker queue second, so the committer's channel order IS submission
-// order; it simply waits for each job's ready latch before writing.
+// Because gzip runs over the committed byte stream and the committer
+// preserves submission order, the record file is byte-for-byte identical at
+// every width (pinned by TestEncoderBytesPinned).
+//
+// The CDC goroutine submits every pooled job to the commit queue first and
+// the worker queue second, so the committer's channel order IS submission
+// order; it simply waits for each chunk job's ready latch before writing.
 // Workers never block on the committer, so the commit queue always drains
-// and the pipeline cannot deadlock. Write errors latch into the pipeline
-// (first error wins); later commits become no-ops and every entry point
-// surfaces the latched error.
+// and the pool cannot deadlock. Write errors latch into the Encoder (first
+// error wins); later commits become no-ops and every entry point surfaces
+// the latched error.
 package core
 
 import (
 	"compress/gzip"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cdcreplay/internal/cdcformat"
@@ -63,32 +66,143 @@ func putGzipWriter(level int, zw *gzip.Writer) {
 	p.(*sync.Pool).Put(zw)
 }
 
-// Job kinds. jobChunk is the only kind workers touch; the rest are
-// committer-side control operations that ride the commit queue to stay
+// Job kinds. jobChunk is the only kind the build step touches; the rest are
+// commit-side control operations that ride the commit queue to stay
 // ordered relative to chunk frames.
 const (
 	jobChunk      = iota // encode events into a chunk frame
-	jobFrame             // pre-marshaled frame (callsite names)
+	jobCallsite          // pre-marshaled callsite-name frame
 	jobFlushPoint        // FrameWriter.FlushPoint(clock)
 	jobFlushOnly         // FrameWriter.Flush (FlushAll round that skipped a stream)
 	jobClose             // FrameWriter.Close(clock)
 )
 
-// encodeJob is one unit of pipeline work. Jobs are pooled and own their
-// events, exceptions, and payload backing arrays; ownership passes CDC
-// goroutine → worker → committer through channel sends, so no lock guards
-// the fields. ready is closed by the worker once payload is final;
-// done (when non-nil) receives the commit result.
+// encodeJob is one unit of encode work. Jobs own their events, exceptions,
+// and payload backing arrays and are recycled, so steady-state flushing
+// allocates nothing. In the pool, ownership passes CDC goroutine → worker →
+// committer through channel sends, so no lock guards the fields; the worker
+// signals ready (capacity 1) once payload is final, and done (when non-nil)
+// receives the commit result.
 type encodeJob struct {
 	kind       int
 	callsite   uint64
 	clock      uint64
-	frameKind  byte
 	events     []tables.Event
 	exceptions []tables.MatchedEntry
 	payload    []byte
 	ready      chan struct{}
 	done       chan error
+}
+
+// build turns a prepared chunk job into its frame payload with b. It runs
+// inline on the CDC goroutine or on a pool worker, and touches no Encoder
+// state other than atomic counters and the concurrency-safe obs
+// instruments.
+func (e *Encoder) build(b *cdcformat.Builder, j *encodeJob) {
+	var start time.Time
+	if e.mStageNs != nil {
+		start = time.Now() //cdc:allow(nodeterm) telemetry only: feeds the encode.stage.ns histogram, never the record bytes
+	}
+	chunk := b.Build(j.callsite, j.events, !e.opts.OmitSenderColumn)
+	chunk.Exceptions = j.exceptions
+	if e.mLPE != nil {
+		span := e.obsReg.StartSpan("encode.chunk")
+		re, pe, lp := cdcformat.StageSizes(j.events, chunk)
+		e.mChunks.Inc()
+		e.mRaw.Add(uint64(len(j.events)) * rawBitsPerRow / 8)
+		e.mRE.Add(uint64(re))
+		e.mPE.Add(uint64(pe))
+		e.mLPE.Add(uint64(lp))
+		span.End()
+	}
+	e.permuted.Add(uint64(len(chunk.Moves)))
+	e.valuesCDC.Add(uint64(chunk.ValueCount()))
+	j.payload = b.AppendMarshal(j.payload[:0], chunk)
+	if e.mStageNs != nil {
+		e.mStageNs.Observe(uint64(time.Since(start))) //cdc:allow(nodeterm) telemetry only: stage latency, never the record bytes
+	}
+}
+
+// commit executes one job against the FrameWriter. Jobs commit in
+// submission order: inline that is call order, in the pool the committer
+// goroutine guarantees it. Once a write has failed, every later commit
+// returns that first error without writing.
+func (e *Encoder) commit(j *encodeJob) error {
+	if latched := e.err.Load(); latched != nil {
+		return *latched
+	}
+	var err error
+	switch j.kind {
+	case jobChunk:
+		err = e.fw.WriteFrame(frameChunk, j.payload)
+	case jobCallsite:
+		err = e.fw.WriteFrame(frameCallsite, j.payload)
+	case jobFlushPoint:
+		err = e.fw.FlushPoint(j.clock)
+		e.reportGzipBytes()
+	case jobFlushOnly:
+		err = e.fw.Flush()
+		e.reportGzipBytes()
+	case jobClose:
+		err = e.fw.Close(j.clock)
+		e.reportGzipBytes()
+	}
+	if err != nil {
+		e.err.CompareAndSwap(nil, &err)
+	}
+	return err
+}
+
+// firstErr reports the latched write error, if any.
+func (e *Encoder) firstErr() error {
+	if pe := e.err.Load(); pe != nil {
+		return *pe
+	}
+	return nil
+}
+
+// getJob returns an empty job of the given kind: the Encoder's own job when
+// running inline, a pooled one otherwise.
+func (e *Encoder) getJob(kind int) *encodeJob {
+	j := &e.inline
+	if e.pipe != nil {
+		j = e.pipe.jobPool.Get().(*encodeJob)
+	}
+	j.kind = kind
+	return j
+}
+
+// submit hands a job on. Inline it is built (if a chunk) and committed
+// before submit returns, and the result is the commit's. In the pool it is
+// queued without waiting, and the result is any error latched so far.
+func (e *Encoder) submit(j *encodeJob) error {
+	if e.pipe != nil {
+		e.pipe.submit(j)
+		return e.firstErr()
+	}
+	if j.kind == jobChunk {
+		e.build(&e.builder, j)
+	}
+	err := e.commit(j)
+	j.reset()
+	return err
+}
+
+// run submits a control job and returns once it — and therefore everything
+// submitted before it — has committed.
+func (e *Encoder) run(j *encodeJob) error {
+	if e.pipe != nil {
+		return e.pipe.run(j)
+	}
+	return e.submit(j)
+}
+
+// reset empties a job for reuse, keeping its backing arrays.
+func (j *encodeJob) reset() {
+	j.done = nil
+	j.events = j.events[:0]
+	j.exceptions = j.exceptions[:0]
+	j.payload = j.payload[:0]
 }
 
 // encodePipeline is the worker pool plus ordered committer attached to an
@@ -100,10 +214,6 @@ type encodePipeline struct {
 	wg     sync.WaitGroup  // workers
 	closed chan struct{}   // committer exited
 
-	// err is the first write error; once set the committer stops writing
-	// and every pipeline entry point returns it.
-	err atomic.Pointer[error]
-
 	// waitCh is reused for blocking operations; the Encoder is driven by a
 	// single goroutine, so at most one waiter exists at a time.
 	waitCh chan error
@@ -111,16 +221,9 @@ type encodePipeline struct {
 	jobPool  sync.Pool // *encodeJob
 	builders sync.Pool // *cdcformat.Builder
 
-	// Worker-side stat deltas, folded into Encoder.stats at Close (the
-	// serial path updates them synchronously; workers must not touch the
-	// unsynchronized Stats struct).
-	permuted  atomic.Uint64
-	valuesCDC atomic.Uint64
-
-	// Instruments (nil-safe): worker occupancy with high-water mark, chunk
-	// encode-stage latency, and builder-pool effectiveness.
+	// Instruments (nil-safe): worker occupancy with high-water mark and
+	// builder-pool effectiveness.
 	mBusy     *obs.Gauge
-	mStageNs  *obs.Histogram
 	mPoolHit  *obs.Counter
 	mPoolMiss *obs.Counter
 }
@@ -133,14 +236,13 @@ func newEncodePipeline(e *Encoder, workers int) *encodePipeline {
 		closed: make(chan struct{}),
 		waitCh: make(chan error, 1),
 	}
-	p.jobPool.New = func() any { return new(encodeJob) }
+	p.jobPool.New = func() any { return &encodeJob{ready: make(chan struct{}, 1)} }
 	p.builders.New = func() any {
 		p.mPoolMiss.Inc()
 		return new(cdcformat.Builder)
 	}
 	if reg := e.obsReg; reg != nil {
 		p.mBusy = reg.Gauge("encode.workers.busy")
-		p.mStageNs = reg.Histogram("encode.stage.ns", obs.LatencyBounds())
 		p.mPoolHit = reg.Counter("encode.pool.hit")
 		p.mPoolMiss = reg.Counter("encode.pool.miss")
 	}
@@ -152,17 +254,13 @@ func newEncodePipeline(e *Encoder, workers int) *encodePipeline {
 	return p
 }
 
-func (p *encodePipeline) getJob() *encodeJob {
-	return p.jobPool.Get().(*encodeJob)
-}
-
-// submit hands a job to the pipeline. The commit send precedes the worker
-// send so the committer's queue order is exactly submission order. The
-// needsWorker flag is captured before the commit send: a control job may be
+// submit queues a job. The commit send precedes the worker send so the
+// committer's queue order is exactly submission order. Whether the job
+// needs a worker is read before the commit send: a control job may be
 // committed and recycled the moment it is enqueued, so j must not be read
 // afterwards.
 func (p *encodePipeline) submit(j *encodeJob) {
-	needsWorker := j.ready != nil
+	needsWorker := j.kind == jobChunk
 	p.commit <- j
 	if needsWorker {
 		p.jobs <- j
@@ -177,163 +275,44 @@ func (p *encodePipeline) run(j *encodeJob) error {
 	return <-p.waitCh
 }
 
-func (p *encodePipeline) firstErr() error {
-	if pe := p.err.Load(); pe != nil {
-		return *pe
-	}
-	return nil
-}
-
-// worker turns chunk jobs into marshaled frame payloads. It owns a pooled
-// Builder for the duration of each job, touches no Encoder state other than
-// atomic counters, and never blocks on the committer.
+// worker runs the build step on chunk jobs. It owns a pooled Builder for
+// the duration of each job and never blocks on the committer.
 func (p *encodePipeline) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {
 		p.mBusy.Add(1)
-		start := time.Now() //cdc:allow(nodeterm) telemetry only: feeds the encode.stage.ns histogram, never the record bytes
 		b := p.builders.Get().(*cdcformat.Builder)
 		p.mPoolHit.Inc()
-		chunk := b.Build(j.callsite, j.events, !p.e.opts.OmitSenderColumn)
-		chunk.Exceptions = j.exceptions
-		if p.e.mLPE != nil {
-			span := p.e.obsReg.StartSpan("encode.chunk")
-			re, pe, lp := cdcformat.StageSizes(j.events, chunk)
-			p.e.mChunks.Inc()
-			p.e.mRaw.Add(uint64(len(j.events)) * rawBitsPerRow / 8)
-			p.e.mRE.Add(uint64(re))
-			p.e.mPE.Add(uint64(pe))
-			p.e.mLPE.Add(uint64(lp))
-			span.End()
-		}
-		p.permuted.Add(uint64(len(chunk.Moves)))
-		p.valuesCDC.Add(uint64(chunk.ValueCount()))
-		j.payload = b.AppendMarshal(j.payload[:0], chunk)
+		p.e.build(b, j)
 		p.builders.Put(b)
-		p.mStageNs.Observe(uint64(time.Since(start))) //cdc:allow(nodeterm) telemetry only: stage latency, never the record bytes
 		p.mBusy.Add(-1)
-		close(j.ready)
+		j.ready <- struct{}{}
 	}
 }
 
 // committer is the single goroutine allowed to touch the FrameWriter after
-// the pipeline starts. It drains the commit queue in submission order,
-// waiting for each chunk job's worker to finish before writing its frame.
+// the pool starts. It drains the commit queue in submission order, waiting
+// for each chunk job's worker to finish before committing it.
 func (p *encodePipeline) committer() {
 	defer close(p.closed)
 	for j := range p.commit {
-		if j.ready != nil {
+		if j.kind == jobChunk {
 			<-j.ready
 		}
-		var err error
-		if latched := p.err.Load(); latched != nil {
-			err = *latched
-		} else {
-			switch j.kind {
-			case jobChunk:
-				err = p.e.fw.WriteFrame(frameChunk, j.payload)
-			case jobFrame:
-				err = p.e.fw.WriteFrame(j.frameKind, j.payload)
-			case jobFlushPoint:
-				err = p.e.fw.FlushPoint(j.clock)
-				p.e.reportGzipBytes()
-			case jobFlushOnly:
-				err = p.e.fw.Flush()
-				p.e.reportGzipBytes()
-			case jobClose:
-				err = p.e.fw.Close(j.clock)
-				p.e.reportGzipBytes()
-			}
-			if err != nil {
-				p.err.CompareAndSwap(nil, &err)
-			}
-		}
+		err := p.e.commit(j)
 		done := j.done
-		p.recycle(j)
+		j.reset()
+		p.jobPool.Put(j)
 		if done != nil {
 			done <- err
 		}
 	}
 }
 
-// recycle returns a job to the pool, keeping its backing arrays.
-func (p *encodePipeline) recycle(j *encodeJob) {
-	j.ready, j.done = nil, nil
-	j.events = j.events[:0]
-	j.exceptions = j.exceptions[:0]
-	j.payload = j.payload[:0]
-	p.jobPool.Put(j)
-}
-
-// shutdown tears the pipeline down after the close job has committed.
+// shutdown tears the pool down after the close job has committed.
 func (p *encodePipeline) shutdown() {
 	close(p.jobs)
 	p.wg.Wait()
 	close(p.commit)
 	<-p.closed
-}
-
-// flushAsync is the pipeline counterpart of Encoder.flush: it performs the
-// order-sensitive bookkeeping inline — the boundary-exception scan against
-// the pre-chunk frontier and the frontier advance, both of which depend on
-// prior chunks of the same callsite — then hands the event batch to the
-// worker stage and returns without waiting. The pending buffer is swapped
-// with the job's recycled one, so steady-state flushing allocates nothing.
-func (e *Encoder) flushAsync(callsite uint64, ps *pendingStream) error {
-	if len(ps.events) == 0 {
-		return e.pipe.firstErr()
-	}
-	if ps.frontier == nil {
-		ps.frontier = make(map[int32]uint64)
-	}
-	j := e.pipe.getJob()
-	j.kind = jobChunk
-	j.callsite = callsite
-	// Two passes, exceptions before frontier advance: an exception tests
-	// against the frontier as of the previous chunk, and a same-rank event
-	// earlier in this chunk must not hide a later inversion.
-	for _, ev := range ps.events {
-		if ev.Flag && ev.Clock <= ps.frontier[ev.Rank] {
-			j.exceptions = append(j.exceptions,
-				tables.MatchedEntry{Rank: ev.Rank, Clock: ev.Clock})
-		}
-	}
-	for _, ev := range ps.events {
-		if ev.Flag && ev.Clock > ps.frontier[ev.Rank] {
-			ps.frontier[ev.Rank] = ev.Clock
-		}
-	}
-	j.events, ps.events = ps.events, j.events[:0]
-	ps.matched = 0
-	e.stats.Chunks++
-	j.ready = make(chan struct{})
-	e.pipe.submit(j)
-	return e.pipe.firstErr()
-}
-
-// closeParallel is Encoder.Close's pipeline path: flush every stream
-// through the workers, commit the final flush-point/close frame, then tear
-// the pool down and fold the workers' stat deltas into the encoder's.
-func (e *Encoder) closeParallel() error {
-	var flushErr error
-	for _, cs := range e.order {
-		if err := e.flushAsync(cs, e.pending[cs]); err != nil && flushErr == nil {
-			flushErr = err
-		}
-	}
-	e.stats.FlushPoints++
-	j := e.pipe.getJob()
-	j.kind = jobClose
-	j.clock = e.clock
-	err := e.pipe.run(j)
-	e.pipe.shutdown()
-	e.stats.PermutedMessages += e.pipe.permuted.Load()
-	e.stats.ValuesCDC += e.pipe.valuesCDC.Load()
-	if flushErr != nil {
-		return flushErr
-	}
-	if err != nil {
-		return err
-	}
-	return e.notifyFlushPoint()
 }

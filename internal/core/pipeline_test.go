@@ -72,8 +72,8 @@ func driveEncoder(t *testing.T, enc *Encoder, seed int64, events, flushEvery int
 
 // TestParallelEncodeByteIdentical is the golden test for the ordered-commit
 // invariant: for every worker count, every chunk size, and both sender
-// modes, the parallel pipeline must produce a record byte-for-byte
-// identical to the serial encoder's.
+// modes, the worker pool must produce a record byte-for-byte identical to
+// the inline encoder's (TestEncoderBytesPinned pins those bytes).
 func TestParallelEncodeByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		chunkEvents int
@@ -115,9 +115,10 @@ func TestParallelEncodeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelEncodeObs checks that the pipeline path feeds the same
-// per-stage byte counters as the serial one, plus its own worker/pool
-// instruments.
+// TestParallelEncodeObs checks that the pool feeds the same per-stage byte
+// counters as the inline encoder, that both widths observe the per-chunk
+// encode.stage.ns latency, and that the pool reports its own worker and
+// builder-pool instruments.
 func TestParallelEncodeObs(t *testing.T) {
 	run := func(workers int) obs.Snapshot {
 		reg := obs.NewRegistry()
@@ -136,14 +137,17 @@ func TestParallelEncodeObs(t *testing.T) {
 			t.Errorf("%s: serial %d, parallel %d", name, s, p)
 		}
 	}
-	if parallel.Counter("encode.pool.hit") == 0 {
-		t.Error("no builder pool hits recorded")
-	}
 	if parallel.Gauge("encode.workers.busy").Max < 1 {
 		t.Error("worker busy gauge never rose")
 	}
-	if h := parallel.Histogram("encode.stage.ns"); h.Count == 0 {
-		t.Error("no encode-stage latency observations")
+	for name, snap := range map[string]obs.Snapshot{"inline": serial, "pool": parallel} {
+		chunks := snap.Counter("encode.chunks")
+		if got := snap.Histogram("encode.stage.ns").Count; got == 0 || got != chunks {
+			t.Errorf("%s: %d encode-stage latency observations for %d chunks", name, got, chunks)
+		}
+	}
+	if parallel.Counter("encode.pool.hit") == 0 {
+		t.Error("no builder pool hits recorded")
 	}
 }
 
@@ -229,18 +233,15 @@ func TestParallelEncodeStress(t *testing.T) {
 				trial, workers, chunk, flushEvery)
 		}
 		// The parallel record must decode like any other.
-		rec, err := ReadRecord(bytes.NewReader(parallel.Bytes()))
-		if err != nil {
-			t.Fatalf("trial %d: decoding parallel record: %v", trial, err)
-		}
-		if len(rec.Chunks) == 0 {
+		if chunks, _ := decodeChunks(t, parallel.Bytes()); len(chunks) == 0 {
 			t.Fatalf("trial %d: parallel record decoded empty", trial)
 		}
 	}
 }
 
-// TestOpenRecordStreams checks the streaming iterator against ReadRecord on
-// the same bytes: same chunks in the same order, same names, same totals.
+// TestOpenRecordStreams checks the streaming iterator against what the
+// encoder wrote: every chunk, name, matched event and flush point, with
+// the iterator's running totals agreeing with what it yielded.
 func TestOpenRecordStreams(t *testing.T) {
 	var buf bytes.Buffer
 	enc, err := NewEncoder(&buf, EncoderOptions{ChunkEvents: 64})
@@ -248,18 +249,15 @@ func TestOpenRecordStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveEncoder(t, enc, 7, 1000, 90)
+	want := enc.Stats()
 
-	want, err := ReadRecord(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	it, err := OpenRecord(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	gotChunks := map[uint64]int{}
-	var frames int
+	var frames, chunks, flushes int
+	var events uint64
 	for {
 		f, err := it.Next()
 		if err == io.EOF {
@@ -270,22 +268,24 @@ func TestOpenRecordStreams(t *testing.T) {
 		}
 		frames++
 		if f.Chunk != nil {
-			gotChunks[f.Chunk.Callsite]++
+			chunks++
+			events += f.Chunk.NumMatched
+		}
+		if f.Flush {
+			flushes++
 		}
 	}
-	for cs, chunks := range want.Chunks {
-		if gotChunks[cs] != len(chunks) {
-			t.Errorf("callsite %d: iterator saw %d chunks, ReadRecord %d", cs, gotChunks[cs], len(chunks))
-		}
+	if uint64(chunks) != want.Chunks || events != want.MatchedEvents || uint64(flushes) != want.FlushPoints {
+		t.Errorf("iterator saw %d chunks/%d events/%d flush points, encoder wrote %d/%d/%d",
+			chunks, events, flushes, want.Chunks, want.MatchedEvents, want.FlushPoints)
 	}
-	if !reflect.DeepEqual(it.Names(), want.Names) {
-		t.Errorf("names diverge: iterator %v, ReadRecord %v", it.Names(), want.Names)
+	wantNames := map[uint64]string{1: "a.go:1", 2: "b.go:2", 3: "c.go:3"}
+	if !reflect.DeepEqual(it.Names(), wantNames) {
+		t.Errorf("names diverge: iterator %v, registered %v", it.Names(), wantNames)
 	}
-	if uint64(frames) != it.Frames() {
-		t.Errorf("frame count: %d yielded, %d reported", frames, it.Frames())
-	}
-	if it.Events() == 0 || it.FlushPoints() == 0 {
-		t.Errorf("totals not accumulated: events=%d flushPoints=%d", it.Events(), it.FlushPoints())
+	if uint64(frames) != it.Frames() || events != it.Events() || uint64(flushes) != it.FlushPoints() {
+		t.Errorf("totals: %d frames/%d events/%d flush points yielded, %d/%d/%d reported",
+			frames, events, flushes, it.Frames(), it.Events(), it.FlushPoints())
 	}
 }
 

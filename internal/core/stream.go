@@ -65,8 +65,8 @@ type Frame struct {
 
 // FrameReader decodes a record file incrementally, one frame at a time,
 // without materializing the whole stream — the memory-bounded path a
-// replay-side CDC thread would use (paper Fig. 11's decode box). ReadRecord
-// is a convenience built on top of it.
+// replay-side CDC thread would use (paper Fig. 11's decode box). RecordIter
+// is built on top of it.
 //
 // Every frame's CRC32 trailer is verified before the frame is returned. On
 // a damaged or truncated stream, Next returns a *TruncatedRecordError
@@ -304,11 +304,11 @@ var _ frameSource = (*FrameReader)(nil)
 // RecordIter is the one streaming record-access API: Next yields one
 // verified frame at a time, accumulating callsite names as they stream
 // past, so tooling and replay walk records of any size in bounded memory
-// instead of materializing a *Record. Every other reader in the repo —
-// ReadRecord, ReadRecordPrefix, store.LoadRank, the cdc facade's
-// RecordReader — is a thin wrapper over it, and DecoderOptions decides
-// whether the frames behind it are decoded serially or by a worker pool
-// (see OpenRecordOptions).
+// instead of materializing the record. Every reader in the repo — the
+// replay engine's streaming source, store.OpenRankReader, the cdc facade's
+// RecordReader and Replay, cdcinspect — goes through it, and
+// DecoderOptions decides whether the frames behind it are decoded serially
+// or by a worker pool (see OpenRecordOptions).
 //
 // A RecordIter is not safe for concurrent use. Close releases the
 // decompressor but, like FrameReader, does not close the underlying reader.

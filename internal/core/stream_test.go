@@ -35,12 +35,15 @@ func buildRecordBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-func TestFrameReaderMatchesReadRecord(t *testing.T) {
+// TestFrameReaderMatchesRecordIter checks the bare frame layer against a
+// pooled RecordIter over the same bytes: same chunks, events and names.
+func TestFrameReaderMatchesRecordIter(t *testing.T) {
 	data := buildRecordBytes(t)
-	rec, err := ReadRecord(bytes.NewReader(data))
+	it, err := OpenRecordOptions(bytes.NewReader(data), DecoderOptions{DecodeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, counters, wantNames := drainFlat(t, it)
 
 	fr, err := NewFrameReader(bytes.NewReader(data))
 	if err != nil {
@@ -65,19 +68,12 @@ func TestFrameReaderMatchesReadRecord(t *testing.T) {
 		}
 		names[f.CallsiteID] = f.CallsiteName
 	}
-	wantChunks := 0
-	var wantEvents uint64
-	for _, cs := range rec.Chunks {
-		wantChunks += len(cs)
-		for _, c := range cs {
-			wantEvents += c.NumMatched
-		}
+	wantChunks := int(counters[0]) - len(wantNames) - int(counters[2])
+	if chunks != wantChunks || events != counters[1] {
+		t.Fatalf("streamed %d chunks/%d events, RecordIter has %d/%d", chunks, events, wantChunks, counters[1])
 	}
-	if chunks != wantChunks || events != wantEvents {
-		t.Fatalf("streamed %d chunks/%d events, ReadRecord has %d/%d", chunks, events, wantChunks, wantEvents)
-	}
-	if names[1] != rec.Names[1] || names[2] != rec.Names[2] {
-		t.Fatalf("names %v vs %v", names, rec.Names)
+	if names[1] != wantNames[1] || names[2] != wantNames[2] {
+		t.Fatalf("names %v vs %v", names, wantNames)
 	}
 }
 
@@ -111,9 +107,9 @@ func TestCorruptRecordNeverPanics(t *testing.T) {
 				t.Fatalf("decoder panicked on corrupt input: %v", p)
 			}
 		}()
-		rec, err := ReadRecord(bytes.NewReader(b))
-		_ = rec
-		_ = err // either outcome is acceptable; panics are not
+		if it, err := OpenRecord(bytes.NewReader(b)); err == nil {
+			drainToError(it) // either outcome is acceptable; panics are not
+		}
 	}
 
 	// Truncations.
@@ -151,7 +147,11 @@ func TestCorruptChunkPayloadDetected(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRecord(bytes.NewReader(buf.Bytes())); err != nil {
+	it, err := OpenRecord(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		_, err = drainToError(it)
+	}
+	if err != io.EOF {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"cdcreplay/internal/baseline"
+	"cdcreplay/internal/cdcformat"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/record"
@@ -196,10 +198,43 @@ func decodeWorkersFor(seed int64, k uint64) int {
 	return widths[uint64(deriveSeed(seed, k))%uint64(len(widths))]
 }
 
-// readRecord materializes one rank's record through the decode pipeline at
-// the given pool width.
-func readRecord(buf []byte, workers int) (*core.Record, error) {
-	return core.ReadRecordOptions(bytes.NewReader(buf), core.DecoderOptions{DecodeWorkers: workers})
+// openRecord streams one rank's in-memory record through the decode
+// pipeline at the given pool width.
+func openRecord(buf []byte, workers int) (*core.RecordIter, error) {
+	return core.OpenRecordOptions(bytes.NewReader(buf), core.DecoderOptions{DecodeWorkers: workers})
+}
+
+// openReplay builds a rank's Replayer the way cdc.Replay does — a prescan
+// pass, then a chunk feed pulled lazily from the (possibly pooled) decoder
+// — so the properties run against exactly the production replay path.
+func openReplay(mpi simmpi.MPI, open func() (*core.RecordIter, io.Closer, error), opts replay.Options) (*replay.Replayer, error) {
+	return replay.Open(lamport.WrapManual(mpi), open, opts)
+}
+
+// openBuf is an openReplay source over an in-memory record.
+func openBuf(buf []byte, workers int) func() (*core.RecordIter, io.Closer, error) {
+	return func() (*core.RecordIter, io.Closer, error) {
+		it, err := openRecord(buf, workers)
+		return it, nil, err
+	}
+}
+
+// runReplay drives app on rp, verifies the rank and closes the replayer,
+// reporting the first failure.
+func runReplay(rp *replay.Replayer, app appFunc) error {
+	aerr := app(rp)
+	var verr error
+	if aerr == nil {
+		verr = rp.Verify()
+	}
+	cerr := rp.Close()
+	if aerr != nil {
+		return aerr
+	}
+	if verr != nil {
+		return verr
+	}
+	return cerr
 }
 
 // runOrder executes the order experiment for one schedule: a record phase
@@ -265,41 +300,15 @@ func checkReplayOrder(p expParams, app appFunc, bufs []*bytes.Buffer, taps [][]r
 	w := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seq, Delivery: deliveryFor("", 0, 0)})
 	reps := make([][]rcv, p.ranks)
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		// P1 replays through the full streaming stack — prescan pass, then a
-		// chunk feed pulled lazily from the (possibly pooled) decoder — so
-		// the bounded-reorder adversary runs against exactly the machinery
-		// cdc.Replay uses.
-		o := core.DecoderOptions{DecodeWorkers: decodeWorkersFor(p.seed, 11)}
-		scanIt, err := core.OpenRecordOptions(bytes.NewReader(bufs[rank].Bytes()), o)
-		if err != nil {
-			return err
-		}
-		meta, err := replay.ScanRecord(scanIt)
-		if err != nil {
-			return err
-		}
-		feedIt, err := core.OpenRecordOptions(bytes.NewReader(bufs[rank].Bytes()), o)
-		if err != nil {
-			return err
-		}
-		rp := replay.NewStream(lamport.WrapManual(mpi), meta, replay.IterSource(feedIt), replay.Options{
+		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes(), decodeWorkersFor(p.seed, 11)), replay.Options{
 			OnRelease: func(st simmpi.Status) {
 				reps[rank] = append(reps[rank], rcv{st.Source, st.Tag, st.Clock})
 			},
 		})
-		aerr := app(rp)
-		verr := error(nil)
-		if aerr == nil {
-			verr = rp.Verify()
+		if err != nil {
+			return err
 		}
-		cerr := rp.Close()
-		if aerr != nil {
-			return aerr
-		}
-		if verr != nil {
-			return verr
-		}
-		return cerr
+		return runReplay(rp, app)
 	})
 	if err != nil {
 		return fmt.Errorf("P1 replay-order: replay run: %w", err)
@@ -329,28 +338,23 @@ func checkReRecord(p expParams, app appFunc, bufs []*bytes.Buffer) error {
 	w := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seq, Delivery: deliveryFor("", 0, 0)})
 	bufs2 := make([]*bytes.Buffer, p.ranks)
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := readRecord(bufs[rank].Bytes(), decodeWorkersFor(p.seed, 12))
+		// CallsiteSkip hops over the interposed recorder frame so the
+		// replayer resolves the application's call sites, as the record did.
+		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes(), decodeWorkersFor(p.seed, 12)),
+			replay.Options{CallsiteSkip: 1})
 		if err != nil {
 			return err
 		}
-		// CallsiteSkip hops over the interposed recorder frame so the
-		// replayer resolves the application's call sites, as the record did.
-		rp := replay.New(lamport.WrapManual(mpi), rec, replay.Options{CallsiteSkip: 1})
 		bufs2[rank] = &bytes.Buffer{}
 		enc, err := core.NewEncoder(bufs2[rank], encOpts())
 		if err != nil {
+			rp.Close() //cdc:allow(errsink) best-effort cleanup; the encoder error is already propagating
 			return err
 		}
 		rerec := record.New(rp, baseline.NewCDC(enc), recOpts())
-		aerr := app(rerec)
-		cerr := rerec.Close()
-		if aerr != nil {
-			return aerr
-		}
-		if cerr != nil {
-			return cerr
-		}
-		return rp.Verify()
+		return runReplay(rp, func(mpi simmpi.MPI) error {
+			return errors.Join(app(rerec), rerec.Close())
+		})
 	})
 	if err != nil {
 		return fmt.Errorf("P2 re-record: replay run: %w", err)
@@ -374,52 +378,70 @@ func checkDecode(p expParams, bufs []*bytes.Buffer, rows [][]teeRow) error {
 		// Each rank decodes at a different seed-derived pool width, so P3
 		// holds across the serial and parallel decoders in one sweep.
 		workers := decodeWorkersFor(p.seed, 13+uint64(rank))
-		rec, err := readRecord(bufs[rank].Bytes(), workers)
+		it, err := openRecord(bufs[rank].Bytes(), workers)
 		if err != nil {
 			return fmt.Errorf("P3 decode: rank %d (decode workers %d): %w", rank, workers, err)
 		}
 		want := map[uint64][]tables.Event{}
+		matched := map[uint64][]tables.MatchedEntry{}
 		for _, row := range rows[rank] {
 			want[row.cs] = append(want[row.cs], row.ev)
+			if ev := row.ev; ev.Flag {
+				matched[row.cs] = append(matched[row.cs], tables.MatchedEntry{Rank: ev.Rank, Clock: ev.Clock, Tag: ev.Tag})
+			}
 		}
-		for _, cs := range rec.Callsites() {
+		// Stream the chunks, restoring each callsite's rows against its
+		// observed messages in record order.
+		var order []uint64
+		got := map[uint64][]tables.Event{}
+		mi := map[uint64]int{}
+		chunks := map[uint64]int{}
+		var b cdcformat.Builder
+		for err == nil {
+			var f *core.Frame
+			if f, err = it.Next(); err != nil || f.Chunk == nil {
+				continue
+			}
+			ch, cs := f.Chunk, f.Chunk.Callsite
+			if chunks[cs] == 0 {
+				order = append(order, cs)
+			}
+			ci, nm := chunks[cs], int(ch.NumMatched)
+			chunks[cs]++
+			if mi[cs]+nm > len(matched[cs]) {
+				it.Close() //cdc:allow(errsink) in-memory source; the verdict is already propagating
+				return fmt.Errorf("P3 decode: rank %d callsite %#x chunk %d wants %d messages, only %d observed remain",
+					rank, cs, ci, nm, len(matched[cs])-mi[cs])
+			}
+			evs, rerr := ch.ReconstructEvents(matched[cs][mi[cs] : mi[cs]+nm])
+			if rerr != nil {
+				it.Close() //cdc:allow(errsink) in-memory source; the verdict is already propagating
+				return fmt.Errorf("P3 decode: rank %d callsite %#x chunk %d: %w", rank, cs, ci, rerr)
+			}
+			mi[cs] += nm
+			got[cs] = append(got[cs], evs...)
+			if corpus != nil {
+				corpus(b.AppendMarshal(nil, ch))
+			}
+		}
+		it.Close() //cdc:allow(errsink) in-memory source; decode errors surface from Next
+		if err != io.EOF {
+			return fmt.Errorf("P3 decode: rank %d (decode workers %d): %w", rank, workers, err)
+		}
+		for _, cs := range order {
 			wantRows := want[cs]
-			var matched []tables.MatchedEntry
-			for _, ev := range wantRows {
-				if ev.Flag {
-					matched = append(matched, tables.MatchedEntry{Rank: ev.Rank, Clock: ev.Clock, Tag: ev.Tag})
-				}
-			}
-			var got []tables.Event
-			mi := 0
-			for ci, ch := range rec.Chunks[cs] {
-				nm := int(ch.NumMatched)
-				if mi+nm > len(matched) {
-					return fmt.Errorf("P3 decode: rank %d callsite %#x chunk %d wants %d messages, only %d observed remain",
-						rank, cs, ci, nm, len(matched)-mi)
-				}
-				evs, err := ch.ReconstructEvents(matched[mi : mi+nm])
-				if err != nil {
-					return fmt.Errorf("P3 decode: rank %d callsite %#x chunk %d: %w", rank, cs, ci, err)
-				}
-				mi += nm
-				got = append(got, evs...)
-				if corpus != nil {
-					corpus(ch.Marshal(nil))
-				}
-			}
-			if mi != len(matched) {
+			if mi[cs] != len(matched[cs]) {
 				return fmt.Errorf("P3 decode: rank %d callsite %#x decoded %d matched events, observed %d",
-					rank, cs, mi, len(matched))
+					rank, cs, mi[cs], len(matched[cs]))
 			}
-			if len(got) != len(wantRows) {
+			if len(got[cs]) != len(wantRows) {
 				return fmt.Errorf("P3 decode: rank %d callsite %#x restored %d rows, observed %d",
-					rank, cs, len(got), len(wantRows))
+					rank, cs, len(got[cs]), len(wantRows))
 			}
-			for i := range got {
-				if got[i] != wantRows[i] {
+			for i, ev := range got[cs] {
+				if ev != wantRows[i] {
 					return fmt.Errorf("P3 decode: rank %d callsite %#x row %d: restored %+v, observed %+v",
-						rank, cs, i, got[i], wantRows[i])
+						rank, cs, i, ev, wantRows[i])
 				}
 			}
 			delete(want, cs)
@@ -537,20 +559,18 @@ func runCrashStore(p expParams, st store.Store) (decisions, counts []int, verdic
 	wB := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seqB, Delivery: deliveryFor("", 0, 0)})
 	reps := make([][]rcv, p.ranks)
 	errB := wB.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := store.LoadRank(st, rank)
-		if err != nil {
-			return err
-		}
-		rp := replay.New(lamport.WrapManual(mpi), rec, replay.Options{
+		rp, err := openReplay(mpi, func() (*core.RecordIter, io.Closer, error) {
+			return store.OpenRankIter(st, rank, core.DecoderOptions{})
+		}, replay.Options{
 			LiveAfterExhausted: true,
 			OnRelease: func(st simmpi.Status) {
 				reps[rank] = append(reps[rank], rcv{st.Source, st.Tag, st.Clock})
 			},
 		})
-		if aerr := app(rp); aerr != nil {
-			return aerr
+		if err != nil {
+			return err
 		}
-		return rp.Verify()
+		return runReplay(rp, app)
 	})
 	if errB != nil {
 		return decisions, counts, fmt.Errorf("P4 crash: replay run: %w", errB)

@@ -198,19 +198,10 @@ func ReplayValidation(cfg Config) (*ReplayResult, error) {
 	err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
 		// Streaming replay: a prescan pass summarizes the record, then the
 		// replayer pulls chunks lazily — the record is never materialized.
-		scanIt, err := core.OpenRecord(bytes.NewReader(files[rank]))
+		rp, err := replay.Open(lamport.WrapManual(mpi), replay.RecordBytes(files[rank]), replay.Options{})
 		if err != nil {
 			return err
 		}
-		meta, err := replay.ScanRecord(scanIt)
-		if err != nil {
-			return err
-		}
-		feedIt, err := core.OpenRecord(bytes.NewReader(files[rank]))
-		if err != nil {
-			return err
-		}
-		rp := replay.NewStream(lamport.WrapManual(mpi), meta, replay.IterSource(feedIt), replay.Options{})
 		defer rp.Close() //cdc:allow(errsink) in-memory source; decode errors surface during replay
 		r, rerr := mcb.Run(rp, params)
 		if rerr != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -29,7 +30,7 @@ type StoreBackendRun struct {
 	// RecordNs is the wall-clock time to record and finalize every rank.
 	RecordNs           int64   `json:"record_ns"`
 	RecordEventsPerSec float64 `json:"record_events_per_sec"`
-	// ReplayFullNs is the wall-clock time to LoadRank-decode every rank
+	// ReplayFullNs is the wall-clock time to stream-decode every rank
 	// from byte zero.
 	ReplayFullNs       int64   `json:"replay_full_ns"`
 	ReplayEventsPerSec float64 `json:"replay_events_per_sec"`
@@ -141,14 +142,19 @@ func storeBenchRecord(st store.Store, evs [][]tables.Event, epochs int) (uint64,
 func storeBenchReplay(st store.Store, ranks int) (uint64, error) {
 	var matched uint64
 	for rank := 0; rank < ranks; rank++ {
-		rec, err := store.LoadRank(st, rank)
+		it, blob, err := store.OpenRankIter(st, rank, core.DecoderOptions{})
 		if err != nil {
 			return 0, err
 		}
-		for _, chunks := range rec.Chunks {
-			for _, c := range chunks {
-				matched += c.NumMatched
-			}
+		for err == nil {
+			_, err = it.Next()
+		}
+		if err == io.EOF {
+			err = nil
+		}
+		matched += it.Events()
+		if err := errors.Join(err, it.Close(), blob.Close()); err != nil {
+			return 0, err
 		}
 	}
 	return matched, nil

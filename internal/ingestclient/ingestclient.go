@@ -100,7 +100,8 @@ type Config struct {
 	BatchRows int
 	// WindowEvents bounds unacked logical events in flight; Observe
 	// blocks past it, so a daemon that stops acking (or a THROTTLE)
-	// backpressures the application. Default 65536.
+	// backpressures the application. Rows arriving while an MF group is
+	// open are admitted past it (see Observe). Default 65536.
 	WindowEvents uint64
 	// DialTimeout bounds one dial. Default 5s.
 	DialTimeout time.Duration
@@ -166,6 +167,11 @@ type Client struct {
 	// named tracks callsites whose name went out on this connection.
 	named map[uint64]bool
 	names map[uint64]string
+	// midGroup marks callsites whose last admitted row had WithNext set,
+	// and openGroups counts them, mirroring the daemon's seal rule: it
+	// cannot seal (and so cannot ack) while any MF group is open.
+	midGroup   map[uint64]bool
+	openGroups int
 
 	acked     atomic.Uint64
 	throttled atomic.Bool
@@ -182,7 +188,7 @@ type Client struct {
 // schedule like any other reconnect.
 func Dial(cfg Config) (*Client, error) {
 	cfg.fill()
-	c := &Client{cfg: cfg, names: make(map[uint64]string)}
+	c := &Client{cfg: cfg, names: make(map[uint64]string), midGroup: make(map[uint64]bool)}
 	if err := c.reconnect(); err != nil {
 		return nil, err
 	}
@@ -358,6 +364,14 @@ func (c *Client) fatalErr() error {
 // the observation (stamped on flush cuts server-side). Blocks while the
 // unacked window is full or the server throttles, which is how daemon
 // backpressure reaches the recording application.
+//
+// Two rules keep that wait from deadlocking against the daemon, which
+// acks only at a seal and cannot seal while an MF group is open. Before
+// waiting, every admitted row goes on the wire (a partial batch the daemon
+// never sees can never be acked). And while a group is open, rows are
+// admitted past a full window: the row that closes the group is what lets
+// the daemon seal. Groups are bounded by one MF call's completions, so the
+// window overshoots by at most one group.
 func (c *Client) Observe(callsite uint64, name string, ev tables.Event, clock uint64) error {
 	if name != "" {
 		c.mu.Lock()
@@ -373,18 +387,29 @@ func (c *Client) Observe(callsite uint64, name string, ev tables.Event, clock ui
 			return err
 		}
 		c.mu.Lock()
-		inWindow := c.offset-c.acked.Load()+w <= c.cfg.WindowEvents
+		inWindow := c.offset-c.acked.Load()+w <= c.cfg.WindowEvents || c.openGroups > 0
+		unsent := !c.live || c.sentThrough < c.offset
 		c.mu.Unlock()
 		if inWindow && !c.throttled.Load() {
 			break
 		}
-		if err := c.pump(); err != nil {
-			return err
+		if unsent {
+			if err := c.Flush(); err != nil {
+				return err
+			}
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
 
 	c.mu.Lock()
+	if open := ev.Flag && ev.WithNext; c.midGroup[callsite] != open {
+		c.midGroup[callsite] = open
+		if open {
+			c.openGroups++
+		} else {
+			c.openGroups--
+		}
+	}
 	if clock > c.clock {
 		c.clock = clock
 	}
@@ -401,18 +426,6 @@ func (c *Client) Observe(callsite uint64, name string, ev tables.Event, clock ui
 		return c.Flush()
 	}
 	return nil
-}
-
-// pump flushes pending rows and reconnects as needed; it is the send
-// path's self-healing step.
-func (c *Client) pump() error {
-	c.mu.Lock()
-	live := c.live
-	c.mu.Unlock()
-	if live {
-		return nil
-	}
-	return c.reconnect()
 }
 
 // Flush writes every buffered-but-unsent row to the live connection,

@@ -153,6 +153,60 @@ func TestIngestRoundTrip(t *testing.T) {
 	drain(t, srv)
 }
 
+// TestWindowEdgeGroupNoDeadlock is the closed-loop regression for a full
+// unacked window: the daemon only acks at a seal, and it cannot seal while
+// an MF group is open. With a window smaller than one batch, nothing is on
+// the wire when the window fills unless the client flushes before
+// waiting; and with a with_next group spanning the window edge, the row
+// that closes the group must be admitted past the full window, or neither
+// side can move.
+func TestWindowEdgeGroupNoDeadlock(t *testing.T) {
+	srv := startServer(t, nil)
+	var events []tables.Event
+	clock := uint64(0)
+	add := func(n int, withNext bool) {
+		for i := 0; i < n; i++ {
+			clock += 2
+			events = append(events, tables.Matched(0, clock, withNext))
+		}
+	}
+	add(3, false)
+	add(10, true) // a 11-row group across the 8-event window edge
+	add(21, false)
+	rows := expectedRows(events)
+
+	cfg := clientConfig(srv.Addr(), "acme", "edge", 0, 1)
+	cfg.WindowEvents = 8
+	cfg.BatchRows = 64
+	c, err := ingestclient.Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, r := range rows {
+			if err := c.Observe(r.Callsite, r.Name, r.Ev, 0); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- c.Close()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("client stalled: %d of %d events acked with a window of %d", c.Acked(), len(rows), cfg.WindowEvents)
+	}
+	st := openRun(t, srv.cfg.Root, "acme", "edge", 1)
+	if err := VerifyRank(st, 0, rows); err != nil {
+		t.Fatalf("record does not match ingested stream: %v", err)
+	}
+	drain(t, srv)
+}
+
 func TestIngestMultiTenantMultiRank(t *testing.T) {
 	srv := startServer(t, nil)
 	const ranks = 3

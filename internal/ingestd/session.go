@@ -121,11 +121,8 @@ func (s *session) enqueue(rows []ingestwire.Row) bool {
 		if s.q.TryEnqueue(row) {
 			continue
 		}
-		if s.throttled.CompareAndSwap(false, true) {
-			s.srv.throttles.Inc()
-			s.writeFrame(func(c *ingestwire.Conn) error { //cdc:allow(errsink) advisory frame; conn failure surfaces on next read
-				return c.WriteThrottle(true)
-			})
+		if !s.throttled.Load() {
+			s.setThrottle(true)
 		}
 		if !s.q.Enqueue(row) {
 			return false
@@ -139,10 +136,24 @@ func (s *session) enqueue(rows []ingestwire.Row) bool {
 // below a quarter of capacity. Worker-side.
 func (s *session) maybeUnthrottle() {
 	if s.throttled.Load() && s.q.Len() < s.q.Cap()/4 {
-		if s.throttled.CompareAndSwap(true, false) {
-			s.writeFrame(func(c *ingestwire.Conn) error { //cdc:allow(errsink) advisory frame; conn failure surfaces on next read
-				return c.WriteThrottle(false)
-			})
-		}
+		s.setThrottle(false)
 	}
+}
+
+// setThrottle flips the throttle flag and tells the client. The flip
+// happens under the write mutex, so THROTTLE frames reach the client in
+// the order the flag changed. Flipped outside it, a reader's "on" could
+// be overtaken by the worker's "off" for the same episode, leaving a
+// client that has stopped sending on a session the daemon considers open
+// until the idle timeout reaps it.
+func (s *session) setThrottle(on bool) {
+	s.writeFrame(func(c *ingestwire.Conn) error { //cdc:allow(errsink) advisory frame; conn failure surfaces on next read
+		if !s.throttled.CompareAndSwap(!on, on) {
+			return nil
+		}
+		if on {
+			s.srv.throttles.Inc()
+		}
+		return c.WriteThrottle(on)
+	})
 }

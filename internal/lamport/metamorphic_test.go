@@ -83,16 +83,16 @@ func TestMetamorphicDeliveryPermutation(t *testing.T) {
 		finals := make([]uint64, ranks)
 		w := simmpi.NewWorld(ranks, simmpi.Options{Seed: int64(100 + 37*trial), MaxJitter: 7})
 		err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-			rec, err := core.ReadRecord(bytes.NewReader(bufs[rank].Bytes()))
-			if err != nil {
-				return err
-			}
 			ll := lamport.WrapManual(mpi)
-			rp := replay.New(ll, rec, replay.Options{
+			rp, err := replay.Open(ll, replay.RecordBytes(bufs[rank].Bytes()), replay.Options{
 				OnRelease: func(st simmpi.Status) {
 					repClocks[rank] = append(repClocks[rank], st.Clock)
 				},
 			})
+			if err != nil {
+				return err
+			}
+			defer rp.Close()
 			if aerr := app(rp); aerr != nil {
 				return aerr
 			}

@@ -1,11 +1,9 @@
 package replay
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
-	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/obs"
 	"cdcreplay/internal/simmpi"
@@ -23,11 +21,11 @@ func TestReplayObsMetrics(t *testing.T) {
 	var mu sync.Mutex
 	var want Stats
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := Open(lamport.WrapManual(mpi), RecordBytes(files[rank]), Options{Obs: reg})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), recFile, Options{Obs: reg})
+		defer rp.Close()
 		if _, err := gatherTestApp(msgsPerSender)(rp); err != nil {
 			return err
 		}

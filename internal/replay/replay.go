@@ -43,6 +43,7 @@
 package replay
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -171,9 +172,9 @@ type Replayer struct {
 	// crossed.
 	liveNotes []string
 
-	// Streaming-replay state (NewStream): the shared chunk source, chunks
-	// pulled ahead for callsites not yet asking, and the latched terminal
-	// source state (ErrExhausted after a clean end).
+	// The shared chunk source, chunks pulled ahead for callsites not yet
+	// asking, and the latched terminal source state (ErrExhausted after a
+	// clean end).
 	src     ChunkSource
 	pending map[uint64][]*cdcformat.Chunk
 	srcErr  error
@@ -213,67 +214,6 @@ type Stats struct {
 
 var _ simmpi.MPI = (*Replayer)(nil)
 
-// newReplayer builds the rank-replay shell shared by New and NewStream.
-func newReplayer(next *lamport.Layer, opts Options) *Replayer {
-	opts.fill()
-	rp := &Replayer{
-		next:        next,
-		opts:        opts,
-		streams:     make(map[uint64]*stream),
-		lastSeen:    make(map[int32]uint64),
-		outstanding: make(map[*simmpi.Request]bool),
-		appDone:     make(map[*simmpi.Request]bool),
-	}
-	reg := opts.Obs
-	rp.obsReg = reg
-	rp.mReleases = reg.Counter("replay.releases")
-	rp.mOptimistic = reg.Counter("replay.optimistic")
-	rp.mLive = reg.Counter("replay.live.releases")
-	rp.mStallPolls = reg.Counter("replay.stall.polls")
-	rp.mClockWaitNs = reg.Counter("replay.clockwait.ns")
-	rp.mWaitNs = reg.Histogram("replay.wait.ns", obs.LatencyBounds())
-	rp.mPool = reg.Gauge("replay.pool.depth")
-	return rp
-}
-
-// New creates a Replayer for one rank from a fully decoded record. next
-// must be a manual-mode lamport layer (lamport.WrapManual). It is the eager
-// wrapper over the streaming machinery: each callsite's fetch closure walks
-// the already-decoded slice. For records too large to materialize — or to
-// replay straight off the parallel decode pipeline — use NewStream.
-func New(next *lamport.Layer, rec *core.Record, opts Options) *Replayer {
-	rp := newReplayer(next, opts)
-	for cs, chunks := range rec.Chunks {
-		name := rec.Names[cs]
-		if name == "" {
-			name = fmt.Sprintf("callsite %#x", cs)
-		}
-		st := &stream{name: name}
-		for ci, c := range chunks {
-			st.total += c.NumMatched
-			for _, e := range c.Exceptions {
-				if st.excChunk == nil {
-					st.excChunk = make(map[tables.MatchedEntry]int)
-				}
-				e.Tag = 0 // keyed by (rank, clock) only
-				st.excChunk[e] = ci
-			}
-		}
-		chunks := chunks
-		next := 0
-		st.fetch = func() (*cdcformat.Chunk, error) {
-			if next >= len(chunks) {
-				return nil, ErrExhausted
-			}
-			c := chunks[next]
-			next++
-			return c, nil
-		}
-		rp.streams[cs] = st
-	}
-	return rp
-}
-
 // CallsiteMeta is the per-callsite summary a streaming replay needs up
 // front: how many matched events the record holds (for Verify) and which
 // chunk ordinal each boundary-inversion exception message is pinned to
@@ -299,7 +239,7 @@ type RecordMeta struct {
 // iterator is closed when the scan returns. On a decode failure the meta
 // summarizing the intact prefix is returned alongside the error, so a
 // caller that can forgive the damage (a store's epoch pin) keeps the
-// prefix — mirroring core.DrainRecord.
+// prefix.
 func ScanRecord(it *core.RecordIter) (*RecordMeta, error) {
 	defer it.Close() //cdc:allow(errsink) read-side close; decode errors surface from Next
 	m := &RecordMeta{Callsites: make(map[uint64]*CallsiteMeta)}
@@ -342,8 +282,12 @@ type ChunkSource interface {
 }
 
 // iterSource adapts a RecordIter into a ChunkSource by skipping the
-// non-chunk frames.
-type iterSource struct{ it *core.RecordIter }
+// non-chunk frames. Close also closes blob, the bytes under the iterator,
+// when there is one.
+type iterSource struct {
+	it   *core.RecordIter
+	blob io.Closer
+}
 
 func (s iterSource) Next() (*cdcformat.Chunk, error) {
 	for {
@@ -357,11 +301,13 @@ func (s iterSource) Next() (*cdcformat.Chunk, error) {
 	}
 }
 
-func (s iterSource) Close() error { return s.it.Close() }
-
-// IterSource exposes a RecordIter's chunk frames as a ChunkSource — the
-// glue between the core decode pipeline (serial or pooled) and NewStream.
-func IterSource(it *core.RecordIter) ChunkSource { return iterSource{it} }
+func (s iterSource) Close() error {
+	err := s.it.Close()
+	if s.blob != nil {
+		err = errors.Join(err, s.blob.Close())
+	}
+	return err
+}
 
 // NewStream creates a Replayer that pulls chunks from src as replay
 // progresses instead of materializing the record: with a pooled decode
@@ -375,9 +321,26 @@ func IterSource(it *core.RecordIter) ChunkSource { return iterSource{it} }
 // outpace that callsite's consumption are buffered pending; lockstep
 // callsites keep that buffer near the prefetch depth.
 func NewStream(next *lamport.Layer, meta *RecordMeta, src ChunkSource, opts Options) *Replayer {
-	rp := newReplayer(next, opts)
-	rp.src = src
-	rp.pending = make(map[uint64][]*cdcformat.Chunk)
+	opts.fill()
+	reg := opts.Obs
+	rp := &Replayer{
+		next:         next,
+		opts:         opts,
+		streams:      make(map[uint64]*stream),
+		lastSeen:     make(map[int32]uint64),
+		outstanding:  make(map[*simmpi.Request]bool),
+		appDone:      make(map[*simmpi.Request]bool),
+		src:          src,
+		pending:      make(map[uint64][]*cdcformat.Chunk),
+		obsReg:       reg,
+		mReleases:    reg.Counter("replay.releases"),
+		mOptimistic:  reg.Counter("replay.optimistic"),
+		mLive:        reg.Counter("replay.live.releases"),
+		mStallPolls:  reg.Counter("replay.stall.polls"),
+		mClockWaitNs: reg.Counter("replay.clockwait.ns"),
+		mWaitNs:      reg.Histogram("replay.wait.ns", obs.LatencyBounds()),
+		mPool:        reg.Gauge("replay.pool.depth"),
+	}
 	for cs, cm := range meta.Callsites {
 		name := meta.Names[cs]
 		if name == "" {
@@ -389,6 +352,39 @@ func NewStream(next *lamport.Layer, meta *RecordMeta, src ChunkSource, opts Opti
 		rp.streams[cs] = st
 	}
 	return rp
+}
+
+// Open runs both passes of a streaming replay over one record: open is
+// called once for the ScanRecord prescan and once more for the chunk feed
+// of NewStream, and must yield the same record both times. Alongside each
+// iterator open may return the blob under it (nil when there is none to
+// release), as store.OpenRankIter does; the prescan's blob is closed when
+// the prescan ends, the feed's by the Replayer's Close.
+func Open(next *lamport.Layer, open func() (*core.RecordIter, io.Closer, error), opts Options) (*Replayer, error) {
+	it, blob, err := open()
+	if err != nil {
+		return nil, err
+	}
+	meta, err := ScanRecord(it)
+	if blob != nil {
+		err = errors.Join(err, blob.Close())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("prescan: %w", err)
+	}
+	it, blob, err = open()
+	if err != nil {
+		return nil, err
+	}
+	return NewStream(next, meta, iterSource{it: it, blob: blob}, opts), nil
+}
+
+// RecordBytes is an Open source over an in-memory record, decoded serially.
+func RecordBytes(data []byte) func() (*core.RecordIter, io.Closer, error) {
+	return func() (*core.RecordIter, io.Closer, error) {
+		it, err := core.OpenRecord(bytes.NewReader(data))
+		return it, nil, err
+	}
 }
 
 // pullChunk returns callsite cs's next chunk, demultiplexing the shared
@@ -418,14 +414,9 @@ func (rp *Replayer) pullChunk(cs uint64) (*cdcformat.Chunk, error) {
 	}
 }
 
-// Close releases the chunk source of a streaming replay (and with it the
-// decode pipeline's workers). Eager replayers have nothing to release.
-func (rp *Replayer) Close() error {
-	if rp.src == nil {
-		return nil
-	}
-	return rp.src.Close()
-}
+// Close releases the chunk source (and with it the decode pipeline's
+// workers).
+func (rp *Replayer) Close() error { return rp.src.Close() }
 
 // specPair is a receive spec observed at a callsite.
 type specPair struct{ src, tag int }
@@ -439,10 +430,9 @@ func (sp specPair) accepts(source, tag int) bool {
 type stream struct {
 	name string
 	// fetch returns the callsite's next chunk in record order, ErrExhausted
-	// past the last one, or the decode failure. Eager replays (New) close
-	// over a decoded slice; streaming replays (NewStream) pull from the
-	// shared ChunkSource, so a chunk's tables are decoded no earlier than
-	// the prefetch window ahead of the consumption frontier.
+	// past the last one, or the decode failure. It pulls from the shared
+	// ChunkSource, so a chunk's tables are decoded no earlier than the
+	// prefetch window ahead of the consumption frontier.
 	fetch func() (*cdcformat.Chunk, error)
 	ci    int // chunks fetched so far; the loaded chunk's ordinal is ci-1
 	// total and seen count matched events: total across the whole recorded

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"cdcreplay/internal/baseline"
+	"cdcreplay/internal/cdcformat"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/record"
@@ -26,6 +28,29 @@ type observation struct {
 // app is a deterministic program written against the MPI interface; it
 // returns the rank's observed receive sequence.
 type app func(mpi simmpi.MPI) ([]observation, error)
+
+// recordChunks streams a record and returns its chunks in record order.
+func recordChunks(t *testing.T, data []byte) []*cdcformat.Chunk {
+	t.Helper()
+	it, err := core.OpenRecord(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var chunks []*cdcformat.Chunk
+	for {
+		f, err := it.Next()
+		if err == io.EOF {
+			return chunks
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Chunk != nil {
+			chunks = append(chunks, f.Chunk)
+		}
+	}
+}
 
 // runRecord executes the app under the recorder stack on a fresh world and
 // returns per-rank observations and record files.
@@ -75,11 +100,11 @@ func runReplay(t *testing.T, n int, seed int64, files [][]byte, a app) [][]obser
 	obs := make([][]observation, n)
 	var mu sync.Mutex
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := Open(lamport.WrapManual(mpi), RecordBytes(files[rank]), Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), rec, Options{})
+		defer rp.Close()
 		got, aerr := a(rp)
 		if aerr != nil {
 			return fmt.Errorf("rank %d: %w", rank, aerr)
@@ -504,11 +529,11 @@ func TestReplayErrorOnMissingCallsite(t *testing.T) {
 	_, files := runRecord(t, 2, 7, gatherWaitApp(3))
 	w := simmpi.NewWorld(2, simmpi.Options{Seed: 8})
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := Open(lamport.WrapManual(mpi), RecordBytes(files[rank]), Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), rec, Options{})
+		defer rp.Close()
 		if rank != 0 {
 			for i := 0; i < 3; i++ {
 				if err := rp.Send(0, 1, []byte("x")); err != nil {
@@ -534,12 +559,12 @@ func TestReplayErrorOnMissingCallsite(t *testing.T) {
 
 func TestVerifyReportsUnreplayedEvents(t *testing.T) {
 	_, files := runRecord(t, 2, 9, gatherWaitApp(5))
-	rec, err := core.ReadRecord(bytes.NewReader(files[0]))
+	w := simmpi.NewWorld(1, simmpi.Options{})
+	rp, err := Open(lamport.WrapManual(w.Comm(0)), RecordBytes(files[0]), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := simmpi.NewWorld(1, simmpi.Options{})
-	rp := New(lamport.WrapManual(w.Comm(0)), rec, Options{})
+	defer rp.Close()
 	if err := rp.Verify(); err == nil {
 		t.Fatal("Verify passed with a fully unreplayed record")
 	}
@@ -621,11 +646,11 @@ func TestReplayReceiveMaxPolicy(t *testing.T) {
 	}
 	w2 := simmpi.NewWorld(n, simmpi.Options{Seed: 62, MaxJitter: 8})
 	err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := Open(lamport.WrapManualPolicy(mpi, lamport.ReceiveMax), RecordBytes(files[rank]), Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManualPolicy(mpi, lamport.ReceiveMax), recFile, Options{})
+		defer rp.Close()
 		got, aerr := a(rp)
 		if aerr != nil {
 			return fmt.Errorf("rank %d: %w", rank, aerr)
@@ -664,7 +689,7 @@ func TestReplayWithPeriodicFlush(t *testing.T) {
 		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{
 			FlushInterval: time.Millisecond,
 		})
-		got, aerr := a(rec)
+		got, aerr := a(&pausingSender{MPI: rec, after: 5, pause: 10 * time.Millisecond})
 		if cerr := rec.Close(); aerr == nil {
 			aerr = cerr
 		}
@@ -679,14 +704,7 @@ func TestReplayWithPeriodicFlush(t *testing.T) {
 	}
 	// The time-based flush must have produced multiple chunks even though
 	// the event count never hit ChunkEvents.
-	rec0, err := core.ReadRecord(bytes.NewReader(files[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := 0
-	for _, cs := range rec0.Chunks {
-		chunks += len(cs)
-	}
+	chunks := len(recordChunks(t, files[0]))
 	if chunks < 2 {
 		t.Skipf("flush interval produced only %d chunk(s) on this machine; nothing to verify", chunks)
 	}
@@ -698,17 +716,33 @@ func TestReplayWithPeriodicFlush(t *testing.T) {
 	}
 }
 
+// pausingSender pauses once, after its first `after` sends, for several
+// flush intervals: receivers then see a gap in traffic, so a time-based
+// flush cuts their record into more than one chunk on any machine speed.
+type pausingSender struct {
+	simmpi.MPI
+	after, sent int
+	pause       time.Duration
+}
+
+func (p *pausingSender) Send(dest, tag int, data []byte) error {
+	if p.sent++; p.sent == p.after+1 {
+		time.Sleep(p.pause)
+	}
+	return p.MPI.Send(dest, tag, data)
+}
+
 // TestReplayRecordExhausted: an MF call past the recorded horizon must
 // fail with ErrExhausted rather than inventing events.
 func TestReplayRecordExhausted(t *testing.T) {
 	_, files := runRecord(t, 2, 81, gatherWaitApp(3))
 	w := simmpi.NewWorld(2, simmpi.Options{Seed: 82, MaxJitter: 4})
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := Open(lamport.WrapManual(mpi), RecordBytes(files[rank]), Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), recFile, Options{})
+		defer rp.Close()
 		// Replay a LONGER app against the shorter record: the same MF
 		// callsite runs out of recorded events on the extra receive.
 		_, aerr := gatherWaitApp(4)(rp)
@@ -730,11 +764,11 @@ func TestReplayStatsPopulate(t *testing.T) {
 	_, files := runRecord(t, 3, 83, gatherTestApp(6))
 	w := simmpi.NewWorld(3, simmpi.Options{Seed: 84, MaxJitter: 6})
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := Open(lamport.WrapManual(mpi), RecordBytes(files[rank]), Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), recFile, Options{})
+		defer rp.Close()
 		if _, err := gatherTestApp(6)(rp); err != nil {
 			return err
 		}

@@ -9,11 +9,13 @@ import (
 	"strings"
 )
 
-// Summary holds basic descriptive statistics of a sample.
+// Summary holds basic descriptive statistics of a sample. Q1 and Q3 are
+// the lower and upper quartiles, linearly interpolated between order
+// statistics, so Q3−Q1 is the interquartile range.
 type Summary struct {
 	N              int
 	Min, Max, Mean float64
-	Median         float64
+	Q1, Median, Q3 float64
 	StdDev         float64
 }
 
@@ -45,13 +47,19 @@ func Summarize(xs []float64) Summary {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
+	s.Q1, s.Median, s.Q3 = quantile(sorted, 0.25), quantile(sorted, 0.5), quantile(sorted, 0.75)
 	return s
+}
+
+// quantile returns the q-quantile of an ascending sample, interpolating
+// linearly between the two nearest order statistics.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
 }
 
 // Histogram is a fixed-bin-width histogram over [Lo, Hi).

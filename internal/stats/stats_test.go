@@ -43,6 +43,18 @@ func TestSummarizeOddMedian(t *testing.T) {
 	}
 }
 
+func TestSummarizeQuartiles(t *testing.T) {
+	// Sorted: 2 4 4 4 5 5 7 9. Q1 sits at position 1.75 (4), Q3 at 5.25
+	// (5 + 0.25·(7−5) = 5.5).
+	s := Summarize([]float64{9, 5, 2, 4, 7, 4, 5, 4})
+	if s.Q1 != 4 || s.Q3 != 5.5 {
+		t.Errorf("Q1/Q3 = %v/%v, want 4/5.5", s.Q1, s.Q3)
+	}
+	if one := Summarize([]float64{3}); one.Q1 != 3 || one.Q3 != 3 {
+		t.Errorf("single-sample quartiles = %v/%v, want 3/3", one.Q1, one.Q3)
+	}
+}
+
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram(0, 100, 20) // 5%-wide bins, like Fig. 14
 	h.Add(0)

@@ -6,13 +6,12 @@ import (
 	"io"
 	"io/fs"
 
-	"cdcreplay/internal/cdcformat"
 	"cdcreplay/internal/core"
 )
 
 // Open reads and validates a run's manifest for replay: completeness, rank
 // count, optional app name. Runs of crashed recordings fail with
-// ErrIncomplete (salvage first, or read pinned via LoadRank).
+// ErrIncomplete (salvage first, or read pinned via OpenRankIter).
 func Open(st Store, wantApp string, wantRanks int) (Manifest, error) {
 	m, err := st.Manifest()
 	if err != nil {
@@ -32,59 +31,24 @@ func Open(st Store, wantApp string, wantRanks int) (Manifest, error) {
 		if err != nil {
 			return m, fmt.Errorf("store: missing record for rank %d: %w", rank, err)
 		}
-		r.Close() //cdc:allow(errsink) existence probe only; decode errors surface from LoadRank
+		r.Close() //cdc:allow(errsink) existence probe only; decode errors surface from the rank's reader
 	}
 	return m, nil
 }
 
-// LoadRank decodes one rank's record through the store's pinning rules.
-//
-// On a complete run this is a plain full decode. On an incomplete run the
-// blob arrives pinned to the last committed cut; a pin that lands inside a
-// still-open gzip member (non-seekable backends) decodes every committed
-// frame and then ends in an unexpected-EOF truncation, which is the pin
-// boundary, not damage — that one case is forgiven and the committed
-// prefix returned. A CRC mismatch or malformed frame below the pin is real
-// corruption and still fails.
-func LoadRank(st Store, rank int) (*core.Record, error) {
-	m, err := st.Manifest()
-	if err != nil {
-		return nil, err
-	}
-	r, err := st.OpenRank(rank)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close() //cdc:allow(errsink) read-side close; decode errors surface from DrainRecord
-	it, err := core.OpenRecord(r)
-	if err != nil {
-		if !m.Complete && tolerableAtPin(err) {
-			return &core.Record{Chunks: map[uint64][]*cdcformat.Chunk{}}, nil
-		}
-		return nil, err
-	}
-	rec, err := core.DrainRecord(it)
-	if err == nil {
-		return rec, nil
-	}
-	if !m.Complete && tolerableAtPin(err) {
-		return rec, nil
-	}
-	return nil, err
-}
-
 // TolerableAtPin reports a decode failure that is exactly the epoch-pin
 // boundary of an in-progress blob: the stream ran out mid-frame (or before
-// the magic, for a pin at zero). Any other cause — CRC mismatch, malformed
-// payload, unknown frame kind — is corruption below the pin. Streaming
-// readers of incomplete runs (cdc.Replay) use it the way LoadRank does: to
-// treat the pin boundary as a clean end of record.
+// the magic, for a pin at zero). On an incomplete run the blob arrives
+// pinned to the last committed cut, and a pin inside a still-open gzip
+// member (non-seekable backends) decodes every committed frame and then
+// ends in this truncation, so readers of incomplete runs (the live feed,
+// the storage conformance suite) treat it as a clean end of record. Any
+// other cause — CRC mismatch, malformed payload, unknown frame kind — is
+// corruption below the pin.
 func TolerableAtPin(err error) bool {
 	var te *core.TruncatedRecordError
 	return errors.As(err, &te) && errors.Is(te.Cause, io.ErrUnexpectedEOF)
 }
-
-func tolerableAtPin(err error) bool { return TolerableAtPin(err) }
 
 // OpenRankIter opens one rank's record as a streaming iterator through a
 // decode policy, picking the widest decode parallelism the backend
@@ -92,7 +56,7 @@ func tolerableAtPin(err error) bool { return TolerableAtPin(err) }
 // DecodeWorkers ≥ 1, the committed epochs become independently inflated
 // segments (core.OpenRecordSegments); otherwise the stream-mode pipeline
 // (or a plain serial decode) reads the blob front to back. On incomplete
-// runs the blob arrives pinned, exactly like LoadRank.
+// runs the blob arrives pinned (see TolerableAtPin).
 //
 // The returned closer is the underlying blob: close the iterator first,
 // then the blob (cdc.RecordReader-style errors.Join works).

@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"cdcreplay/internal/core"
 	"cdcreplay/internal/store"
 )
 
@@ -121,24 +120,6 @@ func Open(dir string, wantApp string, wantRanks int) (Manifest, error) {
 		}
 	}
 	return m, nil
-}
-
-// LoadRank decodes one rank's record.
-func LoadRank(dir string, rank int) (*core.Record, error) {
-	f, err := os.Open(RankPath(dir, rank))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //cdc:allow(errsink) read-side close; decode errors surface from DrainRecord
-	it, err := core.OpenRecord(f)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := core.DrainRecord(it)
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
 }
 
 // ReadManifest reads a run directory's manifest without the completeness

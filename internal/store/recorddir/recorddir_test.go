@@ -2,6 +2,7 @@ package recorddir
 
 import (
 	"errors"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -52,12 +53,37 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	if got.Ranks != 3 || got.App != "mcb" || got.Params["particles"] != "100" {
 		t.Fatalf("manifest = %+v", got)
 	}
-	rec, err := LoadRank(dir, 1)
+	it, f, err := rankSource(dir, 1)()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Chunks) == 0 {
+	defer f.Close()
+	defer it.Close()
+	for err == nil {
+		_, err = it.Next()
+	}
+	if err != io.EOF {
+		t.Fatal(err)
+	}
+	if it.Events() == 0 {
 		t.Fatal("rank record empty")
+	}
+}
+
+// rankSource opens one rank file of a run directory as a streaming record,
+// in the shape replay.Open takes.
+func rankSource(dir string, rank int) func() (*core.RecordIter, io.Closer, error) {
+	return func() (*core.RecordIter, io.Closer, error) {
+		f, err := os.Open(RankPath(dir, rank))
+		if err != nil {
+			return nil, nil, err
+		}
+		it, err := core.OpenRecord(f)
+		if err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		return it, f, nil
 	}
 }
 

@@ -138,16 +138,16 @@ func TestKillARankSalvageReplay(t *testing.T) {
 		var liveTotal uint64
 		w2 := simmpi.NewWorld(ranks, simmpi.Options{Seed: seed, MaxJitter: 8})
 		err := w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-			recFile, err := LoadRank(salv, rank)
-			if err != nil {
-				return err
-			}
-			rp := replay.New(lamport.WrapManual(mpi), recFile, replay.Options{
+			rp, err := replay.Open(lamport.WrapManual(mpi), rankSource(salv, rank), replay.Options{
 				LiveAfterExhausted: true,
 				OnRelease: func(st simmpi.Status) {
 					repLogs[rank] = append(repLogs[rank], rcv{st.Source, st.Clock})
 				},
 			})
+			if err != nil {
+				return err
+			}
+			defer rp.Close()
 			if _, rerr := mcb.Run(rp, params); rerr != nil {
 				return rerr
 			}

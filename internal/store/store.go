@@ -24,7 +24,8 @@
 // epochs that were committed when it looked, never a torn tail. Writers
 // only ever append past committed offsets and manifests are replaced
 // atomically, so a pinned read is stable even while the writer keeps
-// going. LoadRank packages the tolerant decode of such a pinned blob.
+// going. TolerableAtPin tells the pin boundary from real damage when such
+// a pinned blob is decoded.
 package store
 
 import "io"

@@ -138,11 +138,11 @@ func TestRecordReplayReproducesAssignment(t *testing.T) {
 
 	w2 := simmpi.NewWorld(n, simmpi.Options{Seed: 999, MaxJitter: 8})
 	err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := replay.Open(lamport.WrapManual(mpi), replay.RecordBytes(files[rank]), replay.Options{})
 		if err != nil {
 			return err
 		}
-		rp := replay.New(lamport.WrapManual(mpi), recFile, replay.Options{})
+		defer rp.Close()
 		r, rerr := Run(rp, params)
 		if rerr != nil {
 			return fmt.Errorf("rank %d: %w", rank, rerr)
