@@ -57,4 +57,9 @@ func TestReplayObsMetrics(t *testing.T) {
 	if h := s.Histogram("replay.wait.ns"); h.Count == 0 {
 		t.Error("replay.wait.ns never observed")
 	}
+	// The pool gauge is fed deltas by every rank sharing the registry, so
+	// after a clean Verify (every pool empty) it must read exactly 0.
+	if g := s.Gauge("replay.pool.depth"); g.Value != 0 || g.Max < 1 {
+		t.Errorf("replay.pool.depth = %d (max %d), want 0 after a clean replay and max >= 1", g.Value, g.Max)
+	}
 }

@@ -44,11 +44,13 @@ package replay
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -138,6 +140,12 @@ func (o *Options) fill() {
 type pooled struct {
 	st  simmpi.Status
 	req *simmpi.Request
+	// seq numbers harvests in order; the pool ascends in it.
+	seq uint64
+	// taken marks a stream.collected slot whose message was released. The
+	// slot keeps its (source, clock) key so the collection stays sorted
+	// until the next compaction.
+	taken bool
 }
 
 // senderTag keys the robust identification subsequences.
@@ -152,7 +160,11 @@ type Replayer struct {
 	opts Options
 
 	streams map[uint64]*stream
-	pool    []pooled
+	// pool holds harvested completions no stream has collected and no
+	// live call delivered yet, in harvest order (ascending pooled.seq);
+	// harvested is the next sequence number.
+	pool      []pooled
+	harvested uint64
 	// lastSeen tracks, per sender, the largest piggybacked clock harvested
 	// so far; FIFO delivery makes it a strict lower bound on every future
 	// message's clock — the basis of the LMC rule.
@@ -161,11 +173,16 @@ type Replayer struct {
 	// Irecv, or internally as a probe) whose completion has not been
 	// harvested yet. The replayer polls all of them at every MF call:
 	// a completion bound to one request may have to be released through a
-	// different, spec-equivalent slot.
-	outstanding map[*simmpi.Request]bool
-	// appDone marks requests already virtually completed for the app but
-	// still outstanding below (their own binding is yet to arrive).
+	// different, spec-equivalent slot. The slice is the Testsome set as is;
+	// harvested entries are compacted out in place. Its order is
+	// irrelevant: completions are reported in arrival order.
+	outstanding []*simmpi.Request
+	// appDone has a key for every outstanding request. The value is true
+	// once the request was virtually completed for the app while its own
+	// binding is yet to arrive.
 	appDone map[*simmpi.Request]bool
+	// specOut counts the outstanding requests per receive spec.
+	specOut map[specPair]int
 
 	// liveNotes records why and where each callsite went live
 	// (LiveAfterExhausted mode); non-empty means the crash frontier was
@@ -328,8 +345,8 @@ func NewStream(next *lamport.Layer, meta *RecordMeta, src ChunkSource, opts Opti
 		opts:         opts,
 		streams:      make(map[uint64]*stream),
 		lastSeen:     make(map[int32]uint64),
-		outstanding:  make(map[*simmpi.Request]bool),
 		appDone:      make(map[*simmpi.Request]bool),
+		specOut:      make(map[specPair]int),
 		src:          src,
 		pending:      make(map[uint64][]*cdcformat.Chunk),
 		obsReg:       reg,
@@ -453,6 +470,10 @@ type stream struct {
 	// sources) from stealing each other's messages even when their epoch
 	// windows overlap numerically.
 	specs []specPair
+	// scanned is the collect watermark: every pooled message with a lower
+	// seq was examined under the current window, exception pins and specs
+	// and found not to belong. load and a newly learned spec reset it.
+	scanned uint64
 
 	// Current-chunk state.
 	n            int
@@ -488,8 +509,11 @@ type stream struct {
 	// excChunk pins boundary-inversion exception messages to their chunk
 	// index, overriding window membership (see cdcformat.Chunk.Exceptions).
 	excChunk map[tables.MatchedEntry]int
-	// collected holds unreleased chunk messages sorted by (clock, rank).
+	// collected holds the chunk's collected messages sorted by (clock,
+	// rank); released ones stay as taken slots (dead counts them) until
+	// they make up half the slice and compact drops them.
 	collected []pooled
+	dead      int
 	collMax   map[int32]uint64
 	released  []bool // by reference rank
 	// releasedKey remembers each released rank's message key for the
@@ -563,6 +587,8 @@ func (s *stream) load() error {
 		s.tags = nil
 	}
 	s.collected = s.collected[:0]
+	s.dead = 0
+	s.scanned = 0
 	s.collMax = make(map[int32]uint64)
 	s.released = make([]bool, s.n)
 	s.releasedKey = make([]tables.MatchedEntry, s.n)
@@ -635,6 +661,7 @@ func (s *stream) learnSpecs(reqs []*simmpi.Request) {
 		}
 		if !known {
 			s.specs = append(s.specs, sp)
+			s.scanned = 0
 		}
 	}
 }
@@ -648,35 +675,58 @@ func (s *stream) specAccepts(source, tag int) bool {
 	return false
 }
 
+// member reports whether a pooled message belongs to the loaded chunk:
+// some learned spec must accept it, and then a boundary-inversion
+// exception belongs to the chunk it is pinned to, anything else to the
+// chunk whose epoch window holds its clock.
+func (s *stream) member(p *pooled) bool {
+	if !s.specAccepts(p.st.Source, p.st.Tag) {
+		return false
+	}
+	if ci, isExc := s.excChunk[tables.MatchedEntry{Rank: int32(p.st.Source), Clock: p.st.Clock}]; isExc {
+		return ci == s.ci-1
+	}
+	return s.inWindow(int32(p.st.Source), p.st.Clock)
+}
+
+// afterCollect, when set (by tests), runs at the end of every collect.
+var afterCollect func(s *stream, rp *Replayer)
+
 // collect moves current-chunk messages from the global pool into the
-// stream's sorted collection.
+// stream's sorted collection. Only messages harvested since the stream's
+// watermark are examined: the ones below it were already found not to
+// belong, and nothing that decides membership has changed since.
 func (s *stream) collect(rp *Replayer) {
 	if !s.loaded {
 		return
 	}
-	kept := rp.pool[:0]
-	cur := s.ci - 1
-	for _, p := range rp.pool {
-		key := tables.MatchedEntry{Rank: int32(p.st.Source), Clock: p.st.Clock}
-		member := false
-		if ci, isExc := s.excChunk[key]; isExc {
-			member = ci == cur && s.specAccepts(p.st.Source, p.st.Tag)
+	from := len(rp.pool)
+	for from > 0 && rp.pool[from-1].seq >= s.scanned {
+		from--
+	}
+	kept := rp.pool[:from]
+	for i := from; i < len(rp.pool); i++ {
+		if p := &rp.pool[i]; s.member(p) {
+			s.insert(*p)
 		} else {
-			member = s.specAccepts(p.st.Source, p.st.Tag) && s.inWindow(int32(p.st.Source), p.st.Clock)
-		}
-		if member {
-			s.insert(p)
-		} else {
-			kept = append(kept, p)
+			kept = append(kept, *p)
 		}
 	}
+	rp.mPool.Add(int64(len(kept) - len(rp.pool)))
 	rp.pool = kept
-	if s.err == nil && len(s.collected)+s.nReleased > s.n {
+	s.scanned = rp.harvested
+	if held := s.held(); s.err == nil && held+s.nReleased > s.n {
 		s.err = fmt.Errorf("%w: callsite %s chunk %d holds %d messages but records %d — "+
 			"same-spec receives are being matched through multiple MF callsites",
-			ErrDiverged, s.name, s.ci-1, len(s.collected)+s.nReleased, s.n)
+			ErrDiverged, s.name, s.ci-1, held+s.nReleased, s.n)
+	}
+	if afterCollect != nil {
+		afterCollect(s, rp)
 	}
 }
+
+// held is the number of collected messages not yet released.
+func (s *stream) held() int { return len(s.collected) - s.dead }
 
 func (s *stream) insert(p pooled) {
 	key := tables.MatchedEntry{Rank: int32(p.st.Source), Clock: p.st.Clock}
@@ -717,7 +767,7 @@ func (s *stream) lmc(rp *Replayer) uint64 {
 // allCollected reports whether every not-yet-released chunk message has
 // been harvested.
 func (s *stream) allCollected() bool {
-	return len(s.collected) == s.n-s.nReleased
+	return s.held() == s.n-s.nReleased
 }
 
 // candidateAt returns the index in collected of the message for observed
@@ -747,8 +797,8 @@ func (s *stream) candidateAt(rp *Replayer, tt int) int {
 		}
 		want := clocks[j]
 		for k := range s.collected {
-			if int32(s.collected[k].st.Source) == key.src && int32(s.collected[k].st.Tag) == key.tag &&
-				s.collected[k].st.Clock == want {
+			if c := &s.collected[k]; !c.taken && int32(c.st.Source) == key.src && int32(c.st.Tag) == key.tag &&
+				c.st.Clock == want {
 				return k
 			}
 		}
@@ -765,7 +815,8 @@ func (s *stream) candidateAt(rp *Replayer, tt int) int {
 }
 
 // candidateIndex locates the best guess for observed position tt among the
-// collected messages, ignoring the Axiom 1 safety conditions.
+// collected messages, ignoring the Axiom 1 safety conditions: the k-th
+// unreleased one, where k counts the unreleased ranks below tt's rank.
 func (s *stream) candidateIndex(tt int) int {
 	r := s.refAtObs[tt]
 	k := r
@@ -774,10 +825,16 @@ func (s *stream) candidateIndex(tt int) int {
 			k--
 		}
 	}
-	if k >= len(s.collected) {
-		return -1
+	for i := range s.collected {
+		if s.collected[i].taken {
+			continue
+		}
+		if k == 0 {
+			return i
+		}
+		k--
 	}
-	return k
+	return -1
 }
 
 // safe reports whether no still-missing chunk message can precede cand in
@@ -817,14 +874,22 @@ func (s *stream) tieUnresolved(cc uint64) bool {
 	return isTied && s.seenTied[cc] < want
 }
 
-// takeAt removes collected[k] as the message for observed position tt.
+// takeAt releases collected[k] as the message for observed position tt.
+// The slot stays behind as a taken key; once taken slots are half the
+// collection they are compacted out in one pass, so a release costs O(1)
+// amortized wherever in the sorted collection its message sits.
 func (s *stream) takeAt(k, tt int) pooled {
 	r := s.refAtObs[tt]
 	s.released[r] = true
 	s.nReleased++
 	out := s.collected[k]
 	s.releasedKey[r] = tables.MatchedEntry{Rank: int32(out.st.Source), Clock: out.st.Clock}
-	s.collected = append(s.collected[:k], s.collected[k+1:]...)
+	s.collected[k] = pooled{st: simmpi.Status{Source: out.st.Source, Clock: out.st.Clock}, taken: true}
+	s.dead++
+	if 2*s.dead > len(s.collected) {
+		s.collected = slices.DeleteFunc(s.collected, func(c pooled) bool { return c.taken })
+		s.dead = 0
+	}
 	return out
 }
 
@@ -877,8 +942,16 @@ func (rp *Replayer) Irecv(src, tag int) (*simmpi.Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp.outstanding[req] = true
+	rp.post(req)
 	return req, nil
+}
+
+// post adds a receive just posted below to the outstanding set.
+func (rp *Replayer) post(req *simmpi.Request) {
+	rp.outstanding = append(rp.outstanding, req)
+	rp.appDone[req] = false
+	src, tag := req.Spec()
+	rp.specOut[specPair{src, tag}]++
 }
 
 // Barrier passes through (deterministic).
@@ -910,31 +983,47 @@ func (rp *Replayer) Allgather(v float64) ([]float64, error) {
 }
 
 // pollBelow harvests completions of every outstanding receive into the
-// pool, reporting how many arrived.
+// pool, reporting how many arrived. A poll that harvests nothing costs one
+// Testsome over the outstanding slice and allocates nothing.
 func (rp *Replayer) pollBelow() (int, error) {
-	set := make([]*simmpi.Request, 0, len(rp.outstanding))
-	// Harvest order only populates the pool; releases are matched by the
-	// recorded (sender, clock) keys, so pool order never reaches the app.
-	for r := range rp.outstanding { //cdc:allow(maporder) pool is keyed by (sender, clock); release order comes from the record
-		set = append(set, r)
-	}
-	idxs, sts, err := rp.next.Testsome(set)
-	if err != nil {
+	idxs, sts, err := rp.next.Testsome(rp.outstanding)
+	if err != nil || len(idxs) == 0 {
 		return 0, err
 	}
 	for k, i := range idxs {
-		req := set[i]
-		delete(rp.outstanding, req)
+		req := rp.outstanding[i]
+		rp.outstanding[i] = nil
 		delete(rp.appDone, req)
-		rp.pool = append(rp.pool, pooled{st: sts[k], req: req})
-		if src := int32(sts[k].Source); sts[k].Clock > rp.lastSeen[src] {
-			rp.lastSeen[src] = sts[k].Clock
-		}
+		src, tag := req.Spec()
+		rp.specOut[specPair{src, tag}]--
+		rp.harvest(pooled{st: sts[k], req: req})
 	}
-	if len(idxs) > 0 {
-		rp.mPool.Set(int64(len(rp.pool)))
-	}
+	rp.outstanding = slices.DeleteFunc(rp.outstanding, func(r *simmpi.Request) bool { return r == nil })
 	return len(idxs), nil
+}
+
+// harvest appends a completion to the pool. Completions arrive in arrival
+// order, which is the pool's harvest order; release order comes from the
+// record's (sender, clock) keys, so it never reaches the app.
+func (rp *Replayer) harvest(p pooled) {
+	p.seq = rp.harvested
+	rp.harvested++
+	rp.pool = append(rp.pool, p)
+	if src := int32(p.st.Source); p.st.Clock > rp.lastSeen[src] {
+		rp.lastSeen[src] = p.st.Clock
+	}
+	rp.mPool.Add(1)
+}
+
+// poll harvests below and collects the stream's chunk messages: one pass
+// of a replayed MF call's match loop.
+func (rp *Replayer) poll(s *stream) (int, error) {
+	arrived, err := rp.pollBelow()
+	if err != nil {
+		return 0, err
+	}
+	s.collect(rp)
+	return arrived, s.err
 }
 
 // ensureProbes posts an internal receive for every distinct spec among
@@ -946,38 +1035,28 @@ func (rp *Replayer) pollBelow() (int, error) {
 // that never matches is as harmless as an application receive that is
 // never matched.
 func (rp *Replayer) ensureProbes(reqs []*simmpi.Request) error {
-	type spec struct{ src, tag int }
-	needed := map[spec]bool{}
+	var missing []specPair
 	for _, r := range reqs {
 		if r == nil {
 			continue
 		}
 		src, tag := r.Spec()
-		needed[spec{src, tag}] = true
-	}
-	for r := range rp.outstanding {
-		src, tag := r.Spec()
-		delete(needed, spec{src, tag})
+		if sp := (specPair{src, tag}); rp.specOut[sp] == 0 && !slices.Contains(missing, sp) {
+			missing = append(missing, sp)
+		}
 	}
 	// Post in sorted spec order: posting order decides which request an
-	// incoming message binds to when specs overlap, so map order here would
-	// leak goroutine-schedule noise into an otherwise deterministic replay.
-	specs := make([]spec, 0, len(needed))
-	for sp := range needed { //cdc:allow(maporder) specs are sorted by (src, tag) immediately below
-		specs = append(specs, sp)
-	}
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].src != specs[j].src {
-			return specs[i].src < specs[j].src
-		}
-		return specs[i].tag < specs[j].tag
+	// incoming message binds to when specs overlap, so it must not depend
+	// on the order the application happens to list its requests in.
+	slices.SortFunc(missing, func(a, b specPair) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.tag, b.tag))
 	})
-	for _, sp := range specs {
+	for _, sp := range missing {
 		probe, err := rp.next.Irecv(sp.src, sp.tag)
 		if err != nil {
 			return err
 		}
-		rp.outstanding[probe] = true
+		rp.post(probe)
 		rp.stats.ProbesPosted++
 	}
 	return nil
@@ -1088,6 +1167,7 @@ func (rp *Replayer) liveDeliver(reqs []*simmpi.Request, limit int) ([]int, []sim
 		}
 	}
 	rp.pool = kept
+	rp.mPool.Add(-int64(len(idxs)))
 	rp.stats.LiveReleases += uint64(len(idxs))
 	rp.mLive.Add(uint64(len(idxs)))
 	return idxs, sts
@@ -1134,6 +1214,7 @@ func (rp *Replayer) liveTestall(reqs []*simmpi.Request) (bool, []simmpi.Status, 
 		}
 	}
 	rp.pool = kept
+	rp.mPool.Add(-int64(len(reqs)))
 	sts := make([]simmpi.Status, len(reqs))
 	for i, m := range msgs { // deliver in request order
 		sts[i] = m.st
@@ -1210,13 +1291,9 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 	var clockWaitStart time.Time
 	spins := 0
 	for {
-		arrived, err := rp.pollBelow()
+		arrived, err := rp.poll(s)
 		if err != nil {
 			return nil, err
-		}
-		s.collect(rp)
-		if s.err != nil {
-			return nil, s.err
 		}
 		progressed := arrived > 0
 		for len(staged) < g {
@@ -1235,7 +1312,7 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 			return staged, nil
 		}
 		if rp.mClockWaitNs != nil {
-			if len(s.collected) > 0 {
+			if s.held() > 0 {
 				if clockWaitStart.IsZero() {
 					clockWaitStart = time.Now() //cdc:allow(nodetermflow) clock-wait latency metric for observability only
 				}
@@ -1280,7 +1357,7 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 
 func (rp *Replayer) stallError(s *stream, staged, g int) error {
 	base := fmt.Errorf("%w: callsite %s chunk %d: observed event %d/%d (group %d/%d staged, %d collected, lmc %d, pool %d)",
-		ErrStalled, s.name, s.ci-1, s.t, s.n, staged, g, len(s.collected), s.lmc(rp), len(rp.pool))
+		ErrStalled, s.name, s.ci-1, s.t, s.n, staged, g, s.held(), s.lmc(rp), len(rp.pool))
 	tt := s.t + staged
 	if len(s.senders) == 0 || tt >= s.n {
 		return base
@@ -1328,7 +1405,7 @@ func (rp *Replayer) assignSlot(reqs []*simmpi.Request, used []bool, m pooled) (i
 // finishSlot marks a slot virtually complete. If its own binding is still
 // pending below it stays in the outstanding set and keeps being polled.
 func (rp *Replayer) finishSlot(r *simmpi.Request) {
-	if rp.outstanding[r] {
+	if _, out := rp.appDone[r]; out {
 		rp.appDone[r] = true
 	}
 }
@@ -1406,12 +1483,8 @@ func (rp *Replayer) testFamily(s *stream, reqs []*simmpi.Request, liveLimit int)
 		return len(sts) > 0, idxs, sts, nil
 	}
 	s.learnSpecs(reqs)
-	if _, err := rp.pollBelow(); err != nil {
+	if _, err := rp.poll(s); err != nil {
 		return false, nil, nil, err
-	}
-	s.collect(rp)
-	if s.err != nil {
-		return false, nil, nil, s.err
 	}
 	if s.consumeUnmatched() {
 		rp.stats.UnmatchedConsumed++
@@ -1505,12 +1578,8 @@ func (rp *Replayer) Testall(reqs []*simmpi.Request) (bool, []simmpi.Status, erro
 		return rp.liveTestall(reqs)
 	}
 	s.learnSpecs(reqs)
-	if _, err := rp.pollBelow(); err != nil {
+	if _, err := rp.poll(s); err != nil {
 		return false, nil, err
-	}
-	s.collect(rp)
-	if s.err != nil {
-		return false, nil, s.err
 	}
 	if s.consumeUnmatched() {
 		return false, nil, nil

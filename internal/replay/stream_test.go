@@ -179,9 +179,8 @@ func TestStreamSpecFiltering(t *testing.T) {
 	if err := s.ensure(); err != nil {
 		t.Fatal(err)
 	}
-	rp := &Replayer{lastSeen: map[int32]uint64{}, pool: []pooled{
-		{st: simmpi.Status{Source: 0, Tag: 9, Clock: 1}}, // wrong tag
-	}}
+	rp := &Replayer{lastSeen: map[int32]uint64{}}
+	rp.harvest(pooled{st: simmpi.Status{Source: 0, Tag: 9, Clock: 1}}) // wrong tag
 	s.specs = []specPair{{simmpi.AnySource, 7}}
 	s.collect(rp)
 	if len(s.collected) != 0 {
@@ -190,7 +189,7 @@ func TestStreamSpecFiltering(t *testing.T) {
 	if len(rp.pool) != 1 {
 		t.Fatal("rejected message evicted from pool")
 	}
-	rp.pool = append(rp.pool, pooled{st: simmpi.Status{Source: 0, Tag: 7, Clock: 1}})
+	rp.harvest(pooled{st: simmpi.Status{Source: 0, Tag: 7, Clock: 1}})
 	s.collect(rp)
 	if len(s.collected) != 1 || len(rp.pool) != 1 {
 		t.Fatalf("collected %d pooled %d", len(s.collected), len(rp.pool))
@@ -203,10 +202,9 @@ func TestStreamOverfullDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.specs = []specPair{{simmpi.AnySource, simmpi.AnyTag}}
-	rp := &Replayer{lastSeen: map[int32]uint64{}, pool: []pooled{
-		{st: simmpi.Status{Source: 0, Clock: 3}},
-		{st: simmpi.Status{Source: 0, Clock: 5}},
-	}}
+	rp := &Replayer{lastSeen: map[int32]uint64{}}
+	rp.harvest(pooled{st: simmpi.Status{Source: 0, Clock: 3}})
+	rp.harvest(pooled{st: simmpi.Status{Source: 0, Clock: 5}})
 	s.collect(rp)
 	if s.err == nil {
 		t.Fatal("overfull chunk not detected")
