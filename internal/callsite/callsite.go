@@ -20,20 +20,31 @@ type entry struct {
 	name string
 }
 
-var cache sync.Map // uintptr (pc) -> entry
+var cache sync.Map // uintptr (return pc from runtime.Callers) -> entry
 
 // ID returns the identifier and human-readable name (file:line) of the
 // caller skip frames above this function. skip follows runtime.Caller:
 // skip=1 identifies ID's caller, skip=2 that function's caller, and so on.
+//
+// Each call takes only the PC; the frame is symbolized the first time that
+// PC is seen. runtime.Caller(skip) is runtime.Callers(skip+1) followed by
+// CallersFrames, so ids and names are the ones runtime.Caller would give.
 func ID(skip int) (uint64, string) {
-	pc, file, line, ok := runtime.Caller(skip)
-	if !ok {
+	var pcs [1]uintptr
+	if runtime.Callers(skip+1, pcs[:]) < 1 {
 		return 0, "unknown"
 	}
-	if e, hit := cache.Load(pc); hit {
+	if e, hit := cache.Load(pcs[0]); hit {
 		ent := e.(entry)
 		return ent.id, ent.name
 	}
+	// A fresh slice: handing pcs to CallersFrames would move it to the heap
+	// on the hit path too.
+	frame, _ := runtime.CallersFrames([]uintptr{pcs[0]}).Next()
+	if frame.PC == 0 {
+		return 0, "unknown"
+	}
+	file, line := frame.File, frame.Line
 	// Keep the last two path components: unambiguous enough for humans,
 	// and short enough that name frames stay negligible in the record.
 	slashes := 0
@@ -53,6 +64,6 @@ func ID(skip int) (uint64, string) {
 	if ent.id == 0 {
 		ent.id = 1 // reserve 0 for "MF identification disabled"
 	}
-	cache.Store(pc, ent)
+	cache.Store(pcs[0], ent)
 	return ent.id, ent.name
 }

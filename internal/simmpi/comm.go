@@ -24,8 +24,8 @@ type Comm struct {
 	rank     int
 	deadline time.Duration
 
-	posted     []*Request  // active receives, in post order
-	unexpected []*envelope // arrived but unmatched, in arrival order
+	posted     fifo[Request]  // active receives, in post order
+	unexpected fifo[envelope] // arrived but unmatched, in arrival order
 	postSeq    uint64
 	traffic    Traffic
 }
@@ -84,15 +84,15 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	req := &Request{owner: c, src: src, tag: tag, postSeq: c.postSeq}
 	// MPI semantics: a newly posted receive first searches the unexpected
 	// queue in arrival order.
-	for i, env := range c.unexpected {
+	for i, env := range c.unexpected.live() {
 		if req.accepts(env) {
 			req.matched = true
 			req.env = env
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
+			c.unexpected.remove(i)
 			return req, nil
 		}
 	}
-	c.posted = append(c.posted, req)
+	c.posted.push(req)
 	return req, nil
 }
 
@@ -106,17 +106,17 @@ func (r *Request) accepts(env *envelope) bool {
 func (c *Comm) poll() {
 	for _, env := range c.world.boxes[c.rank].drain() {
 		matched := false
-		for i, req := range c.posted {
+		for i, req := range c.posted.live() {
 			if req.accepts(env) {
 				req.matched = true
 				req.env = env
-				c.posted = append(c.posted[:i], c.posted[i+1:]...)
+				c.posted.remove(i)
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			c.unexpected = append(c.unexpected, env)
+			c.unexpected.push(env)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package simmpi
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"cdcreplay/internal/obs"
@@ -44,6 +45,9 @@ type mailbox struct {
 	tick       uint64
 	depositSeq uint64
 	inflight   []*envelope
+	// ready is drain's result buffer, reused across polls. Only the owner
+	// rank touches it, through drain.
+	ready []*envelope
 	// lastArrive tracks per-sender arrival frontiers to keep FIFO order.
 	lastArrive map[int]uint64
 	// deliver, when non-nil, replaces the jitter RNG (Options.Delivery
@@ -87,30 +91,31 @@ func (m *mailbox) deposit(src, tag int, data []byte) {
 }
 
 // drain advances the receiver's poll tick and returns every message whose
-// arrival time has passed, in arrival order. Called only by the owner rank.
+// arrival time has passed, in arrival order. Called only by the owner rank;
+// the returned slice is reused by the next drain.
 func (m *mailbox) drain() []*envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tick++
-	if len(m.inflight) == 0 {
-		return nil
-	}
-	var ready, rest []*envelope
+	clear(m.ready) // drop the previous poll's pointers
+	m.ready = m.ready[:0]
+	rest := m.inflight[:0]
 	for _, e := range m.inflight {
 		if e.arriveAt <= m.tick {
-			ready = append(ready, e)
+			m.ready = append(m.ready, e)
 		} else {
 			rest = append(rest, e)
 		}
 	}
+	clear(m.inflight[len(rest):])
 	m.inflight = rest
-	sort.Slice(ready, func(i, j int) bool {
-		if ready[i].arriveAt != ready[j].arriveAt {
-			return ready[i].arriveAt < ready[j].arriveAt
+	slices.SortFunc(m.ready, func(a, b *envelope) int {
+		if c := cmp.Compare(a.arriveAt, b.arriveAt); c != 0 {
+			return c
 		}
-		return ready[i].depositSeq < ready[j].depositSeq
+		return cmp.Compare(a.depositSeq, b.depositSeq)
 	})
-	return ready
+	return m.ready
 }
 
 // pending reports whether undelivered messages remain (for diagnostics).

@@ -157,14 +157,14 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 		// poll after the barrier delivers it).
 		c := mpi.(*Comm)
 		deadline := time.Now().Add(5 * time.Second)
-		for len(c.unexpected) == 0 {
+		for c.unexpected.len() == 0 {
 			if time.Now().After(deadline) {
 				return errors.New("message never arrived in unexpected queue")
 			}
 			c.poll()
 		}
-		if len(c.unexpected) != 1 {
-			return fmt.Errorf("unexpected queue has %d entries", len(c.unexpected))
+		if c.unexpected.len() != 1 {
+			return fmt.Errorf("unexpected queue has %d entries", c.unexpected.len())
 		}
 		req, _ := mpi.Irecv(AnySource, 3)
 		if !req.Matched() {
