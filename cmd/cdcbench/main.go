@@ -5,133 +5,42 @@
 //
 //	cdcbench -exp all            # every experiment at quick scale
 //	cdcbench -exp fig13 -full    # one experiment at paper-leaning scale
-//	cdcbench -exp pipeline -metrics-out BENCH_pipeline.json
-//	cdcbench -exp all -http :6060   # live metrics + pprof while running
 //
 // Experiments: fig1, fig13, fig14, fig15, fig16, fig17, queue, piggyback,
-// replay, ablations, pipeline, encode, store, decode, feed, all.
+// replay, ablations, all.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"cdcreplay/internal/harness"
-	"cdcreplay/internal/obs"
-	"cdcreplay/internal/obs/obshttp"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig1|fig13|fig14|fig15|fig16|fig17|queue|piggyback|replay|ablations|pipeline|encode|store|decode|feed|all)")
+	exp := flag.String("exp", "all", "experiment to run (fig1|fig13|fig14|fig15|fig16|fig17|queue|piggyback|replay|ablations|all)")
 	full := flag.Bool("full", false, "paper-leaning scales (slower)")
 	seed := flag.Int64("seed", 1, "network noise seed")
-	metricsOut := flag.String("metrics-out", "", "write the pipeline experiment's metrics to this JSON file")
-	httpAddr := flag.String("http", "", "serve live metrics (/metrics, /debug/vars) and pprof on this address while experiments run")
 	flag.Parse()
 
 	cfg := harness.Config{Out: os.Stdout, Full: *full, Seed: *seed}
 
-	if *httpAddr != "" {
-		// Experiments create short-lived registries; the endpoint follows
-		// whichever one is current.
-		var current atomic.Pointer[obs.Registry]
-		cfg.OnRegistry = func(reg *obs.Registry) { current.Store(reg) }
-		addr, stop, err := obshttp.Serve(*httpAddr, func() obs.Snapshot {
-			return current.Load().Snapshot()
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cdcbench: -http: %v\n", err)
-			os.Exit(1)
-		}
-		defer stop()
-		fmt.Printf("serving metrics on http://%s/metrics (pprof at /debug/pprof/)\n\n", addr)
-	}
-
-	type runner struct {
+	// Every driver prints its table to cfg.Out; only the error matters here.
+	runners := []struct {
 		name string
 		fn   func(harness.Config) error
-	}
-	wrap := func(f func(harness.Config) (any, error)) func(harness.Config) error {
-		return func(c harness.Config) error { _, err := f(c); return err }
-	}
-	runners := []runner{
-		{"fig1", wrap(func(c harness.Config) (any, error) { return harness.Fig1(c) })},
-		{"fig13", wrap(func(c harness.Config) (any, error) { return harness.Fig13(c) })},
-		{"fig14", wrap(func(c harness.Config) (any, error) { return harness.Fig14(c) })},
-		{"fig15", wrap(func(c harness.Config) (any, error) { return harness.Fig15(c) })},
-		{"fig16", wrap(func(c harness.Config) (any, error) { return harness.Fig16(c) })},
-		{"fig17", wrap(func(c harness.Config) (any, error) { return harness.Fig17(c) })},
-		{"queue", wrap(func(c harness.Config) (any, error) { return harness.QueueRates(c) })},
-		{"piggyback", wrap(func(c harness.Config) (any, error) { return harness.PiggybackOverhead(c) })},
-		{"replay", wrap(func(c harness.Config) (any, error) { return harness.ReplayValidation(c) })},
-		{"ablations", wrap(func(c harness.Config) (any, error) { return harness.Ablations(c) })},
-		{"pipeline", func(c harness.Config) error {
-			res, err := harness.Pipeline(c)
-			if err != nil {
-				return err
-			}
-			if *metricsOut != "" {
-				if err := res.WriteJSON(*metricsOut); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *metricsOut)
-			}
-			return nil
-		}},
-		{"encode", func(c harness.Config) error {
-			res, err := harness.Encode(c)
-			if err != nil {
-				return err
-			}
-			if *metricsOut != "" {
-				if err := res.WriteJSON(*metricsOut); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *metricsOut)
-			}
-			return nil
-		}},
-		{"store", func(c harness.Config) error {
-			res, err := harness.StoreBench(c)
-			if err != nil {
-				return err
-			}
-			if *metricsOut != "" {
-				if err := res.WriteJSON(*metricsOut); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *metricsOut)
-			}
-			return nil
-		}},
-		{"feed", func(c harness.Config) error {
-			res, err := harness.Feed(c)
-			if res != nil && *metricsOut != "" {
-				// Write even a failed capture: CI's jq gate reads the JSON to
-				// say which invariant (digest identity, pacing) broke.
-				if werr := res.WriteJSON(*metricsOut); werr != nil && err == nil {
-					err = werr
-				} else if werr == nil {
-					fmt.Printf("wrote %s\n", *metricsOut)
-				}
-			}
-			return err
-		}},
-		{"decode", func(c harness.Config) error {
-			res, err := harness.DecodeBench(c)
-			if res != nil && *metricsOut != "" {
-				// Write even a failed capture: CI's jq gate reads the JSON to
-				// say which invariant (digest identity, throughput) broke.
-				if werr := res.WriteJSON(*metricsOut); werr != nil && err == nil {
-					err = werr
-				} else if werr == nil {
-					fmt.Printf("wrote %s\n", *metricsOut)
-				}
-			}
-			return err
-		}},
+	}{
+		{"fig1", func(c harness.Config) error { _, err := harness.Fig1(c); return err }},
+		{"fig13", func(c harness.Config) error { _, err := harness.Fig13(c); return err }},
+		{"fig14", func(c harness.Config) error { _, err := harness.Fig14(c); return err }},
+		{"fig15", func(c harness.Config) error { _, err := harness.Fig15(c); return err }},
+		{"fig16", func(c harness.Config) error { _, err := harness.Fig16(c); return err }},
+		{"fig17", func(c harness.Config) error { _, err := harness.Fig17(c); return err }},
+		{"queue", func(c harness.Config) error { _, err := harness.QueueRates(c); return err }},
+		{"piggyback", func(c harness.Config) error { _, err := harness.PiggybackOverhead(c); return err }},
+		{"replay", func(c harness.Config) error { _, err := harness.ReplayValidation(c); return err }},
+		{"ablations", func(c harness.Config) error { _, err := harness.Ablations(c); return err }},
 	}
 
 	ran := false

@@ -1,4 +1,4 @@
-package harness
+package main
 
 import (
 	"fmt"
@@ -8,31 +8,30 @@ import (
 	"cdcreplay/internal/dst"
 )
 
-// DST drives one schedule-exploration run (cmd/cdcdst): it explores, prints
-// a summary, and for every captured failure writes a replayable trace file
+// explore drives one schedule-exploration run: it explores, prints a
+// summary, and for every captured failure writes a replayable trace file
 // (both the full and the shrunk schedule) plus the exact repro command.
 // traceDir == "" skips trace files. The returned report is the caller's exit
 // status: any TotalFailures > 0 is a red run.
-func DST(cfg Config, dcfg dst.Config, traceDir string) (*dst.Report, error) {
-	cfg.fill()
+func explore(dcfg dst.Config, traceDir string) (*dst.Report, error) {
 	if dcfg.Logf == nil {
 		dcfg.Logf = func(format string, args ...any) {
-			cfg.printf(format+"\n", args...)
+			fmt.Printf(format+"\n", args...)
 		}
 	}
 	rep, err := dst.Explore(dcfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.printf("\npolicy=%s workload=%s: %d schedules, %d decisions, digest %016x\n",
+	fmt.Printf("\npolicy=%s workload=%s: %d schedules, %d decisions, digest %016x\n",
 		rep.Policy, rep.Workload, rep.Schedules, rep.Decisions, rep.Digest)
 	if rep.TotalFailures == 0 {
-		cfg.printf("all explored schedules satisfy the enabled properties\n")
+		fmt.Printf("all explored schedules satisfy the enabled properties\n")
 		return rep, nil
 	}
-	cfg.printf("%d failing schedule(s), %d captured:\n", rep.TotalFailures, len(rep.Failures))
+	fmt.Printf("%d failing schedule(s), %d captured:\n", rep.TotalFailures, len(rep.Failures))
 	for i, f := range rep.Failures {
-		cfg.printf("  [%d] %s\n      %s\n      shrunk %d -> %d decisions: %v\n",
+		fmt.Printf("  [%d] %s\n      %s\n      shrunk %d -> %d decisions: %v\n",
 			i, f.Trace, f.Err, len(f.Trace.Decisions), len(f.Shrunk), f.Shrunk)
 		if traceDir == "" {
 			continue
@@ -50,23 +49,22 @@ func DST(cfg Config, dcfg dst.Config, traceDir string) (*dst.Report, error) {
 		if err := shrunkTrace.WriteFile(small); err != nil {
 			return rep, err
 		}
-		cfg.printf("      repro: go run ./cmd/cdcdst -repro %s   (shrunk: %s)\n", full, small)
+		fmt.Printf("      repro: go run ./cmd/cdcdst -repro %s   (shrunk: %s)\n", full, small)
 	}
 	return rep, nil
 }
 
-// DSTRepro replays a trace file written by DST and reports whether it still
-// fails (err non-nil) — the CLI's -repro entry point.
-func DSTRepro(cfg Config, path string) error {
-	cfg.fill()
+// reproTrace replays a trace file written by explore and reports whether it
+// still fails (err non-nil).
+func reproTrace(path string) error {
 	tr, err := dst.ReadTraceFile(path)
 	if err != nil {
 		return err
 	}
-	cfg.printf("replaying trace: %s\n", tr)
+	fmt.Printf("replaying trace: %s\n", tr)
 	if rerr := dst.Repro(tr); rerr != nil {
 		return fmt.Errorf("trace reproduces the failure: %w", rerr)
 	}
-	cfg.printf("trace no longer fails\n")
+	fmt.Printf("trace no longer fails\n")
 	return nil
 }

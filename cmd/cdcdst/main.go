@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"cdcreplay/internal/dst"
-	"cdcreplay/internal/harness"
 )
 
 func main() {
@@ -52,8 +51,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress lines (summary only)")
 	flag.Parse()
 
-	hcfg := harness.Config{Out: os.Stdout}
-
 	if *feedP6 {
 		rep, err := dst.CheckFeed(dst.FeedConfig{Workload: *workload, Seed: *seed, Short: *short})
 		if err != nil {
@@ -72,7 +69,7 @@ func main() {
 	}
 
 	if *repro != "" {
-		if err := harness.DSTRepro(hcfg, *repro); err != nil {
+		if err := reproTrace(*repro); err != nil {
 			fmt.Fprintf(os.Stderr, "cdcdst: %v\n", err)
 			os.Exit(1)
 		}
@@ -98,7 +95,7 @@ func main() {
 		dcfg.Logf = func(string, ...any) {}
 	}
 
-	rep, err := harness.DST(hcfg, dcfg, *traceOut)
+	rep, err := explore(dcfg, *traceOut)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cdcdst: %v\n", err)
 		os.Exit(1)

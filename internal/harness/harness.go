@@ -13,7 +13,6 @@ import (
 	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/mcb"
-	"cdcreplay/internal/obs"
 	"cdcreplay/internal/record"
 	"cdcreplay/internal/simmpi"
 	"cdcreplay/internal/tables"
@@ -28,10 +27,6 @@ type Config struct {
 	Full bool
 	// Seed perturbs the network noise.
 	Seed int64
-	// OnRegistry, when non-nil, is handed each live obs.Registry an
-	// experiment creates, before the workload runs. cdcbench uses it to
-	// point its -http snapshot endpoint at the current workload.
-	OnRegistry func(*obs.Registry)
 }
 
 func (c *Config) fill() {

@@ -10,27 +10,6 @@ func quickCfg() Config {
 	return Config{Out: &bytes.Buffer{}, Seed: 42}
 }
 
-func TestDecodeBenchShape(t *testing.T) {
-	res, err := DecodeBench(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !res.DigestIdentical {
-		t.Fatal("frame-stream digests differ across pool widths")
-	}
-	if !res.Seekable {
-		t.Fatal("decode bench must run over a seekable backend (segment parallelism)")
-	}
-	for i, run := range res.Runs {
-		if run.Digest != res.Runs[0].Digest {
-			t.Fatalf("run %d (workers=%d) digest %s != serial %s", i, run.Workers, run.Digest, res.Runs[0].Digest)
-		}
-	}
-}
-
 func TestFig1Shape(t *testing.T) {
 	res, err := Fig1(quickCfg())
 	if err != nil {

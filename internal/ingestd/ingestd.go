@@ -244,14 +244,18 @@ func (s *Server) handshake(h ingestwire.Hello, sess *session) (uint64, *ingestwi
 		return 0, &ingestwire.Reject{Code: ingestwire.RejectVersion,
 			Msg: fmt.Sprintf("server speaks version %d, client %d", ingestwire.Version, h.Version)}
 	}
-	if s.draining.Load() {
-		return 0, &ingestwire.Reject{Code: ingestwire.RejectDraining, Msg: "server is draining"}
-	}
 	if !pathSafe(h.Tenant) || !pathSafe(h.Run) {
 		return 0, &ingestwire.Reject{Code: ingestwire.RejectMalformed, Msg: "tenant and run must be path-safe names"}
 	}
 
 	s.mu.Lock()
+	// Checked under mu: Kill sets the flag under mu before closing the
+	// registered sessions, so a handshake is either closed by Kill or
+	// refused here.
+	if s.draining.Load() {
+		s.mu.Unlock()
+		return 0, &ingestwire.Reject{Code: ingestwire.RejectDraining, Msg: "server is draining"}
+	}
 	tenant := s.tenants[h.Tenant]
 	if tenant == nil {
 		q, ok := s.cfg.Quotas[h.Tenant]
@@ -484,6 +488,10 @@ func drainQueueLocked(r *run, rs *rankState) {
 // same root must salvage its way back.
 func (s *Server) Kill() {
 	s.mu.Lock()
+	// A client whose conn closes below redials at once, while the listener
+	// is still open; without the flag its session could attach after this
+	// loop, to a server whose workers are about to stop, and never finish.
+	s.draining.Store(true)
 	for _, sess := range s.sessions {
 		sess.nc.Close() //cdc:allow(errsink) abrupt teardown is the point
 		sess.q.Close()

@@ -3,7 +3,9 @@ package ingestd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,6 +88,16 @@ func streamRows(t *testing.T, c *ingestclient.Client, rows []ingestwire.Row) {
 			t.Fatalf("Observe: %v", err)
 		}
 	}
+}
+
+// groupEnd moves split index i forward past an open MF group. The daemon
+// cannot seal, and so cannot ack, while a group is open: a test that waits
+// for an ack on a prefix must cut it where no group is open and flush it.
+func groupEnd(rows []ingestwire.Row, i int) int {
+	for i < len(rows) && rows[i-1].Ev.Flag && rows[i-1].Ev.WithNext {
+		i++
+	}
+	return i
 }
 
 func clientConfig(addr, tenant, run string, rank, ranks int) ingestclient.Config {
@@ -512,4 +524,148 @@ func TestServerKillSalvageResume(t *testing.T) {
 		t.Fatalf("kill+salvage+resume lost or duplicated events: %v", err)
 	}
 	drain(t, srv2)
+}
+
+// TestConcurrentSessionsSurviveKill is the many-session form of the kill
+// test: 12 concurrent single-rank sessions over 3 tenants stream into one
+// daemon, which is hard-killed once mid-ingest — every session has sent
+// half its stream and starts on the rest as the kill lands — and
+// restarted over the same root and address. Every client must reconnect
+// through its own backoff and resume from the salvaged frontier, so that
+// after a drain every session's record holds exactly its offered stream
+// and every offered event was acked.
+func TestConcurrentSessionsSurviveKill(t *testing.T) {
+	const sessions, tenants, events = 12, 3, 1500
+	root := t.TempDir()
+	reg := obs.NewRegistry()
+
+	// Every incarnation binds the same address, so the clients reconnect
+	// through their own backoff with no new Dial.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close() //cdc:allow(errsink) probe listener; the daemon rebinds the address
+	newServer := func() (*Server, error) {
+		var err error
+		// The killed incarnation's listener may take a moment to release
+		// the address.
+		for attempt := 0; attempt < 100; attempt++ {
+			srv, nerr := New(Config{Addr: addr, Root: root, FlushInterval: 5 * time.Millisecond, Obs: reg})
+			if nerr != nil {
+				return nil, nerr
+			}
+			if err = srv.Start(); err == nil {
+				return srv, nil
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		return nil, fmt.Errorf("rebinding %s: %w", addr, err)
+	}
+	srv, err := newServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type session struct {
+		tenant, run string
+		rows        []ingestwire.Row
+		client      *ingestclient.Client
+	}
+	ss := make([]session, sessions)
+	var offered uint64
+	for i := range ss {
+		s := &ss[i]
+		s.tenant = fmt.Sprintf("t%02d", i%tenants)
+		s.run = fmt.Sprintf("run%03d", i)
+		s.rows = expectedRows(singleRankStream(events, int64(i+1)))
+		for _, r := range s.rows {
+			offered += r.Weight()
+		}
+		cfg := clientConfig(addr, s.tenant, s.run, 0, 1)
+		cfg.Backoff = ingestclient.Backoff{Base: 5 * time.Millisecond, Cap: 200 * time.Millisecond, MaxAttempts: 500}
+		if s.client, err = ingestclient.Dial(cfg); err != nil {
+			t.Fatalf("session %d dial: %v", i, err)
+		}
+	}
+	acked := func() uint64 {
+		var n uint64
+		for i := range ss {
+			n += ss[i].client.Acked()
+		}
+		return n
+	}
+
+	send := func(c *ingestclient.Client, rows []ingestwire.Row) error {
+		for _, r := range rows {
+			if err := c.Observe(r.Callsite, r.Name, r.Ev, 0); err != nil {
+				return err
+			}
+		}
+		return c.Flush()
+	}
+	// streamRows calls t.Fatalf, which must not run off the test
+	// goroutine, so sessions report through errs instead.
+	errs := make(chan error, sessions)
+	var halfway, wg sync.WaitGroup
+	resume := make(chan struct{})
+	halfway.Add(sessions)
+	wg.Add(sessions)
+	for i := range ss {
+		go func(s *session) {
+			defer wg.Done()
+			mid := groupEnd(s.rows, len(s.rows)/2)
+			err := send(s.client, s.rows[:mid])
+			halfway.Done()
+			if err == nil {
+				<-resume
+				if err = send(s.client, s.rows[mid:]); err == nil {
+					err = s.client.Close()
+				}
+			}
+			if err != nil {
+				errs <- fmt.Errorf("%s/%s: %w", s.tenant, s.run, err)
+			}
+		}(&ss[i])
+	}
+
+	// Kill once every session is halfway and a quarter of the offered
+	// events are durable, so the salvaged frontiers are not all empty.
+	halfway.Wait()
+	for deadline := time.Now().Add(10 * time.Second); acked() < offered/4; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("acked %d of %d offered events before the kill; want a quarter", acked(), offered)
+		}
+	}
+	// The second halves start as the kill lands, so clients also redial
+	// while the dying daemon still listens.
+	close(resume)
+	srv.Kill()
+	if srv, err = newServer(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	drain(t, srv)
+
+	for i := range ss {
+		s := &ss[i]
+		st := openRun(t, root, s.tenant, s.run, 1)
+		if err := VerifyRank(st, 0, s.rows); err != nil {
+			t.Errorf("%s/%s: record does not match the offered stream: %v", s.tenant, s.run, err)
+		}
+	}
+	if got := acked(); got != offered {
+		t.Errorf("acked %d of %d offered events", got, offered)
+	}
+	if got := reg.Snapshot().Counter("ingest.resumes"); got == 0 {
+		t.Error("the kill produced no session resumes")
+	}
 }

@@ -87,8 +87,11 @@ func TestSIGKILLResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := len(rows) / 2
+	half := groupEnd(rows, len(rows)/2)
 	streamRows(t, c, rows[:half])
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	// Wait for at least one durable ack so the kill provably destroys
 	// in-flight state without voiding the whole test. The deadline is
 	// generous: the child process competes with the rest of the suite for

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"cdcreplay/internal/baseline"
@@ -9,6 +10,7 @@ import (
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/obs"
 	"cdcreplay/internal/simmpi"
+	"cdcreplay/internal/workload"
 )
 
 // TestRecorderObsMetrics checks the DESIGN.md §8 record-layer metrics
@@ -111,5 +113,65 @@ func TestRecorderNilObsIsNoop(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObsNilInstrumentsDoNotAllocate pins the disabled-state contract that
+// makes unconditional call sites acceptable on the hot path: calling a nil
+// instrument allocates nothing.
+func TestObsNilInstrumentsDoNotAllocate(t *testing.T) {
+	var reg *obs.Registry
+	c := reg.Counter("x")
+	g := reg.Gauge("x")
+	h := reg.Histogram("x", obs.LatencyBounds())
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Add(1)
+		c.Inc()
+		g.Set(3)
+		h.Observe(9)
+		reg.StartSpan("x").End()
+	}); n != 0 {
+		t.Fatalf("nil instruments allocated %.1f times per call group", n)
+	}
+}
+
+// TestObsDisabledOverheadWithinNoise runs the record hot path with
+// instrumentation disabled and enabled and checks the disabled state is not
+// measurably slower — i.e. the nil checks cost at most what the full
+// atomic-counter path costs, which itself stays within a generous envelope.
+// The tolerance is deliberately loose: this guards against order-of-
+// magnitude regressions (an accidental allocation or lock on the disabled
+// path), not single-digit percentages, which CI machines cannot resolve.
+func TestObsDisabledOverheadWithinNoise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison; skipped in -short")
+	}
+	events := workload.Stream(workload.MCBLike(20_000, 1, 77))
+	run := func(reg *obs.Registry) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w := simmpi.NewWorld(1, simmpi.Options{})
+				enc, _ := core.NewEncoder(io.Discard, core.EncoderOptions{OmitSenderColumn: true, Obs: reg})
+				rec := New(lamport.Wrap(w.Comm(0)), baseline.NewCDC(enc), Options{Obs: reg})
+				for _, ev := range events {
+					rec.enqueue(0, "benchmark", ev)
+				}
+				if err := rec.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	off := testing.Benchmark(run(nil))
+	on := testing.Benchmark(run(obs.NewRegistry()))
+	offNs := float64(off.NsPerOp())
+	onNs := float64(on.NsPerOp())
+	t.Logf("record hot path: obs off %.0f ns/op, obs on %.0f ns/op (on/off ratio %.3f)",
+		offNs, onNs, onNs/offNs)
+	if offNs > onNs*1.25 {
+		t.Errorf("disabled instrumentation slower than enabled beyond noise: off %.0f ns/op vs on %.0f ns/op", offNs, onNs)
+	}
+	if onNs > offNs*1.5 {
+		t.Errorf("enabled instrumentation more than 50%% over disabled: on %.0f ns/op vs off %.0f ns/op", onNs, offNs)
 	}
 }

@@ -343,14 +343,6 @@ func (r *Recorder) Err() error {
 // Stats returns queue-rate statistics (valid after Close).
 func (r *Recorder) Stats() RateStats { return r.stats }
 
-// ObserveForBenchmark injects a pre-built event row directly into the
-// observe queue, bypassing the MPI layer. It exists for the §6.2
-// queue-rate benchmarks, which drive the SPSC queue and the CDC goroutine
-// at full speed without a live message stream.
-func (r *Recorder) ObserveForBenchmark(ev tables.Event) {
-	r.enqueue(0, "benchmark", ev)
-}
-
 func (r *Recorder) enqueue(cs uint64, name string, ev tables.Event) {
 	if r.Err() != nil {
 		// The backend already failed; producing more rows would only be

@@ -3,12 +3,14 @@ package store_test
 import (
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/store"
 	"cdcreplay/internal/store/dirstore"
 	"cdcreplay/internal/store/memstore"
+	"cdcreplay/internal/store/shardstore"
 	"cdcreplay/internal/workload"
 )
 
@@ -76,10 +78,77 @@ func drainKinds(t *testing.T, it *core.RecordIter) []string {
 	}
 }
 
+// countingStore hands out rank readers that count how many bytes are read
+// below floor, through ReadAt and through Read alike: a seek to an epoch on
+// a seekable backend must start decoding at the epoch's index offset, not
+// at byte 0.
+type countingStore struct {
+	store.Store
+	mu    sync.Mutex // parallel decode reads segments concurrently
+	floor int64
+	below int64
+}
+
+func (s *countingStore) reset(floor int64) {
+	s.mu.Lock()
+	s.floor, s.below = floor, 0
+	s.mu.Unlock()
+}
+
+func (s *countingStore) bytesBelowFloor() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.below
+}
+
+func (s *countingStore) note(off int64, n int) {
+	s.mu.Lock()
+	if off < s.floor && n > 0 {
+		s.below += min(int64(n), s.floor-off)
+	}
+	s.mu.Unlock()
+}
+
+func (s *countingStore) OpenRank(rank int) (store.BlobReader, error) {
+	r, err := s.Store.OpenRank(rank)
+	if err != nil {
+		return nil, err
+	}
+	return &countingBlob{BlobReader: r, s: s}, nil
+}
+
+type countingBlob struct {
+	store.BlobReader
+	s   *countingStore
+	pos int64 // Read position, kept in step with Seek
+}
+
+func (b *countingBlob) ReadAt(p []byte, off int64) (int, error) {
+	n, err := b.BlobReader.ReadAt(p, off)
+	b.s.note(off, n)
+	return n, err
+}
+
+func (b *countingBlob) Read(p []byte) (int, error) {
+	n, err := b.BlobReader.Read(p)
+	b.s.note(b.pos, n)
+	b.pos += int64(n)
+	return n, err
+}
+
+func (b *countingBlob) Seek(off int64, whence int) (int64, error) {
+	pos, err := b.BlobReader.Seek(off, whence)
+	if err == nil {
+		b.pos = pos
+	}
+	return pos, err
+}
+
 // TestSeekRankIterEpochBoundaries pins the seek contract across backends:
 // SeekRankIter(epoch) must deliver exactly the frames a full decode yields
 // past epoch flush marks, on the seekable jump path and the skip path
-// alike, at serial and pooled widths.
+// alike, at serial and pooled widths. On seekable backends it also checks
+// the seek jumps: no byte before the epoch's index offset is read.
 func TestSeekRankIterEpochBoundaries(t *testing.T) {
 	backends := []struct {
 		name string
@@ -87,10 +156,11 @@ func TestSeekRankIterEpochBoundaries(t *testing.T) {
 	}{
 		{"mem", func(t *testing.T) store.Store { return memstore.New() }},
 		{"dir", func(t *testing.T) store.Store { return dirstore.New(t.TempDir()) }},
+		{"sharded", func(t *testing.T) store.Store { return shardstore.New(t.TempDir()) }},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			st := b.mk(t)
+			st := &countingStore{Store: b.mk(t)}
 			recordEpochs(t, st, 900, 5)
 			m, err := st.Manifest()
 			if err != nil {
@@ -129,7 +199,12 @@ func TestSeekRankIterEpochBoundaries(t *testing.T) {
 				if epoch > 0 {
 					want = tail(epoch)
 				}
+				var floor int64
+				if epoch > 0 && st.Seekable() {
+					floor = idx[epoch-1].Offset
+				}
 				for _, workers := range []int{0, 2} {
+					st.reset(floor)
 					it, blob, err := store.SeekRankIter(st, 0, epoch, core.DecoderOptions{DecodeWorkers: workers})
 					if err != nil {
 						t.Fatalf("epoch %d workers=%d: %v", epoch, workers, err)
@@ -137,6 +212,9 @@ func TestSeekRankIterEpochBoundaries(t *testing.T) {
 					got := drainKinds(t, it)
 					it.Close()
 					blob.Close()
+					if n := st.bytesBelowFloor(); n > 0 {
+						t.Fatalf("epoch %d workers=%d: read %d bytes before the epoch's index offset %d; the seek decoded from the start instead of jumping", epoch, workers, n, floor)
+					}
 					if len(got) != len(want) {
 						t.Fatalf("epoch %d workers=%d: got %d frames, want %d", epoch, workers, len(got), len(want))
 					}
