@@ -6,7 +6,7 @@
 //
 //	cdcinspect verify  [-json] <record-file>...      # CRC scan; exit 1 if damaged
 //	cdcinspect salvage [-json] <record-dir>          # recover a crashed run in place
-//	cdcinspect salvage [-json] -o <out> <record-dir> # dir layout: recover into a copy
+//	cdcinspect salvage [-json] -o <out> <record-dir> # recover into a copy
 //	cdcinspect stats   [-json] [-decode-workers N] <record-file>...  # callsite/chunk summary
 //	cdcinspect dump    [-json] [-decode-workers N] <record-file>     # per-chunk tables
 //	cdcinspect feed    [-rank N] [-rate R | -max] [-http addr] <record-dir>  # live-paced replay
@@ -20,12 +20,14 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"time"
 
 	"cdcreplay/cdc"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/recorddir"
+	"cdcreplay/internal/store/dirstore"
+	"cdcreplay/internal/store/shardstore"
 )
 
 func usage() {
@@ -190,17 +192,8 @@ func cmdSalvage(args []string) int {
 		return 2
 	}
 	dir := fs.Arg(0)
-	var report *store.SalvageReport
-	var err error
-	if *out != "" {
-		// Copy-out salvage is a dir-layout operation: it re-emits one record
-		// file per rank. Other layouts salvage in place through their store.
-		report, err = recorddir.Salvage(dir, *out)
-	} else {
-		var st cdc.Store
-		if st, err = cdc.OpenStore(dir); err == nil {
-			report, err = st.Salvage()
-		}
+	report, err := salvage(dir, *out)
+	if *out == "" {
 		*out = dir
 	}
 	if err != nil {
@@ -253,6 +246,34 @@ func cmdSalvage(args []string) int {
 			rs.Rank, state, rs.SegmentsKept, rs.SegmentsTotal, rs.EventsKept, rs.EventsTotal, front)
 	}
 	return 0
+}
+
+// salvage recovers the crashed run at dir: in place when out is empty,
+// otherwise into a fresh run of the source's own layout at out.
+func salvage(dir, out string) (*store.SalvageReport, error) {
+	src, err := cdc.OpenStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	if out == "" {
+		return src.Salvage()
+	}
+	absDir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	absOut, err := filepath.Abs(out)
+	if err != nil {
+		return nil, err
+	}
+	if absOut == absDir {
+		return nil, errors.New("output must be a different directory than the source (omit -o to salvage in place)")
+	}
+	var dst store.Store = dirstore.New(out)
+	if src.Layout() == store.LayoutSharded {
+		dst = shardstore.New(out)
+	}
+	return store.SalvageTo(src, dst)
 }
 
 // callsiteStats is one callsite's aggregate within a record file.

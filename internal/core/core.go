@@ -22,7 +22,7 @@
 // reader can stop cleanly at the last intact frame of a crashed run's
 // record. A flush-point frame marks a consistent cut: the encoder writes one
 // only when every callsite stream was flushed through it, which is what
-// makes a salvaged prefix replayable (see recorddir.Salvage). The frame
+// makes a salvaged prefix replayable (see store.PlanSalvage). The frame
 // carries the rank's own Lamport clock at the cut (a lower bound sampled on
 // the application thread): every send the rank made with a smaller or equal
 // clock provably precedes the cut, which is what lets salvage compute a

@@ -478,22 +478,38 @@ func runCrash(p expParams) (decisions, counts []int, verdict error) {
 // recovers a cross-rank-consistent prefix passes, regardless of layout.
 // The store must be empty; seed varies schedule, traffic, and kill point.
 func RunCrashSalvage(seed int64, st store.Store) error {
+	_, _, verdict := runCrashStore(crashParams(seed), st)
+	return verdict
+}
+
+// CrashRecord is RunCrashSalvage's record phase alone: it records the same
+// workload into the empty store st while the seed's fault plan aborts a
+// rank mid-run, and leaves the torn, incomplete run behind for a salvage
+// under test. Ranks that outran the fault closed cleanly; the run is never
+// finalized either way.
+func CrashRecord(seed int64, st store.Store) error {
+	p := crashParams(seed)
+	_, _, _, _, err := crashRecord(p, p.wl.app(p.short, p.seed), st)
+	return err
+}
+
+// crashParams is the P4 experiment the storage conformance suite runs.
+func crashParams(seed int64) expParams {
 	wl := workloads["exchange"]
-	_, _, verdict := runCrashStore(expParams{
+	return expParams{
 		wl: wl, ranks: wl.ranks, short: true, seed: seed,
 		policy:   &randomPolicy{rng: newRng(seed)},
 		delivery: deliveryFor("", 0, 0),
 		props:    propSet{p4: true},
-	}, st)
-	return verdict
+	}
 }
 
-// runCrashStore is runCrash against an arbitrary storage backend; salvage
-// happens in place through the store's own hook.
-func runCrashStore(p expParams, st store.Store) (decisions, counts []int, verdict error) {
-	app := p.wl.app(p.short, p.seed)
+// crashRecord is P4's record phase: it records app into st under the
+// seed's fault plan and returns each rank's application-observed receive
+// log and whether the kill fired.
+func crashRecord(p expParams, app appFunc, st store.Store) (taps [][]rcv, aborted bool, decisions, counts []int, err error) {
 	if err := st.Create(store.Manifest{Ranks: p.ranks, App: "dst-" + p.wl.name}); err != nil {
-		return nil, nil, fmt.Errorf("P4 crash: %w", err)
+		return nil, false, nil, nil, fmt.Errorf("P4 crash: %w", err)
 	}
 	plan := &simmpi.FaultPlan{
 		KillRank:          int(mix64(uint64(p.seed)+0x51) % uint64(p.ranks)),
@@ -501,7 +517,7 @@ func runCrashStore(p expParams, st store.Store) (decisions, counts []int, verdic
 	}
 	seqA := newSequencer(p.ranks, p.policy)
 	wA := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seqA, Delivery: p.delivery, Faults: plan})
-	taps := make([][]rcv, p.ranks)
+	taps = make([][]rcv, p.ranks)
 	errA := wA.RunRanked(func(rank int, mpi simmpi.MPI) error {
 		w, err := st.CreateRank(rank)
 		if err != nil {
@@ -536,15 +552,23 @@ func runCrashStore(p expParams, st store.Store) (decisions, counts []int, verdic
 	})
 	decisions, counts, seqFail := seqA.results()
 	if errA != nil {
-		return decisions, counts, fmt.Errorf("P4 crash: record phase: %w", errA)
+		return nil, false, decisions, counts, fmt.Errorf("P4 crash: record phase: %w", errA)
 	}
 	if seqFail != nil {
-		return decisions, counts, fmt.Errorf("P4 crash: record phase: %w", seqFail)
+		return nil, false, decisions, counts, fmt.Errorf("P4 crash: record phase: %w", seqFail)
 	}
-	if !wA.Aborted() {
-		// The schedule finished before the kill point fired; the property
-		// holds vacuously for this schedule.
-		return decisions, counts, nil
+	return taps, wA.Aborted(), decisions, counts, nil
+}
+
+// runCrashStore is runCrash against an arbitrary storage backend; salvage
+// happens in place through the store's own hook.
+func runCrashStore(p expParams, st store.Store) (decisions, counts []int, verdict error) {
+	app := p.wl.app(p.short, p.seed)
+	taps, aborted, decisions, counts, err := crashRecord(p, app, st)
+	if err != nil || !aborted {
+		// Without an abort the schedule finished before the kill point
+		// fired, and the property holds vacuously for it.
+		return decisions, counts, err
 	}
 
 	report, err := st.Salvage()

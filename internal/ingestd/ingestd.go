@@ -12,8 +12,8 @@
 //   - Every ACKed offset is a durable, exactly-once promise: it names
 //     events that are on disk past a flush cut AND whose cross-rank
 //     references are themselves acked, so even a SIGKILL followed by
-//     recorddir.SalvageAll cannot trim them. Clients resume from the
-//     server-stated offset after any disconnect.
+//     the restart sweep (Root.SalvageAll) cannot trim them. Clients
+//     resume from the server-stated offset after any disconnect.
 //   - Graceful drain (SIGTERM) flushes, fsyncs, and finalizes manifests;
 //     crash recovery (restart) salvages every incomplete run before
 //     accepting the first session.

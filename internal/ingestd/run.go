@@ -308,7 +308,7 @@ func (e *quotaDiskError) Error() string {
 // self-consistent cut over sealed segments — start from every rank's full
 // sealed frontier and trim tail segments whose references exceed another
 // rank's retained clock, cascading until stable — then acks everything
-// retained. This mirrors recorddir.Salvage's trim exactly: salvage keeps
+// retained. This mirrors store.PlanSalvage's trim exactly: salvage keeps
 // any self-consistent cut, and adding later segments can only extend (never
 // invalidate) a consistent prefix, so acked data survives every future
 // crash. A least fixed point ("refs must already be ACKED") would deadlock

@@ -1,10 +1,15 @@
 // Package dirstore is the store.Store backend for the flat
 // directory-per-run layout: one rankNNNN.cdc file per rank beside
-// manifest.json, byte-compatible with what the pre-Store recorddir
-// package wrote (pinned by TestDirstoreByteCompatGolden). It delegates
-// the byte-level layout to recorddir and adds the Store contract on top:
-// per-epoch index commits into the manifest and epoch-pinned concurrent
-// readers.
+// manifest.json, byte-compatible with records written before the Store
+// API existed (pinned by TestDirstoreByteCompatGolden). On top of the
+// layout it keeps the Store contract: per-epoch index commits into the
+// manifest and epoch-pinned concurrent readers.
+//
+// The manifest doubles as the directory's commit record: Create writes it
+// atomically with Complete unset, and Finalize flips Complete after every
+// rank closed cleanly. A crash at any point therefore leaves either no
+// manifest or one that says the run did not finish, and store.Open refuses
+// such a directory instead of replaying a torn record.
 //
 // Cuts are non-seekable here (gzip sync flush, not member boundaries), so
 // the record bytes stay identical to historical records; index offsets
@@ -13,6 +18,7 @@ package dirstore
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -20,7 +26,6 @@ import (
 	"sync"
 
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/recorddir"
 )
 
 // DirStore is one run in the dir layout. The zero value is unusable; use
@@ -37,6 +42,11 @@ type DirStore struct {
 // Create (recording) or a read method (replay).
 func New(dir string) *DirStore { return &DirStore{dir: dir} }
 
+// RankPath returns the record file path of rank inside run directory dir.
+func RankPath(dir string, rank int) string {
+	return filepath.Join(dir, fmt.Sprintf("rank%04d.cdc", rank))
+}
+
 // Dir exposes the underlying directory for operator-facing messages.
 func (s *DirStore) Dir() string { return s.dir }
 
@@ -52,13 +62,33 @@ func (s *DirStore) Manifest() (store.Manifest, error) {
 	return store.ReadManifestFile(s.dir)
 }
 
-// Create initializes the run directory (see recorddir.Create) and stamps
-// the layout into the manifest.
+// Create prepares the run directory (creating it if needed) and publishes
+// m, stamped with the layout, with Complete unset and no index. Rank files
+// of a previous record are removed, so a shorter re-record cannot leave
+// stale ranks behind.
 func (s *DirStore) Create(m store.Manifest) error {
+	if m.Ranks <= 0 {
+		return fmt.Errorf("dirstore: manifest needs a positive rank count, got %d", m.Ranks)
+	}
+	m.Version = store.ManifestVersion
+	m.Complete = false
+	m.Index = nil
+	m.Shards = nil
 	m.Layout = store.LayoutDir
 	m.SeekableCuts = false
-	m.Shards = nil
-	return recorddir.Create(s.dir, m)
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return err
+	}
+	old, err := filepath.Glob(filepath.Join(s.dir, "rank*.cdc"))
+	if err != nil {
+		return err
+	}
+	for _, f := range old {
+		if err := os.Remove(f); err != nil {
+			return err
+		}
+	}
+	return store.WriteManifestFile(s.dir, m)
 }
 
 // WriteManifest republishes m atomically.
@@ -67,15 +97,31 @@ func (s *DirStore) WriteManifest(m store.Manifest) error {
 }
 
 // Finalize marks the run complete.
-func (s *DirStore) Finalize() error { return recorddir.Finalize(s.dir) }
+func (s *DirStore) Finalize() error {
+	m, err := s.Manifest()
+	if err != nil {
+		return err
+	}
+	m.Complete = true
+	return s.WriteManifest(m)
+}
 
 // Reopen clears the Complete marker for appending, returning the manifest
-// as it was before.
-func (s *DirStore) Reopen() (store.Manifest, error) { return recorddir.Reopen(s.dir) }
+// as it was before. The rank files are left untouched; a crash while
+// appending is then seen as an incomplete run, not a finished one.
+func (s *DirStore) Reopen() (store.Manifest, error) {
+	m, err := s.Manifest()
+	if err != nil {
+		return m, err
+	}
+	prev := m.Clone()
+	m.Complete = false
+	return prev, s.WriteManifest(m)
+}
 
 // CreateRank opens rank's record file for writing from scratch.
 func (s *DirStore) CreateRank(rank int) (store.BlobWriter, error) {
-	f, err := recorddir.CreateRankFile(s.dir, rank)
+	f, err := os.Create(RankPath(s.dir, rank))
 	if err != nil {
 		return nil, err
 	}
@@ -87,18 +133,18 @@ func (s *DirStore) CreateRank(rank int) (store.BlobWriter, error) {
 // committed entry's cumulative events, so resumed cuts index the whole
 // blob, not just the new tail.
 func (s *DirStore) AppendRank(rank int) (store.BlobWriter, bool, error) {
-	f, resume, err := recorddir.OpenRankFileAppend(s.dir, rank)
+	f, err := os.OpenFile(RankPath(s.dir, rank), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, false, err
 	}
-	bw := &blobWriter{s: s, f: f, rank: rank}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close() //cdc:allow(errsink) best-effort cleanup; the stat error is already propagating
+		return nil, false, err
+	}
+	bw := &blobWriter{s: s, f: f, rank: rank, baseOffset: fi.Size()}
+	resume := fi.Size() > 0
 	if resume {
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close() //cdc:allow(errsink) best-effort cleanup; the stat error is already propagating
-			return nil, false, err
-		}
-		bw.baseOffset = fi.Size()
 		m, err := s.Manifest()
 		if err != nil {
 			f.Close() //cdc:allow(errsink) best-effort cleanup; the manifest error is already propagating
@@ -117,7 +163,7 @@ func (s *DirStore) OpenRank(rank int) (store.BlobReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(recorddir.RankPath(s.dir, rank))
+	f, err := os.Open(RankPath(s.dir, rank))
 	if err != nil {
 		if !m.Complete && errors.Is(err, fs.ErrNotExist) {
 			// The writer has not created the blob yet; readers of a live
@@ -143,7 +189,7 @@ func (s *DirStore) OpenRank(rank int) (store.BlobReader, error) {
 // RawRank opens rank's full blob, torn tail included (the salvage and
 // frontier-scan view). A rank that never wrote yields fs.ErrNotExist.
 func (s *DirStore) RawRank(rank int) (store.BlobReader, error) {
-	f, err := os.Open(recorddir.RankPath(s.dir, rank))
+	f, err := os.Open(RankPath(s.dir, rank))
 	if err != nil {
 		return nil, err
 	}
@@ -155,11 +201,41 @@ func (s *DirStore) RawRank(rank int) (store.BlobReader, error) {
 	return &fileBlob{SectionReader: io.NewSectionReader(f, 0, fi.Size()), f: f}, nil
 }
 
-// Salvage recovers the run in place with recorddir's crash-safe sibling
-// swap. Complete runs are untouched (nil report); the salvaged manifest
-// carries a rebuilt single-cut index per rank.
+// Salvage recovers the run in place with a crash-safe sibling swap:
+//
+//  1. store.SalvageTo writes the salvaged prefix into <run>.salvaged (a
+//     stale one from an interrupted recovery is removed first);
+//  2. the damaged run directory is removed;
+//  3. <run>.salvaged is renamed over it and the parent directory fsynced,
+//     so the rename survives power loss.
+//
+// A crash before step 2 leaves the damaged run intact, and the next
+// salvage redoes the copy; a crash between steps 2 and 3 leaves only
+// <run>.salvaged, which the root sweep adopts. Complete runs are untouched
+// (nil report). A run another layout wrote is refused, not rewritten.
 func (s *DirStore) Salvage() (*store.SalvageReport, error) {
-	return recorddir.SalvageInPlace(s.dir)
+	m, err := s.Manifest()
+	if err != nil || m.Complete {
+		return nil, err
+	}
+	if m.Layout != "" && m.Layout != store.LayoutDir {
+		return nil, fmt.Errorf("dirstore: %s: run has layout %q", s.dir, m.Layout)
+	}
+	tmp := s.dir + store.SalvageTmpSuffix
+	if err := os.RemoveAll(tmp); err != nil {
+		return nil, err
+	}
+	report, err := store.SalvageTo(s, New(tmp))
+	if err != nil {
+		return nil, err
+	}
+	if err := os.RemoveAll(s.dir); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(tmp, s.dir); err != nil {
+		return nil, err
+	}
+	return report, store.SyncDir(filepath.Dir(s.dir))
 }
 
 // commit appends one absolute index entry and republishes the manifest.
@@ -219,10 +295,11 @@ func (r *Root) Open(name string) (store.Store, error) {
 	return New(filepath.Join(r.root, filepath.FromSlash(name))), nil
 }
 
-// SalvageAll recovers every incomplete run under the root in place (see
-// recorddir.SalvageAll — garbage manifests are skipped with a finding).
+// SalvageAll recovers every incomplete dir-layout run under the root in
+// place (see store.SalvageRoot: garbage manifests and runs of other
+// layouts are skipped with a finding).
 func (r *Root) SalvageAll() ([]store.RunSalvage, error) {
-	return recorddir.SalvageAll(r.root)
+	return store.SalvageRoot(r.root, store.LayoutDir, func(dir string) store.Store { return New(dir) })
 }
 
 var _ store.Root = (*Root)(nil)

@@ -10,7 +10,6 @@ import (
 	"cdcreplay/internal/dst"
 	"cdcreplay/internal/store"
 	"cdcreplay/internal/store/dirstore"
-	"cdcreplay/internal/store/recorddir"
 	"cdcreplay/internal/store/storetest"
 )
 
@@ -22,7 +21,7 @@ func TestDirstoreConformance(t *testing.T) {
 
 // TestDirstoreByteCompatGolden pins the redesign's byte-compatibility
 // promise: a run recorded through the dirstore backend produces rank
-// files byte-identical to the raw encoder streams the pre-Store recorddir
+// files byte-identical to the raw encoder streams the pre-Store dir
 // layout wrote (dirstore keeps SeekableCuts off, and index commits touch
 // only the manifest). If this test breaks, historical records and the new
 // layout have diverged.
@@ -37,12 +36,12 @@ func TestDirstoreByteCompatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank, wantBytes := range want {
-		got, err := os.ReadFile(recorddir.RankPath(dir, rank))
+		got, err := os.ReadFile(dirstore.RankPath(dir, rank))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantBytes) {
-			t.Errorf("rank %d: dirstore blob (%d bytes) differs from pre-Store recorddir bytes (%d bytes)",
+			t.Errorf("rank %d: dirstore blob (%d bytes) differs from pre-Store dir-layout bytes (%d bytes)",
 				rank, len(got), len(wantBytes))
 		}
 	}

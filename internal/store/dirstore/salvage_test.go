@@ -1,7 +1,8 @@
-package recorddir
+package dirstore_test
 
 import (
 	"errors"
+	"io"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"cdcreplay/internal/record"
 	"cdcreplay/internal/replay"
 	"cdcreplay/internal/simmpi"
+	"cdcreplay/internal/store"
+	"cdcreplay/internal/store/dirstore"
 )
 
 // rcv identifies one application-observed receive: the unique
@@ -40,25 +43,22 @@ func (t *tapLayer) Testsome(reqs []*simmpi.Request) ([]int, []simmpi.Status, err
 	return idxs, sts, err
 }
 
-// TestKillARankSalvageReplay is the crash-consistency pipeline end to end:
-// record MCB under a fault plan that kills one rank mid-run, salvage the
-// torn directory, replay the salvaged record on two different networks, and
-// require each rank's replayed receive order to match the crashed run's
-// observed order through the entire salvaged prefix.
 // recordCrashedRun records MCB into dir under a fault plan killing rank 1
-// after kill receives, abandoning each recorder the way a crash would. It
-// returns the per-rank application-observed receive logs.
+// after kill receives, abandoning each recorder the way a crash would. The
+// rank writers commit no cuts, so recording costs exactly the file writes.
+// It returns the per-rank application-observed receive logs.
 func recordCrashedRun(t *testing.T, dir string, params mcb.Params, seed int64, kill uint64) [][]rcv {
 	t.Helper()
 	const ranks = 4
-	if err := Create(dir, Manifest{Ranks: ranks, App: "mcb"}); err != nil {
+	st := dirstore.New(dir)
+	if err := st.Create(store.Manifest{Ranks: ranks, App: "mcb"}); err != nil {
 		t.Fatal(err)
 	}
 	recLogs := make([][]rcv, ranks)
 	plan := &simmpi.FaultPlan{KillRank: 1, KillAfterReceives: kill}
 	w := simmpi.NewWorld(ranks, simmpi.Options{Seed: seed, MaxJitter: 8, Faults: plan})
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		f, err := CreateRankFile(dir, rank)
+		f, err := st.CreateRank(rank)
 		if err != nil {
 			return err
 		}
@@ -94,6 +94,11 @@ func recordCrashedRun(t *testing.T, dir string, params mcb.Params, seed int64, k
 	return recLogs
 }
 
+// TestKillARankSalvageReplay is the crash-consistency pipeline end to end:
+// record MCB under a fault plan that kills one rank mid-run, salvage the
+// torn directory, replay the salvaged record on two different networks, and
+// require each rank's replayed receive order to match the crashed run's
+// observed order through the entire salvaged prefix.
 func TestKillARankSalvageReplay(t *testing.T) {
 	const ranks = 4
 	params := mcb.Params{Particles: 150, TimeSteps: 2, Seed: 11, CrossProb: 0.4}
@@ -107,12 +112,12 @@ func TestKillARankSalvageReplay(t *testing.T) {
 	// somewhere salvageable; the ordering property is checked wherever it
 	// lands.
 	var recLogs [][]rcv
-	var report *SalvageReport
+	var report *store.SalvageReport
 	var kept, total uint64
 	for attempt := 0; attempt < 6; attempt++ {
 		recLogs = recordCrashedRun(t, dir, params, 5+int64(attempt), 90+60*uint64(attempt))
 		var err error
-		report, err = Salvage(dir, salv)
+		report, err = store.SalvageTo(dirstore.New(dir), dirstore.New(salv))
 		if err != nil {
 			t.Fatalf("salvage: %v", err)
 		}
@@ -138,7 +143,7 @@ func TestKillARankSalvageReplay(t *testing.T) {
 		var liveTotal uint64
 		w2 := simmpi.NewWorld(ranks, simmpi.Options{Seed: seed, MaxJitter: 8})
 		err := w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-			rp, err := replay.Open(lamport.WrapManual(mpi), rankSource(salv, rank), replay.Options{
+			rp, err := replay.Open(lamport.WrapManual(mpi), rankSource(dirstore.New(salv), rank), replay.Options{
 				LiveAfterExhausted: true,
 				OnRelease: func(st simmpi.Status) {
 					repLogs[rank] = append(repLogs[rank], rcv{st.Source, st.Clock})
@@ -181,5 +186,13 @@ func TestKillARankSalvageReplay(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// rankSource opens one rank of a run as a streaming record, in the shape
+// replay.Open takes.
+func rankSource(st store.Store, rank int) func() (*core.RecordIter, io.Closer, error) {
+	return func() (*core.RecordIter, io.Closer, error) {
+		return store.OpenRankIter(st, rank, core.DecoderOptions{})
 	}
 }

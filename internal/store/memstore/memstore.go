@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"sort"
 	"strings"
@@ -162,43 +161,20 @@ func (s *MemStore) RawRank(rank int) (store.BlobReader, error) {
 	return newMemBlob(*blob), nil
 }
 
-// Salvage recovers the run in place to a consistent prefix (see
-// store.PlanSalvage), rebuilding each rank blob as a cleanly closed record
-// with a single-cut index. Complete runs are untouched (nil report).
+// Salvage recovers the run in place to a consistent prefix: store.SalvageTo
+// rebuilds it in a fresh in-memory run, whose manifest and blobs then
+// replace this run's under the lock. Complete runs are untouched (nil
+// report).
 func (s *MemStore) Salvage() (*store.SalvageReport, error) {
-	m, err := s.Manifest()
-	if err != nil {
-		return nil, err
-	}
-	if m.Complete {
-		return nil, nil
-	}
-	plan, err := store.PlanSalvage(m, func(rank int) (io.ReadCloser, error) {
-		return s.RawRank(rank)
-	})
-	if err != nil {
-		return nil, err
+	fresh := New()
+	report, err := store.SalvageTo(s, fresh)
+	if report == nil || err != nil {
+		return report, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m.Index = nil
-	for r := 0; r < m.Ranks; r++ {
-		var buf bytes.Buffer
-		size, lastClock, err := store.WriteSegments(&buf, plan.Keep[r])
-		if err != nil {
-			return nil, fmt.Errorf("memstore: rewriting salvaged rank %d: %w", r, err)
-		}
-		b := buf.Bytes()
-		s.blobs[r] = &b
-		s.m.AppendIndex(r, store.IndexEntry{
-			Clock:  lastClock,
-			Events: plan.Report.Ranks[r].EventsKept,
-			Offset: size,
-		})
-	}
-	s.m.Complete = true
-	s.m.Salvaged = true
-	return plan.Report, nil
+	s.m, s.blobs = fresh.m, fresh.blobs
+	return report, nil
 }
 
 // commit appends one absolute index entry under the lock.

@@ -2,11 +2,13 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"cdcreplay/internal/cdcformat"
@@ -273,14 +275,141 @@ func WriteSegments(w io.Writer, segs []*Segment) (n int64, lastClock uint64, err
 	return fw.BytesWritten(), lastClock, nil
 }
 
+// SalvageTo recovers src's consistent prefix (see PlanSalvage) into dst
+// using only the Store API, so any backend can be the source or the
+// destination. dst is created from src's manifest; each rank's kept
+// segments are re-emitted into a fresh blob that is synced, committed as
+// the rank's single final cut and closed; then the run is published
+// Complete+Salvaged in one manifest write. Every rank blob is on stable
+// storage before that publish, so the salvaged manifest never names bytes
+// a power loss could take back. A complete src is left alone: the report
+// is nil and dst is untouched.
+func SalvageTo(src, dst Store) (*SalvageReport, error) {
+	m, err := src.Manifest()
+	if err != nil || m.Complete {
+		return nil, err
+	}
+	plan, err := PlanSalvage(m, func(rank int) (io.ReadCloser, error) { return src.RawRank(rank) })
+	if err != nil {
+		return nil, err
+	}
+	if err := dst.Create(m); err != nil {
+		return nil, err
+	}
+	for r := 0; r < m.Ranks; r++ {
+		if err := writeSalvagedRank(dst, r, plan.Keep[r], plan.Report.Ranks[r].EventsKept); err != nil {
+			return nil, fmt.Errorf("store: writing salvaged rank %d: %w", r, err)
+		}
+	}
+	if m, err = dst.Manifest(); err != nil {
+		return nil, err
+	}
+	m.Complete = true
+	m.Salvaged = true
+	if err := dst.WriteManifest(m); err != nil {
+		return nil, err
+	}
+	return plan.Report, nil
+}
+
+// writeSalvagedRank writes one rank's kept segments into a fresh blob of
+// dst and commits the whole blob as one cut.
+func writeSalvagedRank(dst Store, rank int, segs []*Segment, events uint64) error {
+	w, err := dst.CreateRank(rank)
+	if err != nil {
+		return err
+	}
+	size, lastClock, err := WriteSegments(w, segs)
+	if err == nil {
+		err = w.Sync()
+	}
+	if err == nil {
+		err = w.Commit(Cut{Clock: lastClock, Events: events, Offset: size})
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // SalvageTmpSuffix names the sibling directory a crash-safe in-place
 // salvage writes into before swapping it over the damaged run.
 const SalvageTmpSuffix = ".salvaged"
 
-// FindRuns locates run directories (holding a manifest) and orphaned
+// SalvageRoot is the one on-disk Root.SalvageAll sweep. It walks a
+// multi-run root (any directory tree holding run directories, e.g.
+// root/tenant/run) and recovers in place every incomplete run of the given
+// layout, opening each with open:
+//
+//   - an orphaned <run>.salvaged directory (an in-place swap that crashed
+//     between removing the damaged run and renaming the salvaged copy over
+//     it) is adopted by finishing the rename;
+//   - a run whose manifest is unreadable garbage, or that another layout
+//     wrote (a missing layout field reads as LayoutDir), is skipped with a
+//     finding, so one damaged or foreign directory never blocks the sweep
+//     and no backend rewrites a run it cannot read;
+//   - complete runs are left untouched and unreported;
+//   - every other run is recovered by open(dir).Salvage().
+//
+// Results are sorted by Dir, so the report order does not depend on the
+// filesystem walk.
+func SalvageRoot(root, layout string, open func(dir string) Store) ([]RunSalvage, error) {
+	dirs, orphans, err := findRuns(root)
+	if err != nil {
+		return nil, err
+	}
+	var out []RunSalvage
+	adopted := make(map[string]bool, len(orphans))
+	for _, tmp := range orphans {
+		dir := strings.TrimSuffix(tmp, SalvageTmpSuffix)
+		err := os.Rename(tmp, dir)
+		if err == nil {
+			err = SyncDir(filepath.Dir(dir))
+		}
+		if err != nil {
+			out = append(out, RunSalvage{Dir: relOrSelf(root, dir), Adopted: true, Err: err})
+			continue
+		}
+		adopted[dir] = true
+		dirs = append(dirs, dir)
+	}
+	for _, dir := range dirs {
+		rs := RunSalvage{Dir: relOrSelf(root, dir), Adopted: adopted[dir]}
+		m, err := ReadManifestFile(dir)
+		got := m.Layout
+		if got == "" {
+			got = LayoutDir
+		}
+		switch {
+		case errors.Is(err, ErrBadManifest):
+			rs.Skipped = true
+			rs.Finding = err.Error()
+		case err != nil:
+			rs.Err = err
+		case got != layout:
+			rs.Skipped = true
+			rs.Finding = fmt.Sprintf("layout %q is not %q; leaving for its own backend", got, layout)
+		case m.Complete:
+			if !rs.Adopted {
+				continue
+			}
+		default:
+			if rs.Report, rs.Err = open(dir).Salvage(); rs.Err != nil {
+				rs.Err = fmt.Errorf("store: salvaging %s: %w", dir, rs.Err)
+			} else {
+				rs.Salvaged = true
+			}
+		}
+		out = append(out, rs)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
+	return out, nil
+}
+
+// findRuns locates run directories (holding a manifest) and orphaned
 // SalvageTmpSuffix directories under root. A missing root is an empty
 // store, not an error, so a first daemon start needs no special casing.
-func FindRuns(root string) (dirs, orphans []string, err error) {
+func findRuns(root string) (dirs, orphans []string, err error) {
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			if path == root && errors.Is(err, fs.ErrNotExist) {
@@ -308,9 +437,9 @@ func FindRuns(root string) (dirs, orphans []string, err error) {
 	return dirs, orphans, err
 }
 
-// RelOrSelf returns dir relative to root, or dir itself when no relative
+// relOrSelf returns dir relative to root, or dir itself when no relative
 // form exists — run names in RunSalvage reports.
-func RelOrSelf(root, dir string) string {
+func relOrSelf(root, dir string) string {
 	if rel, err := filepath.Rel(root, dir); err == nil {
 		return rel
 	}

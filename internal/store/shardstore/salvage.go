@@ -1,12 +1,9 @@
 package shardstore
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"path/filepath"
-	"sort"
 
 	"cdcreplay/internal/store"
 )
@@ -32,16 +29,9 @@ func (s *ShardStore) Salvage() (*store.SalvageReport, error) {
 	if m.Shards == nil || m.Shards.Fanout <= 0 {
 		return nil, fmt.Errorf("shardstore: %s: manifest has no shard map (layout %q)", s.dir, m.Layout)
 	}
-	plan, err := store.PlanSalvage(m, func(rank int) (io.ReadCloser, error) {
-		rc, err := s.RawRank(rank)
-		if errors.Is(err, fs.ErrNotExist) {
-			// A rank that never opened a fragment is an empty blob, which
-			// PlanSalvage treats as zero segments, same as the dir layout's
-			// missing rank file.
-			return io.NopCloser(&emptyReader{}), nil
-		}
-		return rc, err
-	})
+	// A rank that never opened a fragment fails RawRank, which PlanSalvage
+	// records as a damaged rank with zero segments.
+	plan, err := store.PlanSalvage(m, func(rank int) (io.ReadCloser, error) { return s.RawRank(rank) })
 	if err != nil {
 		return nil, err
 	}
@@ -83,75 +73,24 @@ func (s *ShardStore) Salvage() (*store.SalvageReport, error) {
 	return plan.Report, nil
 }
 
-// emptyReader is an empty blob for ranks with no fragments.
-type emptyReader struct{}
-
-func (*emptyReader) Read([]byte) (int, error) { return 0, io.EOF }
-
 // Root is a multi-run sharded-layout store (the ingest daemon's record
 // root with -store sharded).
-type Root struct {
-	root string
-	opts Options
-}
+type Root struct{ root string }
 
 // OpenRoot returns the multi-run store rooted at root. A missing root is
 // an empty store.
 func OpenRoot(root string) *Root { return &Root{root: root} }
 
-// OpenRootWithOptions returns the multi-run store rooted at root with
-// per-run options.
-func OpenRootWithOptions(root string, opts Options) *Root {
-	return &Root{root: root, opts: opts}
-}
-
 // Open returns the run store at name (slash-separated, e.g. tenant/run).
 func (r *Root) Open(name string) (store.Store, error) {
-	return NewWithOptions(joinRun(r.root, name), r.opts), nil
+	return New(filepath.Join(r.root, filepath.FromSlash(name))), nil
 }
 
-// SalvageAll walks the root and recovers every incomplete sharded run in
-// place. Complete runs are untouched; unreadable-garbage manifests and
-// runs recorded under a different layout are skipped with a finding so one
-// damaged or foreign directory never blocks the sweep.
+// SalvageAll recovers every incomplete sharded run under the root in place
+// (see store.SalvageRoot: garbage manifests and runs of other layouts are
+// skipped with a finding).
 func (r *Root) SalvageAll() ([]store.RunSalvage, error) {
-	dirs, _, err := store.FindRuns(r.root)
-	if err != nil {
-		return nil, err
-	}
-	var out []store.RunSalvage
-	for _, dir := range dirs {
-		rs := store.RunSalvage{Dir: store.RelOrSelf(r.root, dir)}
-		m, err := store.ReadManifestFile(dir)
-		switch {
-		case errors.Is(err, store.ErrBadManifest):
-			rs.Skipped = true
-			rs.Finding = err.Error()
-		case err != nil:
-			rs.Err = err
-		case m.Layout != store.LayoutSharded:
-			rs.Skipped = true
-			rs.Finding = fmt.Sprintf("layout %q is not %q; leaving for its own backend", m.Layout, store.LayoutSharded)
-		case m.Complete:
-			continue
-		default:
-			report, err := NewWithOptions(dir, r.opts).Salvage()
-			if err != nil {
-				rs.Err = fmt.Errorf("shardstore: salvaging %s: %w", dir, err)
-			} else {
-				rs.Salvaged = true
-				rs.Report = report
-			}
-		}
-		out = append(out, rs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
-	return out, nil
+	return store.SalvageRoot(r.root, store.LayoutSharded, func(dir string) store.Store { return New(dir) })
 }
 
 var _ store.Root = (*Root)(nil)
-
-// joinRun maps a slash-separated run name under root.
-func joinRun(root, name string) string {
-	return filepath.Join(root, filepath.FromSlash(name))
-}

@@ -3,8 +3,8 @@
 // fresh empty stores and the suite exercises the whole contract: manifest
 // lifecycle atomicity, chunk-index round trips, seek-decode at committed
 // cuts on seekable backends, epoch-pinned readers racing a live writer
-// (run it under -race), append-resume accounting, and crash-salvage
-// through the DST P4 property.
+// (run it under -race), append-resume accounting, crash-salvage through
+// the DST P4 property, and copy-out salvage into a second store.
 package storetest
 
 import (
@@ -36,6 +36,46 @@ func Run(t *testing.T, factory Factory) {
 			}
 		}
 	})
+	t.Run("SalvageTo", func(t *testing.T) { testSalvageTo(t, factory) })
+}
+
+// testSalvageTo crash-records a run, copies its consistent prefix into a
+// fresh store with store.SalvageTo, and checks the copy: it opens as a
+// complete run marked Salvaged, and every rank decodes exactly the events
+// the report says were kept. The source stays the incomplete run it was.
+func testSalvageTo(t *testing.T, factory Factory) {
+	for _, seed := range []int64{3, 11, 42} {
+		src, out := factory(t), factory(t)
+		if err := dst.CrashRecord(seed, src); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		report, err := store.SalvageTo(src, out)
+		if err != nil {
+			t.Fatalf("seed %d: SalvageTo: %v", seed, err)
+		}
+		if report == nil {
+			t.Fatalf("seed %d: SalvageTo of an incomplete run reported nothing to recover", seed)
+		}
+		m, err := store.Open(out, "dst-exchange", len(report.Ranks))
+		if err != nil {
+			t.Fatalf("seed %d: salvaged copy does not open: %v", seed, err)
+		}
+		if !m.Salvaged || m.Layout != out.Layout() {
+			t.Fatalf("seed %d: salvaged copy: salvaged=%v layout %q, want true and %q", seed, m.Salvaged, m.Layout, out.Layout())
+		}
+		for _, rs := range report.Ranks {
+			got, err := pinnedEvents(out, rs.Rank)
+			if err != nil {
+				t.Fatalf("seed %d rank %d: %v", seed, rs.Rank, err)
+			}
+			if got != rs.EventsKept {
+				t.Fatalf("seed %d rank %d: copy decodes %d matched events, report kept %d", seed, rs.Rank, got, rs.EventsKept)
+			}
+		}
+		if sm, err := src.Manifest(); err != nil || sm.Complete || sm.Salvaged {
+			t.Fatalf("seed %d: copy-out salvage changed the source manifest: %+v, %v", seed, sm, err)
+		}
+	}
 }
 
 // testManifestLifecycle checks Create/WriteManifest/Finalize/Reopen keep
