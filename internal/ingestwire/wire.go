@@ -226,7 +226,10 @@ func DecodeRows(payload []byte) ([]Row, error) {
 	if err != nil {
 		return nil, badFrame("events count: %v", err)
 	}
-	if n > MaxFrame {
+	// Every row takes at least one byte, so a count beyond the bytes left
+	// is malformed; checking it here keeps a corrupt count from sizing a
+	// huge allocation.
+	if n > MaxFrame || n > uint64(rd.Len()) {
 		return nil, badFrame("events count %d exceeds frame bound", n)
 	}
 	rows := make([]Row, 0, n)

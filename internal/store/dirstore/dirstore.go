@@ -2,14 +2,20 @@
 // directory-per-run layout: one rankNNNN.cdc file per rank beside
 // manifest.json, byte-compatible with records written before the Store
 // API existed (pinned by TestDirstoreByteCompatGolden). On top of the
-// layout it keeps the Store contract: per-epoch index commits into the
-// manifest and epoch-pinned concurrent readers.
+// layout it keeps the Store contract: per-epoch index commits and
+// epoch-pinned concurrent readers.
 //
-// The manifest doubles as the directory's commit record: Create writes it
-// atomically with Complete unset, and Finalize flips Complete after every
-// rank closed cleanly. A crash at any point therefore leaves either no
-// manifest or one that says the run did not finish, and store.Open refuses
-// such a directory instead of replaying a torn record.
+//	<run>/manifest.json
+//	<run>/rank0003.cdc   (rank 3's record blob)
+//	<run>/rank0003.idx   (rank 3's index journal, until Finalize)
+//
+// manifest.json plus the per-rank index journals are the directory's
+// commit record (see store.LoadManifest): Create writes the manifest
+// atomically with Complete unset, each Commit appends one record to its
+// rank's journal, and Finalize publishes the folded index with Complete
+// set, then removes the journals. A crash at any point therefore leaves
+// either no manifest or one that says the run did not finish, and
+// store.Open refuses such a directory instead of replaying a torn record.
 //
 // Cuts are non-seekable here (gzip sync flush, not member boundaries), so
 // the record bytes stay identical to historical records; index offsets
@@ -23,20 +29,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"cdcreplay/internal/store"
 )
 
 // DirStore is one run in the dir layout. The zero value is unusable; use
-// New. Safe for one writer per rank plus concurrent readers in-process.
-type DirStore struct {
-	dir string
-	// mu serializes the manifest read-modify-write that Commit performs:
-	// rank writers run on their own goroutines but share the one manifest
-	// file.
-	mu sync.Mutex
-}
+// New. Safe for one writer per rank plus concurrent readers in-process:
+// each rank's writer appends only to its own blob and journal.
+type DirStore struct{ dir string }
 
 // New returns the run store rooted at dir. Nothing is touched until
 // Create (recording) or a read method (replay).
@@ -57,15 +57,16 @@ func (s *DirStore) Layout() string { return store.LayoutDir }
 // pre-Store records, so index offsets are pin bounds but not seek targets.
 func (s *DirStore) Seekable() bool { return false }
 
-// Manifest returns the current manifest.
+// Manifest returns the current manifest, with the index journals of an
+// incomplete run folded in.
 func (s *DirStore) Manifest() (store.Manifest, error) {
-	return store.ReadManifestFile(s.dir)
+	return store.LoadManifest(s.dir)
 }
 
 // Create prepares the run directory (creating it if needed) and publishes
 // m, stamped with the layout, with Complete unset and no index. Rank files
-// of a previous record are removed, so a shorter re-record cannot leave
-// stale ranks behind.
+// and index journals of a previous record are removed first, so a shorter
+// re-record cannot leave stale ranks or cuts behind.
 func (s *DirStore) Create(m store.Manifest) error {
 	if m.Ranks <= 0 {
 		return fmt.Errorf("dirstore: manifest needs a positive rank count, got %d", m.Ranks)
@@ -88,15 +89,20 @@ func (s *DirStore) Create(m store.Manifest) error {
 			return err
 		}
 	}
+	if err := store.RemoveJournals(s.dir); err != nil {
+		return err
+	}
 	return store.WriteManifestFile(s.dir, m)
 }
 
-// WriteManifest republishes m atomically.
+// WriteManifest republishes m atomically (a Complete m also retires the
+// index journals).
 func (s *DirStore) WriteManifest(m store.Manifest) error {
 	return store.WriteManifestFile(s.dir, m)
 }
 
-// Finalize marks the run complete.
+// Finalize publishes the folded index as the Complete manifest and
+// removes the index journals.
 func (s *DirStore) Finalize() error {
 	m, err := s.Manifest()
 	if err != nil {
@@ -110,13 +116,7 @@ func (s *DirStore) Finalize() error {
 // as it was before. The rank files are left untouched; a crash while
 // appending is then seen as an incomplete run, not a finished one.
 func (s *DirStore) Reopen() (store.Manifest, error) {
-	m, err := s.Manifest()
-	if err != nil {
-		return m, err
-	}
-	prev := m.Clone()
-	m.Complete = false
-	return prev, s.WriteManifest(m)
+	return store.ReopenManifestFile(s.dir)
 }
 
 // CreateRank opens rank's record file for writing from scratch.
@@ -125,7 +125,7 @@ func (s *DirStore) CreateRank(rank int) (store.BlobWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blobWriter{s: s, f: f, rank: rank}, nil
+	return s.openWriter(rank, f, 0)
 }
 
 // AppendRank opens rank's record file for appending, creating it if
@@ -142,17 +142,28 @@ func (s *DirStore) AppendRank(rank int) (store.BlobWriter, bool, error) {
 		f.Close() //cdc:allow(errsink) best-effort cleanup; the stat error is already propagating
 		return nil, false, err
 	}
-	bw := &blobWriter{s: s, f: f, rank: rank, baseOffset: fi.Size()}
-	resume := fi.Size() > 0
-	if resume {
-		m, err := s.Manifest()
-		if err != nil {
-			f.Close() //cdc:allow(errsink) best-effort cleanup; the manifest error is already propagating
-			return nil, false, err
-		}
-		bw.baseEvents = m.LastCut(rank).Events
+	w, err := s.openWriter(rank, f, fi.Size())
+	return w, fi.Size() > 0, err
+}
+
+// openWriter opens rank's index journal beside the blob file f (whose
+// existing size is baseOffset; resumed cuts count events on from the
+// rank's last committed cut). On error f is closed.
+func (s *DirStore) openWriter(rank int, f *os.File, baseOffset int64) (*blobWriter, error) {
+	m, err := s.Manifest()
+	var j *store.Journal
+	if err == nil {
+		j, err = store.OpenJournal(s.dir, rank, len(m.RankIndex(rank)))
 	}
-	return bw, resume, nil
+	if err != nil {
+		f.Close() //cdc:allow(errsink) best-effort cleanup; the open error is already propagating
+		return nil, err
+	}
+	w := &blobWriter{dir: s.dir, f: f, j: j, baseOffset: baseOffset}
+	if baseOffset > 0 {
+		w.baseEvents = m.LastCut(rank).Events
+	}
+	return w, nil
 }
 
 // OpenRank opens rank's blob for reading, pinned to the last committed
@@ -238,39 +249,43 @@ func (s *DirStore) Salvage() (*store.SalvageReport, error) {
 	return report, store.SyncDir(filepath.Dir(s.dir))
 }
 
-// commit appends one absolute index entry and republishes the manifest.
-func (s *DirStore) commit(rank int, e store.IndexEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, err := store.ReadManifestFile(s.dir)
-	if err != nil {
-		return err
-	}
-	m.AppendIndex(rank, e)
-	return store.WriteManifestFile(s.dir, m)
-}
-
 // blobWriter is one rank's append stream: writes go straight to the file,
 // Commit translates the encoder's writer-relative cut to blob-absolute
-// coordinates and publishes it.
+// coordinates and appends it to the rank's index journal.
 type blobWriter struct {
-	s          *DirStore
+	dir        string
 	f          *os.File
-	rank       int
+	j          *store.Journal
 	baseOffset int64
 	baseEvents uint64
+	// dirSynced records that the run directory was fsynced after this
+	// writer opened its files, making their entries durable.
+	dirSynced bool
 }
 
 func (w *blobWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
 func (w *blobWriter) Sync() error                 { return w.f.Sync() }
-func (w *blobWriter) Close() error                { return w.f.Close() }
 
+func (w *blobWriter) Close() error {
+	return errors.Join(w.f.Close(), w.j.Close())
+}
+
+// Commit appends the cut to the journal. The first commit also fsyncs the
+// run directory, so the blob and journal files it names survive a crash
+// even when they were created by this writer.
 func (w *blobWriter) Commit(cut store.Cut) error {
-	return w.s.commit(w.rank, store.IndexEntry{
+	if err := w.j.Append(store.IndexEntry{
 		Clock:  cut.Clock,
 		Events: w.baseEvents + cut.Events,
 		Offset: w.baseOffset + cut.Offset,
-	})
+	}); err != nil || w.dirSynced {
+		return err
+	}
+	if err := store.SyncDir(w.dir); err != nil {
+		return err
+	}
+	w.dirSynced = true
+	return nil
 }
 
 // fileBlob is a (possibly pinned) read view of one rank file.

@@ -206,7 +206,9 @@ func ReadManifestFile(dir string) (Manifest, error) {
 // WriteManifestFile atomically replaces dir's manifest: the bytes land in
 // a temp file first, the rename is atomic on POSIX filesystems, and the
 // directory fsync makes the rename itself durable. A crash at any point
-// leaves either the old manifest or the new one, never a torn file.
+// leaves either the old manifest or the new one, never a torn file. A
+// Complete manifest is the run's whole commit record, so the index
+// journals beside it are removed once it is durable (see LoadManifest).
 func WriteManifestFile(dir string, m Manifest) error {
 	buf, err := EncodeManifest(m)
 	if err != nil {
@@ -231,7 +233,10 @@ func WriteManifestFile(dir string, m Manifest) error {
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
 		return err
 	}
-	return SyncDir(dir)
+	if err := SyncDir(dir); err != nil || !m.Complete {
+		return err
+	}
+	return RemoveJournals(dir)
 }
 
 // SyncDir fsyncs a directory so a completed rename survives power loss.

@@ -31,8 +31,9 @@ func compactTier(size int64) int {
 // performed. Byte offsets are unchanged — merging is ordered byte
 // concatenation — so every committed index entry stays valid. Each merge
 // is crash-safe: the merged fragment is written and fsynced first, the
-// manifest republished atomically to reference it, and only then are the
-// old fragments deleted best-effort.
+// manifest republished atomically to reference it (with the folded index
+// and the rank's fragment sizes refreshed), and only then are the old
+// fragments deleted best-effort.
 //
 // Compact must not run concurrently with an open writer on the same rank;
 // AppendRank's automatic trigger runs before the new tail fragment opens,
@@ -115,15 +116,13 @@ func (s *ShardStore) mergeFragments(m *store.Manifest, rank, lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	var size int64
 	for _, fr := range frags[lo:hi] {
 		in, err := os.Open(filepath.Join(s.dir, filepath.FromSlash(fr.Path)))
 		if err != nil {
 			out.Close() //cdc:allow(errsink) best-effort cleanup; the open error is already propagating
 			return err
 		}
-		n, err := io.Copy(out, in)
-		size += n
+		_, err = io.Copy(out, in)
 		in.Close() //cdc:allow(errsink) read-side close after a full copy; copy errors surface from io.Copy
 		if err != nil {
 			out.Close() //cdc:allow(errsink) best-effort cleanup; the copy error is already propagating
@@ -139,9 +138,12 @@ func (s *ShardStore) mergeFragments(m *store.Manifest, rank, lo, hi int) error {
 	}
 	old := append([]store.Fragment(nil), frags[lo:hi]...)
 	merged := append([]store.Fragment(nil), frags[:lo]...)
-	merged = append(merged, store.Fragment{Path: rel, Size: size})
+	merged = append(merged, store.Fragment{Path: rel})
 	merged = append(merged, frags[hi:]...)
 	m.Shards.Ranks[rank] = merged
+	if err := s.refreshSizes(m, rank); err != nil {
+		return err
+	}
 	if err := store.WriteManifestFile(s.dir, *m); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@
 // compaction of accumulated fragments.
 //
 //	<run>/manifest.json
+//	<run>/rank0003.idx                 (rank 3's index journal, until Finalize)
 //	<run>/shards/s03/r0003.f0001.cdc   (rank 3, fragment 1)
 //	<run>/shards/s03/r0003.f0002.cdc   (rank 3, fragment 2: a resume)
 //
@@ -20,7 +21,9 @@
 // salvage and compaction write new files first, publish the manifest
 // atomically, then delete old files best-effort. A crash at any point
 // leaves either the old manifest naming the old files or the new manifest
-// naming the new ones.
+// naming the new ones. Cuts are not structural: each Commit appends one
+// record to its rank's index journal (see store.LoadManifest), and the
+// folded index reaches manifest.json at the next publish.
 //
 // Cuts are seekable: the encoder closes a gzip member at every flush
 // point, so committed index offsets are random-access decode points
@@ -28,6 +31,7 @@
 package shardstore
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -62,8 +66,9 @@ type Options struct {
 type ShardStore struct {
 	dir  string
 	opts Options
-	// mu serializes manifest read-modify-write (commits, fragment
-	// registration, compaction) across rank writers.
+	// mu serializes manifest read-modify-write (fragment registration,
+	// compaction, lifecycle publishes) across rank writers. Commits append
+	// to per-rank journals and do not take it.
 	mu sync.Mutex
 }
 
@@ -91,14 +96,15 @@ func (s *ShardStore) Layout() string { return store.LayoutSharded }
 // offsets decode directly.
 func (s *ShardStore) Seekable() bool { return true }
 
-// Manifest returns the current manifest.
+// Manifest returns the current manifest, with the index journals of an
+// incomplete run folded in.
 func (s *ShardStore) Manifest() (store.Manifest, error) {
-	return store.ReadManifestFile(s.dir)
+	return store.LoadManifest(s.dir)
 }
 
-// Create initializes the run directory: stale shards from a previous run
-// are removed and the manifest (with an empty shard map) is published with
-// Complete unset.
+// Create initializes the run directory: stale shards and index journals
+// from a previous run are removed and the manifest (with an empty shard
+// map) is published with Complete unset.
 func (s *ShardStore) Create(m store.Manifest) error {
 	if m.Ranks <= 0 {
 		return fmt.Errorf("shardstore: manifest needs a positive rank count, got %d", m.Ranks)
@@ -115,21 +121,33 @@ func (s *ShardStore) Create(m store.Manifest) error {
 	if err := os.RemoveAll(filepath.Join(s.dir, "shards")); err != nil {
 		return err
 	}
+	if err := store.RemoveJournals(s.dir); err != nil {
+		return err
+	}
 	return store.WriteManifestFile(s.dir, m)
 }
 
-// WriteManifest republishes m atomically.
+// WriteManifest republishes m atomically (a Complete m also retires the
+// index journals).
 func (s *ShardStore) WriteManifest(m store.Manifest) error {
 	return store.WriteManifestFile(s.dir, m)
 }
 
-// Finalize marks the run complete.
+// Finalize publishes the folded index, with every fragment's Size
+// refreshed, as the Complete manifest and removes the index journals.
 func (s *ShardStore) Finalize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, err := s.Manifest()
 	if err != nil {
 		return err
+	}
+	if m.Shards != nil {
+		for r := range m.Shards.Ranks {
+			if err := s.refreshSizes(&m, r); err != nil {
+				return err
+			}
+		}
 	}
 	m.Complete = true
 	return store.WriteManifestFile(s.dir, m)
@@ -140,16 +158,7 @@ func (s *ShardStore) Finalize() error {
 func (s *ShardStore) Reopen() (store.Manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, err := s.Manifest()
-	if err != nil {
-		return m, err
-	}
-	prev := m.Clone()
-	m.Complete = false
-	if err := store.WriteManifestFile(s.dir, m); err != nil {
-		return prev, err
-	}
-	return prev, nil
+	return store.ReopenManifestFile(s.dir)
 }
 
 // CreateRank opens rank's blob for writing from scratch: existing
@@ -171,12 +180,12 @@ func (s *ShardStore) CreateRank(rank int) (store.BlobWriter, error) {
 		return nil, err
 	}
 	m.Shards.Ranks[rank] = []store.Fragment{frag}
-	if err := store.WriteManifestFile(s.dir, m); err != nil {
-		f.Close() //cdc:allow(errsink) best-effort cleanup; the manifest error is already propagating
+	w, err := s.publishWriter(m, rank, f, 0, 0)
+	if err != nil {
 		return nil, err
 	}
 	s.removeFragments(old)
-	return &blobWriter{s: s, f: f, rank: rank, fragPath: frag.Path}, nil
+	return w, nil
 }
 
 // AppendRank opens rank's blob for appending: a new fragment is started
@@ -210,18 +219,26 @@ func (s *ShardStore) AppendRank(rank int) (store.BlobWriter, bool, error) {
 		return nil, false, err
 	}
 	m.Shards.Ranks[rank] = append(m.Shards.Ranks[rank], frag)
-	if err := store.WriteManifestFile(s.dir, m); err != nil {
-		f.Close() //cdc:allow(errsink) best-effort cleanup; the manifest error is already propagating
-		return nil, false, err
+	w, err := s.publishWriter(m, rank, f, base, m.LastCut(rank).Events)
+	return w, resume, err
+}
+
+// publishWriter opens rank's index journal, publishes m (which registers
+// the new tail fragment f; the publish's directory fsync also makes the
+// journal's entry durable) and returns the writer appending to both. On
+// error f is closed. Caller holds s.mu.
+func (s *ShardStore) publishWriter(m store.Manifest, rank int, f *os.File, baseOffset int64, baseEvents uint64) (*blobWriter, error) {
+	j, err := store.OpenJournal(s.dir, rank, len(m.RankIndex(rank)))
+	if err == nil {
+		if err = store.WriteManifestFile(s.dir, m); err != nil {
+			j.Close() //cdc:allow(errsink) best-effort cleanup; the manifest error is already propagating
+		}
 	}
-	return &blobWriter{
-		s:          s,
-		f:          f,
-		rank:       rank,
-		fragPath:   frag.Path,
-		baseOffset: base,
-		baseEvents: m.LastCut(rank).Events,
-	}, resume, nil
+	if err != nil {
+		f.Close() //cdc:allow(errsink) best-effort cleanup; the manifest error is already propagating
+		return nil, err
+	}
+	return &blobWriter{f: f, j: j, baseOffset: baseOffset, baseEvents: baseEvents}, nil
 }
 
 // OpenRank opens rank's blob for reading, pinned to the last committed
@@ -310,7 +327,7 @@ func (s *ShardStore) newFragment(m *store.Manifest, rank int) (*os.File, store.F
 
 // blobSize sums the on-disk sizes of rank's fragments — the append base
 // for a resume. Fragment files are the ground truth; the manifest's Size
-// fields lag until the next commit.
+// fields lag until the next Finalize or compaction.
 func (s *ShardStore) blobSize(m *store.Manifest, rank int) (int64, error) {
 	var n int64
 	for _, fr := range m.Shards.Ranks[rank] {
@@ -331,48 +348,37 @@ func (s *ShardStore) removeFragments(frags []store.Fragment) {
 	}
 }
 
-// commit publishes one cut: the tail fragment's recorded size is
-// refreshed and the absolute index entry appended, in one atomic manifest
-// replace.
-func (s *ShardStore) commit(rank int, fragPath string, e store.IndexEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, err := s.Manifest()
-	if err != nil {
-		return err
-	}
-	if err := s.checkShardMap(&m, rank); err != nil {
-		return err
-	}
+// refreshSizes sets the Size of each of rank's fragments to its file's
+// current length, for a manifest about to be published.
+func (s *ShardStore) refreshSizes(m *store.Manifest, rank int) error {
 	for i, fr := range m.Shards.Ranks[rank] {
-		if fr.Path == fragPath {
-			fi, err := os.Stat(filepath.Join(s.dir, filepath.FromSlash(fr.Path)))
-			if err != nil {
-				return err
-			}
-			m.Shards.Ranks[rank][i].Size = fi.Size()
+		fi, err := os.Stat(filepath.Join(s.dir, filepath.FromSlash(fr.Path)))
+		if err != nil {
+			return fmt.Errorf("shardstore: fragment %s: %w", fr.Path, err)
 		}
+		m.Shards.Ranks[rank][i].Size = fi.Size()
 	}
-	m.AppendIndex(rank, e)
-	return store.WriteManifestFile(s.dir, m)
+	return nil
 }
 
-// blobWriter is one rank's append stream into its current tail fragment.
+// blobWriter is one rank's append stream into its current tail fragment;
+// Commit appends the blob-absolute cut to the rank's index journal.
 type blobWriter struct {
-	s          *ShardStore
 	f          *os.File
-	rank       int
-	fragPath   string
+	j          *store.Journal
 	baseOffset int64
 	baseEvents uint64
 }
 
 func (w *blobWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
 func (w *blobWriter) Sync() error                 { return w.f.Sync() }
-func (w *blobWriter) Close() error                { return w.f.Close() }
+
+func (w *blobWriter) Close() error {
+	return errors.Join(w.f.Close(), w.j.Close())
+}
 
 func (w *blobWriter) Commit(cut store.Cut) error {
-	return w.s.commit(w.rank, w.fragPath, store.IndexEntry{
+	return w.j.Append(store.IndexEntry{
 		Clock:  cut.Clock,
 		Events: w.baseEvents + cut.Events,
 		Offset: w.baseOffset + cut.Offset,

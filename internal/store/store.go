@@ -8,13 +8,23 @@
 //
 // # Commit discipline
 //
-// A Store's manifest doubles as the run's commit record. Create writes it
-// with Complete unset; every BlobWriter.Commit appends an IndexEntry —
-// epoch number, writer clock, cumulative matched events, blob offset — and
-// republishes the manifest atomically; Finalize flips Complete after every
-// rank closed cleanly. A reader therefore never has to trust blob bytes
-// beyond what a manifest it read names: the last index entry per rank IS
-// the committed epoch line.
+// A run's commit record is its manifest plus one index journal per rank
+// (journal.go). Create writes the manifest with Complete unset; every
+// BlobWriter.Commit appends one IndexEntry — epoch number, writer clock,
+// cumulative matched events, blob offset — as a fixed-size, CRC-sealed
+// journal record and fsyncs it, without reading or rewriting the manifest
+// and without a lock shared across ranks; Finalize publishes the folded
+// index with Complete set after every rank closed cleanly, then removes
+// the journals. Store.Manifest returns the folded view, so a reader never
+// has to trust blob bytes beyond what that view names: the last index
+// entry per rank IS the committed epoch line.
+//
+// The manifest format is unchanged by the journal (v2, chunk_index), and
+// old incomplete runs without journals read as before. An older binary
+// reads a new incomplete run as having nothing committed, since its cuts
+// are still in the journals; salvage is unaffected, because PlanSalvage
+// scans the blobs, not the index. memstore keeps the same contract in
+// memory.
 //
 // # Concurrent readers (epoch pinning)
 //
@@ -22,9 +32,9 @@
 // contract: OpenRank on an incomplete run returns the blob pinned to the
 // rank's last committed index offset, so a reader decodes exactly the
 // epochs that were committed when it looked, never a torn tail. Writers
-// only ever append past committed offsets and manifests are replaced
-// atomically, so a pinned read is stable even while the writer keeps
-// going. TolerableAtPin tells the pin boundary from real damage when such
+// only ever append past committed offsets and journal records, and
+// manifests are replaced atomically, so a pinned read is stable even while
+// the writer keeps going. TolerableAtPin tells the pin boundary from real damage when such
 // a pinned blob is decoded.
 package store
 
@@ -68,8 +78,11 @@ type BlobWriter interface {
 	io.Writer
 	// Sync forces buffered bytes to stable storage (no-op for memstore).
 	Sync() error
-	// Commit records cut in the manifest's chunk index and republishes the
-	// manifest atomically. Cuts must be monotone in all three fields.
+	// Commit durably records cut as the rank's next chunk-index entry: on
+	// disk, one record appended to the rank's index journal and fsynced,
+	// with the blob bytes it names written before it. Its cost does not
+	// grow with the index, and it neither reads nor rewrites the manifest.
+	// Cuts must be monotone in all three fields.
 	Commit(cut Cut) error
 	// Close releases the writer. It does not commit.
 	Close() error
@@ -128,7 +141,8 @@ type Store interface {
 	Finalize() error
 	// Reopen clears the Complete marker so ranks can be appended to again
 	// (core.EncoderOptions.Resume), returning the manifest as it was
-	// before clearing.
+	// before clearing. A Complete manifest is the whole commit record, so
+	// cuts committed on a run that was not reopened are not read.
 	Reopen() (Manifest, error)
 	// CreateRank opens rank's blob for writing from scratch (any previous
 	// content is discarded).
