@@ -16,6 +16,7 @@ package record
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,10 +66,15 @@ func (o *Options) fill() {
 	}
 }
 
+// queueItem is one observe-queue row. It holds no pointers, so the ring of
+// QueueCapacity items is allocated as memory the garbage collector never
+// scans.
 type queueItem struct {
 	callsite uint64
-	name     string // non-empty on first occurrence of the callsite
-	ev       tables.Event
+	// first marks the callsite's first row; its name waits in the
+	// Recorder's names table.
+	first bool
+	ev    tables.Event
 	// clock is the rank's Lamport clock sampled when the MF call producing
 	// this row returned. The CDC goroutine stamps the newest row's clock
 	// into flush-point marks so salvage can bound which of this rank's
@@ -97,6 +103,11 @@ type Recorder struct {
 	done chan error
 
 	seenCallsite map[uint64]bool
+	// names hands callsite names to the CDC goroutine off the queue: the
+	// producer stores a name before it enqueues the callsite's first row,
+	// and the CDC goroutine takes it out when it dequeues that row.
+	namesMu sync.Mutex
+	names   map[uint64]string
 
 	// clockNow samples the layer below's Lamport clock (nil when the next
 	// layer has none).
@@ -132,6 +143,7 @@ func New(next simmpi.MPI, backend baseline.Method, opts Options) *Recorder {
 		q:            spsc.NewWithBackoff[queueItem](opts.QueueCapacity, opts.Backoff),
 		done:         make(chan error, 1),
 		seenCallsite: make(map[uint64]bool),
+		names:        make(map[uint64]string),
 	}
 	if c, ok := next.(interface{ Clock() uint64 }); ok {
 		r.clockNow = c.Clock
@@ -263,9 +275,9 @@ func (r *Recorder) cdcThread() {
 		if item.clock > lastClock {
 			lastClock = item.clock
 		}
-		if err == nil && item.name != "" {
+		if err == nil && item.first {
 			if reg, ok := r.backend.(registrar); ok {
-				latch(reg.RegisterCallsite(item.callsite, item.name))
+				latch(reg.RegisterCallsite(item.callsite, r.takeName(item.callsite)))
 			}
 		}
 		if !item.ev.Flag {
@@ -349,17 +361,20 @@ func (r *Recorder) enqueue(cs uint64, name string, ev tables.Event) {
 		// encoded into garbage, so stop at the latched prefix.
 		return
 	}
-	// Attach the callsite name to the first row actually enqueued for it.
-	if !r.seenCallsite[cs] {
+	// Hand the callsite name over with the first row actually enqueued for
+	// it.
+	first := !r.seenCallsite[cs]
+	if first {
 		r.seenCallsite[cs] = true
-	} else {
-		name = ""
+		r.namesMu.Lock()
+		r.names[cs] = name
+		r.namesMu.Unlock()
 	}
 	var clock uint64
 	if r.clockNow != nil {
 		clock = r.clockNow()
 	}
-	item := queueItem{callsite: cs, name: name, ev: ev, clock: clock}
+	item := queueItem{callsite: cs, first: first, ev: ev, clock: clock}
 	// Full-at-entry is sampled from the producer's own view rather than via
 	// TryEnqueue, whose failure path now bumps the shared Stalls instrument;
 	// Enqueue below counts the same episode once, keeping one blocking
@@ -371,6 +386,15 @@ func (r *Recorder) enqueue(cs uint64, name string, ev tables.Event) {
 		return
 	}
 	r.stats.Enqueued++
+}
+
+// takeName removes and returns the name enqueue stored for callsite cs.
+func (r *Recorder) takeName(cs uint64) string {
+	r.namesMu.Lock()
+	defer r.namesMu.Unlock()
+	name := r.names[cs]
+	delete(r.names, cs)
+	return name
 }
 
 // observe records an MF call outcome: sts holds the matched completions in

@@ -39,7 +39,10 @@
 // differ between record and replay. The Replayer therefore releases the
 // *recorded message* through whichever compatible request slot the
 // application is presenting, and keeps polling a slot whose own binding is
-// still outstanding (a "zombie") so that its message is harvested later.
+// still outstanding (a "ghost") so that its message is harvested later. When
+// the application re-posts a receive with the ghost's exact spec, the ghost
+// itself is handed back instead of posting another receive below, so the
+// set the replayer polls stays as small as the set the application holds.
 package replay
 
 import (
@@ -175,14 +178,23 @@ type Replayer struct {
 	// a completion bound to one request may have to be released through a
 	// different, spec-equivalent slot. The slice is the Testsome set as is;
 	// harvested entries are compacted out in place. Its order is
-	// irrelevant: completions are reported in arrival order.
+	// irrelevant: completions are reported in arrival order. Ghost reuse
+	// bounds it by the receives the app holds, plus the ghosts of specs the
+	// app has not re-posted yet, plus at most one probe per spec.
 	outstanding []*simmpi.Request
 	// appDone has a key for every outstanding request. The value is true
-	// once the request was virtually completed for the app while its own
-	// binding is yet to arrive.
+	// while the request is a ghost: virtually completed for the app, its
+	// own binding yet to arrive, and not handed back by Irecv since.
 	appDone map[*simmpi.Request]bool
 	// specOut counts the outstanding requests per receive spec.
 	specOut map[specPair]int
+	// ghosts queues each spec's ghosts in the order they were made, for
+	// Irecv to hand back oldest first: the oldest tends to sit earliest in
+	// the posted queue below, so it binds the next matching message and
+	// the app's slot completes through its own binding. Entries
+	// harvested since they were queued are dropped lazily when they reach
+	// the front.
+	ghosts map[specPair][]*simmpi.Request
 
 	// liveNotes records why and where each callsite went live
 	// (LiveAfterExhausted mode); non-empty means the crash frontier was
@@ -218,8 +230,12 @@ type Stats struct {
 	// OptimisticReleases counts releases that bypassed the strict Axiom 1
 	// rule (paper-faithful format only; always verified at chunk end).
 	OptimisticReleases uint64
-	// ProbesPosted counts internal re-posted receives used to fetch
-	// recorded messages whose natural slot was consumed out of order.
+	// ProbesPosted counts internal receives posted because a spec the
+	// application waits on had no receive outstanding below, so the next
+	// message of that spec had nothing to bind to. Ghost reuse makes this
+	// the way a slot whose own message was reported through another slot
+	// gets a receive again; probes are the only receives the replayer
+	// posts beyond the application's.
 	ProbesPosted uint64
 	// ChunksVerified counts completed chunks that passed the monotone
 	// rank→key check.
@@ -347,6 +363,7 @@ func NewStream(next *lamport.Layer, meta *RecordMeta, src ChunkSource, opts Opti
 		lastSeen:     make(map[int32]uint64),
 		appDone:      make(map[*simmpi.Request]bool),
 		specOut:      make(map[specPair]int),
+		ghosts:       make(map[specPair][]*simmpi.Request),
 		src:          src,
 		pending:      make(map[uint64][]*cdcformat.Chunk),
 		obsReg:       reg,
@@ -936,8 +953,20 @@ func (rp *Replayer) Send(dst, tag int, data []byte) error {
 	return rp.next.Send(dst, tag, data)
 }
 
-// Irecv passes through, registering the request for global polling.
+// Irecv hands back the oldest ghost with exactly this spec, or else posts
+// a receive below and registers it for global polling. A ghost is as good
+// as a fresh receive: it is outstanding below with the same spec, the
+// message it binds to is harvested into the pool like any other, and
+// receives with identical specs are indistinguishable to the application
+// (simmpi.Request.Spec). What the application observes comes
+// from the record and assignSlot, never from which request a message
+// bound to below. The returned request may therefore be one this method
+// returned before, once it completed for the application; as in MPI, a
+// completed request must not be used again.
 func (rp *Replayer) Irecv(src, tag int) (*simmpi.Request, error) {
+	if req := rp.reuseGhost(specPair{src, tag}); req != nil {
+		return req, nil
+	}
 	req, err := rp.next.Irecv(src, tag)
 	if err != nil {
 		return nil, err
@@ -952,6 +981,32 @@ func (rp *Replayer) post(req *simmpi.Request) {
 	rp.appDone[req] = false
 	src, tag := req.Spec()
 	rp.specOut[specPair{src, tag}]++
+}
+
+// reuseGhost pops sp's oldest ghost that is still outstanding and returns
+// it to the application, or returns nil when there is none.
+func (rp *Replayer) reuseGhost(sp specPair) *simmpi.Request {
+	q := rp.dropHarvestedGhosts(sp)
+	if len(q) == 0 {
+		return nil
+	}
+	req := q[0]
+	q[0] = nil
+	rp.ghosts[sp] = q[1:]
+	rp.appDone[req] = false
+	return req
+}
+
+// dropHarvestedGhosts removes the front entries of sp's ghost queue that
+// stopped being ghosts (harvested below), and returns the queue.
+func (rp *Replayer) dropHarvestedGhosts(sp specPair) []*simmpi.Request {
+	q := rp.ghosts[sp]
+	for len(q) > 0 && !rp.appDone[q[0]] {
+		q[0] = nil
+		q = q[1:]
+	}
+	rp.ghosts[sp] = q
+	return q
 }
 
 // Barrier passes through (deterministic).
@@ -1230,14 +1285,20 @@ func (rp *Replayer) liveTestall(reqs []*simmpi.Request) (bool, []simmpi.Status, 
 }
 
 // liveWait blocks in live mode until limit deliveries (all=false) or every
-// slot (all=true) completes, polling below.
+// slot (all=true) completes, polling below. Like awaitGroup it keeps one
+// receive outstanding per spec of reqs: ghost reuse can leave a slot with
+// no receive of its own below (its message was reported through another
+// slot, whose ghost Irecv then handed back), also across the handback.
 func (rp *Replayer) liveWait(reqs []*simmpi.Request, limit int, all bool, what string) ([]int, []simmpi.Status, error) {
 	deadline := time.Now().Add(rp.opts.Timeout) //cdc:allow(nodetermflow) live-wait deadline is a hang guard; grant order is driven by the recorded clocks
 	spins := 0
+	probesDue := true
 	for {
-		if _, err := rp.pollBelow(); err != nil {
+		arrived, err := rp.pollBelow()
+		if err != nil {
 			return nil, nil, err
 		}
+		probesDue = probesDue || arrived > 0
 		if all {
 			ok, sts, err := rp.liveTestall(reqs)
 			if err != nil {
@@ -1255,6 +1316,12 @@ func (rp *Replayer) liveWait(reqs []*simmpi.Request, limit int, all bool, what s
 			if len(sts) > 0 {
 				return idxs, sts, nil
 			}
+		}
+		if probesDue {
+			if err := rp.ensureProbes(reqs); err != nil {
+				return nil, nil, err
+			}
+			probesDue = false
 		}
 		spins++
 		if spins%64 == 0 {
@@ -1290,12 +1357,17 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 	// are what blocks progress. Only tracked when instrumented.
 	var clockWaitStart time.Time
 	spins := 0
+	// Probes are due on the first pass and after a pass that harvested:
+	// only a harvest lowers specOut, so in between ensureProbes would find
+	// every spec still covered.
+	probesDue := true
 	for {
 		arrived, err := rp.poll(s)
 		if err != nil {
 			return nil, err
 		}
 		progressed := arrived > 0
+		probesDue = probesDue || progressed
 		for len(staged) < g {
 			k := s.candidateAt(rp, s.t+len(staged))
 			if k < 0 {
@@ -1342,8 +1414,11 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 				continue
 			}
 		}
-		if err := rp.ensureProbes(reqs); err != nil {
-			return nil, err
+		if probesDue {
+			if err := rp.ensureProbes(reqs); err != nil {
+				return nil, err
+			}
+			probesDue = false
 		}
 		spins++
 		if spins%64 == 0 {
@@ -1403,11 +1478,17 @@ func (rp *Replayer) assignSlot(reqs []*simmpi.Request, used []bool, m pooled) (i
 }
 
 // finishSlot marks a slot virtually complete. If its own binding is still
-// pending below it stays in the outstanding set and keeps being polled.
+// pending below, the request becomes a ghost: it stays in the outstanding
+// set and keeps being polled, and the next Irecv of its spec may hand it
+// back.
 func (rp *Replayer) finishSlot(r *simmpi.Request) {
-	if _, out := rp.appDone[r]; out {
-		rp.appDone[r] = true
+	if done, out := rp.appDone[r]; !out || done {
+		return
 	}
+	rp.appDone[r] = true
+	src, tag := r.Spec()
+	sp := specPair{src, tag}
+	rp.ghosts[sp] = append(rp.dropHarvestedGhosts(sp), r)
 }
 
 // release hands the group's messages to the app through slots of reqs,
@@ -1480,7 +1561,12 @@ func (rp *Replayer) testFamily(s *stream, reqs []*simmpi.Request, liveLimit int)
 			return false, nil, nil, err
 		}
 		idxs, sts := rp.liveDeliver(reqs, liveLimit)
-		return len(sts) > 0, idxs, sts, nil
+		if len(sts) == 0 {
+			// As in liveWait: a failed live test must leave a receive
+			// outstanding for every spec it polls.
+			return false, nil, nil, rp.ensureProbes(reqs)
+		}
+		return true, idxs, sts, nil
 	}
 	s.learnSpecs(reqs)
 	if _, err := rp.poll(s); err != nil {
@@ -1575,7 +1661,11 @@ func (rp *Replayer) Testall(reqs []*simmpi.Request) (bool, []simmpi.Status, erro
 		if _, err := rp.pollBelow(); err != nil {
 			return false, nil, err
 		}
-		return rp.liveTestall(reqs)
+		ok, sts, err := rp.liveTestall(reqs)
+		if err == nil && !ok {
+			err = rp.ensureProbes(reqs) // as in liveWait
+		}
+		return ok, sts, err
 	}
 	s.learnSpecs(reqs)
 	if _, err := rp.poll(s); err != nil {

@@ -144,6 +144,9 @@ func (s *ShardStore) mergeFragments(m *store.Manifest, rank, lo, hi int) error {
 	if err := s.refreshSizes(m, rank); err != nil {
 		return err
 	}
+	if err := s.syncFragmentDirs(rel); err != nil {
+		return err
+	}
 	if err := store.WriteManifestFile(s.dir, *m); err != nil {
 		return err
 	}

@@ -53,6 +53,9 @@ func (s *ShardStore) Salvage() (*store.SalvageReport, error) {
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
+		if werr == nil {
+			werr = s.syncFragmentDirs(frag.Path)
+		}
 		if werr != nil {
 			return nil, fmt.Errorf("shardstore: rewriting salvaged rank %d: %w", r, werr)
 		}

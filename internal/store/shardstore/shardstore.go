@@ -180,7 +180,7 @@ func (s *ShardStore) CreateRank(rank int) (store.BlobWriter, error) {
 		return nil, err
 	}
 	m.Shards.Ranks[rank] = []store.Fragment{frag}
-	w, err := s.publishWriter(m, rank, f, 0, 0)
+	w, err := s.publishWriter(m, rank, f, frag.Path, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -219,15 +219,15 @@ func (s *ShardStore) AppendRank(rank int) (store.BlobWriter, bool, error) {
 		return nil, false, err
 	}
 	m.Shards.Ranks[rank] = append(m.Shards.Ranks[rank], frag)
-	w, err := s.publishWriter(m, rank, f, base, m.LastCut(rank).Events)
+	w, err := s.publishWriter(m, rank, f, frag.Path, base, m.LastCut(rank).Events)
 	return w, resume, err
 }
 
 // publishWriter opens rank's index journal, publishes m (which registers
-// the new tail fragment f; the publish's directory fsync also makes the
-// journal's entry durable) and returns the writer appending to both. On
-// error f is closed. Caller holds s.mu.
-func (s *ShardStore) publishWriter(m store.Manifest, rank int, f *os.File, baseOffset int64, baseEvents uint64) (*blobWriter, error) {
+// the new tail fragment f at run-relative path rel; the publish's
+// directory fsync also makes the journal's entry durable) and returns the
+// writer appending to both. On error f is closed. Caller holds s.mu.
+func (s *ShardStore) publishWriter(m store.Manifest, rank int, f *os.File, rel string, baseOffset int64, baseEvents uint64) (*blobWriter, error) {
 	j, err := store.OpenJournal(s.dir, rank, len(m.RankIndex(rank)))
 	if err == nil {
 		if err = store.WriteManifestFile(s.dir, m); err != nil {
@@ -238,7 +238,7 @@ func (s *ShardStore) publishWriter(m store.Manifest, rank int, f *os.File, baseO
 		f.Close() //cdc:allow(errsink) best-effort cleanup; the manifest error is already propagating
 		return nil, err
 	}
-	return &blobWriter{f: f, j: j, baseOffset: baseOffset, baseEvents: baseEvents}, nil
+	return &blobWriter{f: f, j: j, unsynced: s.fragmentDirs(rel), baseOffset: baseOffset, baseEvents: baseEvents}, nil
 }
 
 // OpenRank opens rank's blob for reading, pinned to the last committed
@@ -325,6 +325,30 @@ func (s *ShardStore) newFragment(m *store.Manifest, rank int) (*os.File, store.F
 	return f, store.Fragment{Path: rel}, nil
 }
 
+// syncDir fsyncs one directory. Tests replace it to observe which
+// directories are synced, and in what order.
+var syncDir = store.SyncDir
+
+// fragmentDirs lists the directories whose entries make the fragment at
+// run-relative path rel reachable, innermost first: its shard directory
+// (holding the fragment), shards/ (holding the shard directory) and the
+// run directory (holding shards/). Syncing them in this order makes each
+// entry durable before the entry that leads to it.
+func (s *ShardStore) fragmentDirs(rel string) []string {
+	shard := filepath.Join(s.dir, filepath.FromSlash(path.Dir(rel)))
+	return []string{shard, filepath.Dir(shard), s.dir}
+}
+
+// syncFragmentDirs fsyncs fragmentDirs(rel) in order.
+func (s *ShardStore) syncFragmentDirs(rel string) error {
+	for _, d := range s.fragmentDirs(rel) {
+		if err := syncDir(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // blobSize sums the on-disk sizes of rank's fragments — the append base
 // for a resume. Fragment files are the ground truth; the manifest's Size
 // fields lag until the next Finalize or compaction.
@@ -364,8 +388,11 @@ func (s *ShardStore) refreshSizes(m *store.Manifest, rank int) error {
 // blobWriter is one rank's append stream into its current tail fragment;
 // Commit appends the blob-absolute cut to the rank's index journal.
 type blobWriter struct {
-	f          *os.File
-	j          *store.Journal
+	f *os.File
+	j *store.Journal
+	// unsynced holds the fragment's directories (fragmentDirs) until the
+	// first Commit has fsynced them.
+	unsynced   []string
 	baseOffset int64
 	baseEvents uint64
 }
@@ -377,7 +404,16 @@ func (w *blobWriter) Close() error {
 	return errors.Join(w.f.Close(), w.j.Close())
 }
 
+// Commit appends the cut to the journal. The first commit first fsyncs the
+// fragment's directories, so no journal record names bytes in a fragment
+// whose directory entry a crash could still lose.
 func (w *blobWriter) Commit(cut store.Cut) error {
+	for len(w.unsynced) > 0 {
+		if err := syncDir(w.unsynced[0]); err != nil {
+			return err
+		}
+		w.unsynced = w.unsynced[1:]
+	}
 	return w.j.Append(store.IndexEntry{
 		Clock:  cut.Clock,
 		Events: w.baseEvents + cut.Events,
