@@ -48,7 +48,6 @@ import (
 	"cdcreplay/internal/record"
 	"cdcreplay/internal/replay"
 	"cdcreplay/internal/simmpi"
-	"cdcreplay/internal/spsc"
 	"cdcreplay/internal/store"
 	"cdcreplay/internal/store/dirstore"
 	"cdcreplay/internal/store/shardstore"
@@ -185,23 +184,11 @@ func Record(world *simmpi.World, app App, opts ...Option) (*RecordReport, error)
 	if app == nil {
 		return nil, errors.New("cdc: Record needs a non-nil App")
 	}
-	// The manifest records the resolved backoff whether or not the caller
-	// tuned it, so a recording's latency behaviour is reproducible from the
-	// manifest alone.
-	backoff := cfg.backoff
-	if !cfg.backoffSet {
-		backoff = spsc.DefaultBackoff()
-	}
 	st := cfg.newRecordStore()
 	err = st.Create(store.Manifest{
 		Ranks:  world.Size(),
 		App:    cfg.app,
 		Params: cfg.params,
-		Spsc: &store.SpscBackoff{
-			SpinBeforeYield: backoff.SpinBeforeYield,
-			YieldBeforeNap:  backoff.YieldBeforeNap,
-			MaxNapNs:        backoff.MaxNap.Nanoseconds(),
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -223,9 +210,6 @@ func Record(world *simmpi.World, app App, opts ...Option) (*RecordReport, error)
 				return w.Commit(store.Cut{Clock: clock, Events: events, Offset: offset})
 			},
 		}
-		if cfg.gzipLevelSet {
-			encOpts.GzipLevel = cfg.gzipLevel
-		}
 		enc, err := core.NewEncoder(w, encOpts)
 		if err != nil {
 			w.Close()
@@ -233,11 +217,8 @@ func Record(world *simmpi.World, app App, opts ...Option) (*RecordReport, error)
 		}
 		method := baseline.NewCDC(enc)
 		rec := record.New(lamport.Wrap(mpi), method, record.Options{
-			QueueCapacity:  cfg.queueCapacity,
-			DisableMFID:    cfg.disableMFID,
 			FlushInterval:  cfg.flushInterval,
 			FlushEveryRows: cfg.flushEveryRows,
-			Backoff:        backoff,
 			Obs:            cfg.obs,
 		})
 		appErr := app(rank, rec)
@@ -345,7 +326,6 @@ func Replay(world *simmpi.World, app App, opts ...Option) (*ReplayReport, error)
 	err = world.RunRanked(func(rank int, mpi simmpi.MPI) error {
 		ropts := replay.Options{
 			Timeout:            cfg.timeout,
-			DisableMFID:        cfg.disableMFID,
 			LiveAfterExhausted: live,
 			Obs:                cfg.obs,
 		}

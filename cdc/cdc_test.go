@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"cdcreplay/internal/mcb"
 	"cdcreplay/internal/obs"
@@ -295,11 +294,10 @@ func TestRecordReplaySharded(t *testing.T) {
 	}
 }
 
-// TestRecordParallelEncodeAndBackoff records through the parallel encode
-// pipeline with a custom queue backoff, checks both knobs leave their marks
-// (identical replay tally; backoff recorded in the manifest), and streams
-// the resulting rank file through the facade reader.
-func TestRecordParallelEncodeAndBackoff(t *testing.T) {
+// TestRecordParallelEncode records through the parallel encode pipeline,
+// checks the replay tally is identical, and streams the resulting rank
+// file through the facade reader.
+func TestRecordParallelEncode(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "rec")
 	var mu sync.Mutex
 	var recorded float64
@@ -307,8 +305,7 @@ func TestRecordParallelEncodeAndBackoff(t *testing.T) {
 	rep, err := Record(w, mcbApp(&recorded, &mu),
 		WithDir(dir),
 		WithApp("mcb"),
-		WithEncodeWorkers(4),
-		WithQueueBackoff(32, 512, 100*time.Microsecond))
+		WithEncodeWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,19 +315,11 @@ func TestRecordParallelEncodeAndBackoff(t *testing.T) {
 
 	var replayed float64
 	w2 := simmpi.NewWorld(testRanks, simmpi.Options{Seed: 52, MaxJitter: 8})
-	rrep, err := Replay(w2, mcbApp(&replayed, &mu), WithDir(dir), WithApp("mcb"))
-	if err != nil {
+	if _, err := Replay(w2, mcbApp(&replayed, &mu), WithDir(dir), WithApp("mcb")); err != nil {
 		t.Fatal(err)
 	}
 	if replayed != recorded {
 		t.Fatalf("tally diverged: recorded %.17g, replayed %.17g", recorded, replayed)
-	}
-	spsc := rrep.Manifest.Spsc
-	if spsc == nil {
-		t.Fatal("manifest did not record the spsc backoff profile")
-	}
-	if spsc.SpinBeforeYield != 32 || spsc.YieldBeforeNap != 512 || spsc.MaxNapNs != 100_000 {
-		t.Errorf("manifest backoff = %+v", *spsc)
 	}
 
 	st, err := OpenStore(dir)
@@ -362,29 +351,6 @@ func TestRecordParallelEncodeAndBackoff(t *testing.T) {
 	if rd.Frames() == 0 || rd.Events() == 0 || rd.FlushPoints() == 0 {
 		t.Errorf("reader totals: frames=%d events=%d flushPoints=%d",
 			rd.Frames(), rd.Events(), rd.FlushPoints())
-	}
-}
-
-// TestDefaultBackoffRecorded: without WithQueueBackoff the manifest
-// records the default profile, so replay tooling always sees the knob.
-func TestDefaultBackoffRecorded(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "rec")
-	var mu sync.Mutex
-	var tally float64
-	w := simmpi.NewWorld(testRanks, simmpi.Options{Seed: 61, MaxJitter: 2})
-	if _, err := Record(w, mcbApp(&tally, &mu), WithDir(dir)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := store.Open(st, "", testRanks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Spsc == nil || m.Spsc.SpinBeforeYield == 0 || m.Spsc.MaxNapNs == 0 {
-		t.Errorf("default backoff not recorded: %+v", m.Spsc)
 	}
 }
 

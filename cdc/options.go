@@ -1,7 +1,6 @@
 package cdc
 
 import (
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"cdcreplay/internal/feed"
 	"cdcreplay/internal/obs"
 	"cdcreplay/internal/simmpi"
-	"cdcreplay/internal/spsc"
 )
 
 // ErrInvalidOption is the sentinel every option-validation failure unwraps
@@ -64,10 +62,9 @@ type config struct {
 	mode sessionMode
 
 	// Shared.
-	app         string
-	params      map[string]string
-	disableMFID bool
-	obs         *obs.Registry
+	app    string
+	params map[string]string
+	obs    *obs.Registry
 
 	// Storage destination/source: exactly one of dir (with optional
 	// layout) or store.
@@ -76,17 +73,12 @@ type config struct {
 	store  Store
 
 	// Record side.
-	queueCapacity    int
 	flushInterval    time.Duration
 	flushEveryRows   int
 	durable          bool
 	chunkEvents      int
-	gzipLevel        int
-	gzipLevelSet     bool
 	omitSenderColumn bool
 	encodeWorkers    int
-	backoff          spsc.Backoff
-	backoffSet       bool
 
 	// Decode side (Replay sessions and record readers).
 	decodeWorkers int
@@ -259,15 +251,6 @@ func WithParams(params map[string]string) Option {
 	})
 }
 
-// WithoutMFID merges every MF callsite into a single record stream — the
-// paper's "CDC (RE+PE+LPE)" ablation. Record and Replay must agree on it.
-func WithoutMFID() Option {
-	return func(c *config) error {
-		c.disableMFID = true
-		return nil
-	}
-}
-
 // WithObs attaches an obs.Registry: the session's pipeline layers publish
 // their metrics (record.*, encode.*, replay.* — see DESIGN.md §8) into it.
 // Without this option instrumentation is disabled and costs one pointer
@@ -277,18 +260,6 @@ func WithObs(reg *obs.Registry) Option {
 		c.obs = reg
 		return nil
 	}
-}
-
-// WithQueueCapacity bounds each rank's observe queue (default 65536
-// events).
-func WithQueueCapacity(n int) Option {
-	return recordOnly("WithQueueCapacity", func(c *config) error {
-		if n < 1 {
-			return &OptionError{Option: "WithQueueCapacity", Reason: fmt.Sprintf("capacity must be positive, got %d", n)}
-		}
-		c.queueCapacity = n
-		return nil
-	})
 }
 
 // WithFlushInterval makes each rank's CDC goroutine flush pending chunks to
@@ -338,25 +309,6 @@ func WithChunkEvents(n int) Option {
 	})
 }
 
-// WithGzipLevel sets the final gzip pass's compression level:
-// gzip.DefaultCompression (-1) or 1–9. Level 0 (gzip.NoCompression) is
-// rejected because the encoder treats 0 as "unset"; record without the
-// final pass is not representable.
-func WithGzipLevel(level int) Option {
-	return recordOnly("WithGzipLevel", func(c *config) error {
-		if level == gzip.NoCompression {
-			return &OptionError{Option: "WithGzipLevel",
-				Reason: "level 0 (no compression) is not representable; use gzip.DefaultCompression or 1-9"}
-		}
-		if level < gzip.DefaultCompression || level > gzip.BestCompression {
-			return &OptionError{Option: "WithGzipLevel", Reason: fmt.Sprintf("level must be -1 or 1-9, got %d", level)}
-		}
-		c.gzipLevel = level
-		c.gzipLevelSet = true
-		return nil
-	})
-}
-
 // WithEncodeWorkers fans each rank's chunk encoding (chunk building and
 // serialization, the CPU-bound part of the CDC thread's work) across n
 // workers, with an ordered-commit stage keeping the record file
@@ -371,36 +323,6 @@ func WithEncodeWorkers(n int) Option {
 			return &OptionError{Option: "WithEncodeWorkers", Reason: fmt.Sprintf("worker count %d exceeds the sanity cap of 256", n)}
 		}
 		c.encodeWorkers = n
-		return nil
-	})
-}
-
-// WithQueueBackoff tunes the observe queue's idle backoff (how a blocked
-// endpoint waits): spin hot for spinBeforeYield unproductive iterations,
-// yield the scheduler slot through yieldBeforeNap iterations, then sleep
-// with a nap growing toward maxNap. The chosen values are recorded in the
-// record manifest. Latency-sensitive runs raise the spin/yield thresholds;
-// oversubscribed ones lower them. Defaults: 64, 1024, 200µs.
-func WithQueueBackoff(spinBeforeYield, yieldBeforeNap int, maxNap time.Duration) Option {
-	return recordOnly("WithQueueBackoff", func(c *config) error {
-		if spinBeforeYield < 1 {
-			return &OptionError{Option: "WithQueueBackoff",
-				Reason: fmt.Sprintf("spinBeforeYield must be positive, got %d", spinBeforeYield)}
-		}
-		if yieldBeforeNap < spinBeforeYield {
-			return &OptionError{Option: "WithQueueBackoff",
-				Reason: fmt.Sprintf("yieldBeforeNap (%d) must be >= spinBeforeYield (%d)", yieldBeforeNap, spinBeforeYield)}
-		}
-		if maxNap <= 0 {
-			return &OptionError{Option: "WithQueueBackoff",
-				Reason: fmt.Sprintf("maxNap must be positive, got %v", maxNap)}
-		}
-		c.backoff = spsc.Backoff{
-			SpinBeforeYield: spinBeforeYield,
-			YieldBeforeNap:  yieldBeforeNap,
-			MaxNap:          maxNap,
-		}
-		c.backoffSet = true
 		return nil
 	})
 }

@@ -1,7 +1,6 @@
 package cdc
 
 import (
-	"compress/gzip"
 	"errors"
 	"strings"
 	"testing"
@@ -33,18 +32,12 @@ func expectOptionError(t *testing.T, mode sessionMode, wantOption string, opts .
 }
 
 func TestOptionValueValidation(t *testing.T) {
-	expectOptionError(t, modeRecord, "WithQueueCapacity", WithQueueCapacity(0))
 	expectOptionError(t, modeRecord, "WithFlushInterval", WithFlushInterval(-time.Second))
 	expectOptionError(t, modeRecord, "WithFlushEveryRows", WithFlushEveryRows(0))
 	expectOptionError(t, modeRecord, "WithChunkEvents", WithChunkEvents(-1))
-	expectOptionError(t, modeRecord, "WithGzipLevel", WithGzipLevel(gzip.NoCompression))
-	expectOptionError(t, modeRecord, "WithGzipLevel", WithGzipLevel(10))
 	expectOptionError(t, modeRecord, "WithEncodeWorkers", WithEncodeWorkers(0))
 	expectOptionError(t, modeRecord, "WithEncodeWorkers", WithEncodeWorkers(-2))
 	expectOptionError(t, modeRecord, "WithEncodeWorkers", WithEncodeWorkers(1000))
-	expectOptionError(t, modeRecord, "WithQueueBackoff", WithQueueBackoff(0, 1024, time.Millisecond))
-	expectOptionError(t, modeRecord, "WithQueueBackoff", WithQueueBackoff(128, 64, time.Millisecond))
-	expectOptionError(t, modeRecord, "WithQueueBackoff", WithQueueBackoff(64, 1024, 0))
 	expectOptionError(t, modeReplay, "WithTimeout", WithTimeout(0))
 	expectOptionError(t, modeReplay, "WithOptimisticDelay", WithOptimisticDelay(0))
 }
@@ -55,7 +48,6 @@ func TestOptionModeScoping(t *testing.T) {
 	expectOptionError(t, modeReplay, "WithDurable", WithDurable())
 	expectOptionError(t, modeReplay, "WithParams", WithParams(nil))
 	expectOptionError(t, modeReplay, "WithEncodeWorkers", WithEncodeWorkers(4))
-	expectOptionError(t, modeReplay, "WithQueueBackoff", WithQueueBackoff(64, 1024, time.Millisecond))
 	expectOptionError(t, modeRecord, "WithLiveReplay", WithLiveReplay())
 	expectOptionError(t, modeRecord, "WithOnRelease", WithOnRelease(nil))
 	_, err := newConfig(modeRecord, []Option{WithTimeout(time.Second)})
@@ -86,16 +78,13 @@ func TestValidOptionsAccumulate(t *testing.T) {
 		WithParams(map[string]string{"particles": "200"}),
 		WithParams(map[string]string{"steps": "2"}),
 		WithObs(nil), // explicitly disabled observability is valid
-		WithQueueCapacity(128),
-		WithGzipLevel(gzip.BestSpeed),
 		WithEncodeWorkers(4),
-		WithQueueBackoff(32, 512, 100*time.Microsecond),
 		nil, // nil options are skipped, not a panic
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.app != "mcb" || cfg.queueCapacity != 128 {
+	if cfg.app != "mcb" {
 		t.Errorf("config = %+v", cfg)
 	}
 	if cfg.dir != "rec" || cfg.layout != LayoutSharded {
@@ -104,14 +93,7 @@ func TestValidOptionsAccumulate(t *testing.T) {
 	if cfg.encodeWorkers != 4 {
 		t.Errorf("encodeWorkers = %d, want 4", cfg.encodeWorkers)
 	}
-	if !cfg.backoffSet || cfg.backoff.SpinBeforeYield != 32 || cfg.backoff.YieldBeforeNap != 512 ||
-		cfg.backoff.MaxNap != 100*time.Microsecond {
-		t.Errorf("backoff = %+v set=%v", cfg.backoff, cfg.backoffSet)
-	}
 	if cfg.params["particles"] != "200" || cfg.params["steps"] != "2" {
 		t.Errorf("params did not merge: %v", cfg.params)
-	}
-	if !cfg.gzipLevelSet || cfg.gzipLevel != gzip.BestSpeed {
-		t.Errorf("gzip level = %d set=%v", cfg.gzipLevel, cfg.gzipLevelSet)
 	}
 }

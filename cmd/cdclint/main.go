@@ -11,55 +11,55 @@
 //
 // Usage:
 //
-//	cdclint [-json|-sarif] [-out file] [-list] [-check a,b] \
-//	        [-baseline file] [-write-baseline] [-lenient] [packages...]
+//	cdclint [-json] [-list] [-check a,b] [packages...]
 //
 // Packages default to ./... resolved against the enclosing module.
+// Every finding fails the run; a //cdc:allow(<check>) <reason> directive
+// at the site is the only way to suppress one.
 //
-// The baseline ratchet: findings matching the committed baseline file
-// (default lint.baseline.json at the module root) are grandfathered and do
-// not fail the run; fresh findings do. Stale baseline entries produce a
-// warning suggesting -write-baseline, which rewrites the baseline WITHOUT
-// them — it never adds entries, so the ratchet only shrinks.
-//
-// Exit status: 0 clean (or all findings grandfathered), 1 fresh findings,
-// 2 usage error or packages that failed to load/typecheck. Load failures
-// are themselves findings (check "loaderror"); -lenient downgrades them to
-// stderr warnings for CI bring-up on a partially broken tree.
+// Exit status: 0 clean, 1 findings, 2 usage error or packages that failed
+// to load/typecheck. Load failures are reported as findings (check
+// "loaderror") but drive exit 2, so "the analyzer did not see this
+// package" never reads as "this package is clean".
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"cdcreplay/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON ({count, findings})")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	outFile := flag.String("out", "", "write the report to this file instead of stdout")
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	checks := flag.String("check", "", "comma-separated subset of checks to run (default: all)")
-	baselinePath := flag.String("baseline", "", "baseline file for the ratchet (default: <module root>/"+lint.BaselineName+"; 'none' disables)")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline without its stale entries (shrink-only) and exit")
-	lenient := flag.Bool("lenient", false, "downgrade package load/typecheck failures from exit 2 to stderr warnings")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cdclint [-json|-sarif] [-out file] [-list] [-check a,b] [-baseline file] [-write-baseline] [-lenient] [packages...]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "cdclint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
+// run is the whole command against the working directory: it parses
+// args, reports to stdout (diagnostics to stderr) and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cdclint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as JSON ({count, findings})")
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	checks := fs.String("check", "", "comma-separated subset of checks to run (default: all)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: cdclint [-json] [-list] [-check a,b] [packages...]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 
 	analyzers, err := lint.SelectAnalyzers(*checks)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
 	if *list {
@@ -68,128 +68,41 @@ func main() {
 			if a.RunModule != nil {
 				kind = "module"
 			}
-			fmt.Printf("%-12s [%s] %s\n", a.Name, kind, a.Doc)
+			fmt.Fprintf(stdout, "%-12s [%s] %s\n", a.Name, kind, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	root, _, err := lint.FindModuleRoot(cwd)
+	findings, err := lint.Run(cwd, fs.Args(), analyzers, lint.Config{})
 	if err != nil {
-		fatal(err)
-	}
-	findings, err := lint.Run(cwd, flag.Args(), analyzers, lint.Config{})
-	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
-	// Split off load errors: they are a distinct failure class (exit 2)
-	// because "the analyzer did not see this package" must never read as
-	// "this package is clean".
-	var loadErrs []lint.Finding
-	kept := findings[:0]
+	if *jsonOut {
+		err = lint.WriteJSON(stdout, findings)
+	} else {
+		err = lint.WriteText(stdout, findings)
+	}
+	if err != nil {
+		return fail(stderr, err)
+	}
+
 	for _, f := range findings {
 		if f.Check == lint.LoadErrorCheck {
-			loadErrs = append(loadErrs, f)
-			continue
+			return 2
 		}
-		kept = append(kept, f)
 	}
-	findings = kept
-	if *lenient {
-		for _, f := range loadErrs {
-			fmt.Fprintf(os.Stderr, "cdclint: warning: %s\n", f)
-		}
-		loadErrs = nil
+	if len(findings) > 0 {
+		return 1
 	}
-
-	// Baseline ratchet.
-	resolvedBaseline := *baselinePath
-	switch resolvedBaseline {
-	case "none":
-		resolvedBaseline = ""
-	case "":
-		resolvedBaseline = filepath.Join(root, lint.BaselineName)
-	}
-	var stale []lint.BaselineEntry
-	if resolvedBaseline != "" {
-		baseline, err := lint.LoadBaseline(resolvedBaseline)
-		if err != nil {
-			fatal(err)
-		}
-		if *writeBaseline {
-			shrunk := baseline.Shrink(findings)
-			f, err := os.Create(resolvedBaseline)
-			if err != nil {
-				fatal(err)
-			}
-			if err := lint.WriteBaseline(f, shrunk); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "cdclint: baseline %s: %d entries kept, %d stale dropped\n",
-				resolvedBaseline, len(shrunk.Entries), len(baseline.Entries)-len(shrunk.Entries))
-			return
-		}
-		findings, stale = baseline.Apply(findings)
-	}
-
-	// Load errors join the report (they are findings) but drive exit 2.
-	findings = append(findings, loadErrs...)
-	lint.SortFindings(findings)
-
-	out := os.Stdout
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	switch {
-	case *sarifOut:
-		err = lint.WriteSARIF(out, findings)
-	case *jsonOut:
-		err = lint.WriteJSON(out, findings)
-	default:
-		err = lint.WriteText(out, findings)
-	}
-	if err != nil {
-		fatal(err)
-	}
-
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "cdclint: warning: stale baseline entry (no longer produced): %s:%d [%s] %s\n",
-			e.File, e.Line, e.Check, e.Message)
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "cdclint: baseline has %d stale entr%s; run cdclint -write-baseline to shrink it\n",
-			len(stale), plural(len(stale)))
-	}
-
-	switch {
-	case len(loadErrs) > 0:
-		os.Exit(2)
-	case len(findings) > 0:
-		os.Exit(1)
-	}
+	return 0
 }
 
-func plural(n int) string {
-	if n == 1 {
-		return "y"
-	}
-	return "ies"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cdclint:", err)
-	os.Exit(2)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "cdclint:", err)
+	return 2
 }

@@ -291,7 +291,7 @@ func SortFindings(findings []Finding) {
 // only infrastructure failures — no go.mod, nothing matched — abort with
 // an error.
 func Run(root string, patterns []string, analyzers []*Analyzer, cfg Config) ([]Finding, error) {
-	root, modPath, err := FindModuleRoot(root)
+	root, modPath, err := findModuleRoot(root)
 	if err != nil {
 		return nil, err
 	}

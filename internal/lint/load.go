@@ -27,9 +27,9 @@ type Package struct {
 	Info    *types.Info
 }
 
-// FindModuleRoot walks up from dir to the directory containing go.mod and
+// findModuleRoot walks up from dir to the directory containing go.mod and
 // returns that directory plus the declared module path.
-func FindModuleRoot(dir string) (root, modPath string, err error) {
+func findModuleRoot(dir string) (root, modPath string, err error) {
 	dir, err = filepath.Abs(dir)
 	if err != nil {
 		return "", "", err
@@ -71,7 +71,7 @@ const LoadErrorCheck = "loaderror"
 // reserved for infrastructure failures: no go.mod, unreadable
 // directories, patterns matching nothing.
 func Load(root string, patterns []string) ([]*Package, []Finding, error) {
-	root, modPath, err := FindModuleRoot(root)
+	root, modPath, err := findModuleRoot(root)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -51,9 +51,6 @@ type Options struct {
 	// function of the event stream, so crash tests can place flush points
 	// deterministically.
 	FlushEveryRows int
-	// Backoff tunes the observe queue's idle backoff; zero fields take
-	// spsc.DefaultBackoff values.
-	Backoff spsc.Backoff
 	// Obs, when non-nil, receives the recorder's metrics (record.* names,
 	// DESIGN.md §8). Nil disables instrumentation at the cost of one
 	// pointer check per instrument site.
@@ -140,7 +137,7 @@ func New(next simmpi.MPI, backend baseline.Method, opts Options) *Recorder {
 		next:         next,
 		backend:      backend,
 		opts:         opts,
-		q:            spsc.NewWithBackoff[queueItem](opts.QueueCapacity, opts.Backoff),
+		q:            spsc.New[queueItem](opts.QueueCapacity),
 		done:         make(chan error, 1),
 		seenCallsite: make(map[uint64]bool),
 		names:        make(map[uint64]string),

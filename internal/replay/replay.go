@@ -1439,12 +1439,34 @@ func (rp *Replayer) stallError(s *stream, staged, g int) error {
 	}
 	r := s.refAtObs[tt]
 	key := senderTag{s.senders[r], s.tags[r]}
-	var pooled []string
-	for _, p := range rp.pool {
-		pooled = append(pooled, fmt.Sprintf("(%d,%d,tag%d)", p.st.Source, p.st.Clock, p.st.Tag))
+	pool := cappedList(rp.pool, func(p pooled) string {
+		return fmt.Sprintf("(%d,%d,tag%d)", p.st.Source, p.st.Clock, p.st.Tag)
+	})
+	specs := cappedList(s.specs, func(sp specPair) string { return fmt.Sprint(sp) })
+	return fmt.Errorf("%v; awaiting rank %d = arrival %d of (sender %d, tag %d) (have %d); pool=%s specs=%s",
+		base, r, s.perKeyIndex[r], key.src, key.tag, len(s.arrivals[key]), pool, specs)
+}
+
+// stallListCap bounds each list a stall error prints; the message's
+// counts carry the full sizes.
+const stallListCap = 16
+
+// cappedList renders the first stallListCap items of xs as [a b ...],
+// followed by the number left out.
+func cappedList[T any](xs []T, item func(T) string) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i, x := range xs[:min(len(xs), stallListCap)] {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(item(x))
 	}
-	return fmt.Errorf("%v; awaiting rank %d = arrival %d of (sender %d, tag %d) (have %d); pool=%v specs=%v",
-		base, r, s.perKeyIndex[r], key.src, key.tag, len(s.arrivals[key]), pooled, s.specs)
+	b.WriteByte(']')
+	if n := len(xs) - stallListCap; n > 0 {
+		fmt.Fprintf(&b, " (+%d more)", n)
+	}
+	return b.String()
 }
 
 // assignSlot picks the request slot to report a released message through:

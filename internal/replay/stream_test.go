@@ -2,6 +2,8 @@ package replay
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"cdcreplay/internal/cdcformat"
@@ -235,5 +237,37 @@ func TestStreamZeroMatchedChunk(t *testing.T) {
 	}
 	if s.n != 1 {
 		t.Fatalf("second chunk n = %d", s.n)
+	}
+}
+
+// TestStallErrorBounded: a stall with a pool and spec list far above the
+// print cap yields a message of bounded length that still names the
+// awaited (sender, tag) arrival and the full pool size.
+func TestStallErrorBounded(t *testing.T) {
+	s := mkStream(t, []tables.Event{tables.Matched(2, 5, false), tables.Matched(1, 3, false)})
+	if err := s.load(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		s.specs = append(s.specs, specPair{i, 7})
+	}
+	rp := &Replayer{lastSeen: map[int32]uint64{}}
+	for i := 0; i < 300; i++ {
+		rp.pool = append(rp.pool, pooled{st: simmpi.Status{Source: i % 8, Tag: 7, Clock: uint64(1000 + i)}, seq: uint64(i)})
+	}
+	msg := rp.stallError(s, 0, 1).Error()
+	r := s.refAtObs[0]
+	for _, want := range []string{
+		fmt.Sprintf("of (sender %d, tag %d)", s.senders[r], s.tags[r]),
+		"pool 300)",
+		"(+284 more)",
+		"(+24 more)",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("stall error lacks %q:\n%s", want, msg)
+		}
+	}
+	if len(msg) > 1024 {
+		t.Errorf("stall error is %d bytes, want at most 1024:\n%s", len(msg), msg)
 	}
 }

@@ -45,10 +45,6 @@ type Manifest struct {
 	// Salvaged marks a run produced by Salvage: a consistent prefix of a
 	// crashed run, replayable up to the crash frontier.
 	Salvaged bool `json:"salvaged,omitempty"`
-	// Spsc records the observe-queue idle-backoff parameters the run used
-	// (nil for records predating the field), so a recording's latency
-	// behaviour is reproducible from its manifest alone.
-	Spsc *SpscBackoff `json:"spsc_backoff,omitempty"`
 	// Layout names the storage backend that wrote the run (LayoutDir when
 	// empty: manifests predate the field).
 	Layout string `json:"layout,omitempty"`
@@ -63,14 +59,6 @@ type Manifest struct {
 	// Shards is the sharded layout's fragment map (nil for other
 	// layouts).
 	Shards *ShardMap `json:"shards,omitempty"`
-}
-
-// SpscBackoff is the manifest form of spsc.Backoff (see that type for
-// semantics). MaxNap is stored in nanoseconds to keep the JSON integral.
-type SpscBackoff struct {
-	SpinBeforeYield int   `json:"spin_before_yield"`
-	YieldBeforeNap  int   `json:"yield_before_nap"`
-	MaxNapNs        int64 `json:"max_nap_ns"`
 }
 
 // IndexEntry is one committed epoch in a rank's chunk index.
@@ -146,10 +134,6 @@ func (m Manifest) Clone() Manifest {
 		for k, v := range m.Params {
 			out.Params[k] = v
 		}
-	}
-	if m.Spsc != nil {
-		sp := *m.Spsc
-		out.Spsc = &sp
 	}
 	if m.Index != nil {
 		out.Index = make([][]IndexEntry, len(m.Index))
