@@ -56,6 +56,9 @@ type Layer struct {
 	clock  uint64
 	manual bool
 	policy Policy
+	// sendBuf is Send's header+payload scratch, reused across sends: the
+	// MPI.Send contract has the layer below copy the payload.
+	sendBuf []byte
 }
 
 var _ simmpi.MPI = (*Layer)(nil)
@@ -114,11 +117,9 @@ func (l *Layer) Size() int { return l.next.Size() }
 
 // Send attaches the current clock and increments it.
 func (l *Layer) Send(dst, tag int, data []byte) error {
-	buf := make([]byte, HeaderLen+len(data))
-	binary.LittleEndian.PutUint64(buf, l.clock)
-	copy(buf[HeaderLen:], data)
+	l.sendBuf = append(binary.LittleEndian.AppendUint64(l.sendBuf[:0], l.clock), data...)
 	l.clock++
-	return l.next.Send(dst, tag, buf)
+	return l.next.Send(dst, tag, l.sendBuf)
 }
 
 // Irecv passes through; the clock is handled at completion.

@@ -178,6 +178,29 @@ func TestFixtureFindingsFormat(t *testing.T) {
 	}
 }
 
+// TestObsguardCitesFirstRegistrationRelative: the duplicate-registration
+// finding cites the first registration module-relative, like every finding
+// position, so -json output is the same from every checkout.
+func TestObsguardCitesFirstRegistrationRelative(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "fixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dups int
+	for _, f := range runFixtures(t) {
+		if f.Check != "obsguard" || !strings.Contains(f.Message, "duplicate registration") {
+			continue
+		}
+		dups++
+		if strings.Contains(f.Message, root) || !strings.Contains(f.Message, "first registered at obsguard/obsguard.go:15:") {
+			t.Errorf("%s: first registration not cited module-relative: %q", f.File, f.Message)
+		}
+	}
+	if dups != 1 {
+		t.Fatalf("%d duplicate-registration findings in the fixture, want 1", dups)
+	}
+}
+
 // TestReportJSON pins the -json envelope: {count, findings}, findings
 // always an array.
 func TestReportJSON(t *testing.T) {

@@ -141,9 +141,10 @@ func checkDuplicateNames(pass *Pass, fn *ast.FuncDecl) {
 		}
 		key := sel.Sel.Name + "/" + lit.Value
 		if prev, dup := seen[key]; dup {
+			first := pass.Fset.Position(prev)
 			pass.Reportf(call.Pos(),
-				"duplicate registration of instrument %s via %s (first registered at %s): two call sites now share one instrument",
-				lit.Value, sel.Sel.Name, pass.Fset.Position(prev))
+				"duplicate registration of instrument %s via %s (first registered at %s:%d:%d): two call sites now share one instrument",
+				lit.Value, sel.Sel.Name, pass.run.relFile(first.Filename), first.Line, first.Column)
 		} else {
 			seen[key] = call.Pos()
 		}

@@ -86,7 +86,8 @@ type RateStats struct {
 	// EnqueueBlocked counts Enqueue calls that found the queue full at
 	// least once (expected to stay zero: the CDC thread drains faster).
 	EnqueueBlocked uint64
-	// DrainDuration is the CDC goroutine's busy time.
+	// DrainDuration is the CDC goroutine's busy time: every stretch it
+	// spends processing rows or flushing rather than waiting on the queue.
 	DrainDuration time.Duration
 }
 
@@ -172,7 +173,10 @@ type flusher interface {
 // here just before the event that ends the run — which keeps every flushed
 // cut complete, with no unmatched tail stranded on the application thread.
 func (r *Recorder) cdcThread() {
+	// busy sums the stretches spent off the queue wait; burst starts the
+	// current one (zero while waiting), so the clock is not read per row.
 	var busy time.Duration
+	var burst time.Time
 	var err error
 	fl, canFlush := r.backend.(flusher)
 	timedFlush := canFlush && r.opts.FlushInterval > 0
@@ -197,7 +201,8 @@ func (r *Recorder) cdcThread() {
 	latch := func(e error) {
 		if err == nil && e != nil {
 			err = e
-			r.firstErr.CompareAndSwap(nil, &e)
+			first := e // escapes only here, not on every row's latch
+			r.firstErr.CompareAndSwap(nil, &first)
 		}
 	}
 	observe := func(cs uint64, ev tables.Event) {
@@ -227,23 +232,28 @@ func (r *Recorder) cdcThread() {
 			return
 		}
 		start := time.Now() //cdc:allow(nodetermflow) flush span timing is observability metadata only
+		if burst.IsZero() { // an idle flush is busy time too
+			burst = start
+		}
 		span := r.obsReg.StartSpan("record.flush")
 		flushPendingUnmatched(0, true)
 		if err == nil {
 			latch(fl.FlushAll(lastClock))
 		}
 		span.End()
-		elapsed := time.Since(start) //cdc:allow(nodetermflow) flush duration feeds the busy metric only
-		busy += elapsed
-		r.mFlushNs.ObserveDuration(elapsed)
+		lastFlush = time.Now() //cdc:allow(nodetermflow) wall clock only paces background flushes
+		r.mFlushNs.ObserveDuration(lastFlush.Sub(start))
 		r.mBatchRows.Observe(uint64(rowsSinceFlush))
 		r.mFlushes.Inc()
-		lastFlush = time.Now() //cdc:allow(nodetermflow) wall clock only paces background flushes
 		rowsSinceFlush = 0
 		pendingFlush = false
 	}
 
 	for {
+		if !burst.IsZero() && r.q.Len() == 0 {
+			busy += time.Since(burst) //cdc:allow(nodetermflow) busy-time metric only
+			burst = time.Time{}
+		}
 		var item queueItem
 		if timedFlush {
 			var ok, done bool
@@ -268,7 +278,9 @@ func (r *Recorder) cdcThread() {
 				break
 			}
 		}
-		start := time.Now() //cdc:allow(nodetermflow) flush duration feeds the busy metric only
+		if burst.IsZero() {
+			burst = time.Now() //cdc:allow(nodetermflow) busy-time metric only
+		}
 		if item.clock > lastClock {
 			lastClock = item.clock
 		}
@@ -287,7 +299,6 @@ func (r *Recorder) cdcThread() {
 			flushPendingUnmatched(item.callsite, false)
 			observe(item.callsite, item.ev)
 		}
-		busy += time.Since(start) //cdc:allow(nodetermflow) flush duration feeds the busy metric only
 		r.mRows.Inc()
 		midGroup = item.ev.Flag && item.ev.WithNext
 		rowsSinceFlush++

@@ -77,6 +77,55 @@ func TestIdlePollAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestReleaseAllocatesNothing pins the release path: once the chunk is
+// decoded and its messages harvested, a replayed Testsome that stages and
+// releases the group at the cursor reuses the Replayer's staged, slot and
+// result buffers and allocates nothing.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	const events, runs = 128, 100
+	var evs []tables.Event
+	for c := uint64(1); c <= events; c++ {
+		evs = append(evs, tables.MatchedTagged(1, 1, c, false))
+	}
+	src := &chunkList{cdcformat.BuildChunkWithSenders(0, evs)}
+	meta := &RecordMeta{Callsites: map[uint64]*CallsiteMeta{0: {Chunks: 1, Events: events}}}
+	w := simmpi.NewWorld(2, simmpi.Options{Delivery: func(dst, src, tag int, seq uint64) uint64 { return 0 }})
+	rp := NewStream(lamport.WrapManual(w.Comm(0)), meta, src, Options{DisableMFID: true, Timeout: 5 * time.Second})
+	defer rp.Close()
+	if err := rp.streams[0].ensure(); err != nil {
+		t.Fatal(err)
+	}
+	sender := lamport.Wrap(w.Comm(1))
+	reqs := make([]*simmpi.Request, events)
+	for i := range reqs {
+		req, err := rp.Irecv(simmpi.AnySource, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = req
+		if err := sender.Send(0, 1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The warm-up call harvests every message; each measured call releases
+	// the next recorded event.
+	bad := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if idxs, sts, err := rp.Testsome(reqs); err != nil || len(idxs) != 1 || len(sts) != 1 {
+			bad++
+		}
+	})
+	if bad > 0 {
+		t.Fatalf("%d of %d replayed Testsome calls did not release one event", bad, runs+1)
+	}
+	if got := rp.Stats().Released; got != runs+1 {
+		t.Fatalf("released %d events, want %d", got, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("replayed Testsome allocates %.1f times per release, want 0", allocs)
+	}
+}
+
 // TestIncrementalCollectMatchesRescan is the oracle for collect's
 // watermark: after every collect, a full rescan of the pool under the
 // stream's current window, exception pins and specs must find no member

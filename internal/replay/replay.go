@@ -196,6 +196,15 @@ type Replayer struct {
 	// the front.
 	ghosts map[specPair][]*simmpi.Request
 
+	// Scratch reused by every MF call: awaitGroup's staged group, the
+	// slots a release has used, the index and status results it returns
+	// (the lifetime rule on simmpi.MPI), and ensureProbes' uncovered specs.
+	staged  []pooled
+	used    []bool
+	idxs    []int
+	sts     []simmpi.Status
+	missing []specPair
+
 	// liveNotes records why and where each callsite went live
 	// (LiveAfterExhausted mode); non-empty means the crash frontier was
 	// crossed.
@@ -598,7 +607,13 @@ func (s *stream) load() error {
 			s.perKeyIndex[r] = counts[key]
 			counts[key]++
 		}
-		s.arrivals = make(map[senderTag][]uint64)
+		// Sized once per chunk, not grown per message.
+		s.arrivals = make(map[senderTag][]uint64, len(counts))
+		for r, src := range s.senders {
+			if key := (senderTag{src, s.tags[r]}); s.arrivals[key] == nil {
+				s.arrivals[key] = make([]uint64, 0, counts[key])
+			}
+		}
 	} else {
 		s.senders = nil
 		s.tags = nil
@@ -991,10 +1006,16 @@ func (rp *Replayer) reuseGhost(sp specPair) *simmpi.Request {
 		return nil
 	}
 	req := q[0]
-	q[0] = nil
-	rp.ghosts[sp] = q[1:]
+	rp.ghosts[sp] = popGhost(q)
 	rp.appDone[req] = false
 	return req
+}
+
+// popGhost drops a ghost queue's front in place, keeping its capacity.
+func popGhost(q []*simmpi.Request) []*simmpi.Request {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // dropHarvestedGhosts removes the front entries of sp's ghost queue that
@@ -1002,8 +1023,7 @@ func (rp *Replayer) reuseGhost(sp specPair) *simmpi.Request {
 func (rp *Replayer) dropHarvestedGhosts(sp specPair) []*simmpi.Request {
 	q := rp.ghosts[sp]
 	for len(q) > 0 && !rp.appDone[q[0]] {
-		q[0] = nil
-		q = q[1:]
+		q = popGhost(q)
 	}
 	rp.ghosts[sp] = q
 	return q
@@ -1090,7 +1110,7 @@ func (rp *Replayer) poll(s *stream) (int, error) {
 // that never matches is as harmless as an application receive that is
 // never matched.
 func (rp *Replayer) ensureProbes(reqs []*simmpi.Request) error {
-	var missing []specPair
+	missing := rp.missing[:0]
 	for _, r := range reqs {
 		if r == nil {
 			continue
@@ -1106,6 +1126,7 @@ func (rp *Replayer) ensureProbes(reqs []*simmpi.Request) error {
 	slices.SortFunc(missing, func(a, b specPair) int {
 		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.tag, b.tag))
 	})
+	rp.missing = missing
 	for _, sp := range missing {
 		probe, err := rp.next.Irecv(sp.src, sp.tag)
 		if err != nil {
@@ -1181,9 +1202,7 @@ func (rp *Replayer) Live() (bool, string) {
 // compatible unused slots of reqs; the lamport clock ticks per delivery so
 // piggybacked clocks stay meaningful for any rank still replaying.
 func (rp *Replayer) liveDeliver(reqs []*simmpi.Request, limit int) ([]int, []simmpi.Status) {
-	used := make([]bool, len(reqs))
-	var idxs []int
-	var sts []simmpi.Status
+	used, idxs, sts := rp.usedSlots(len(reqs)), rp.idxs[:0], rp.sts[:0]
 	kept := rp.pool[:0]
 	for _, p := range rp.pool {
 		if limit >= 0 && len(idxs) >= limit {
@@ -1222,6 +1241,7 @@ func (rp *Replayer) liveDeliver(reqs []*simmpi.Request, limit int) ([]int, []sim
 		}
 	}
 	rp.pool = kept
+	rp.idxs, rp.sts = idxs, sts
 	rp.mPool.Add(-int64(len(idxs)))
 	rp.stats.LiveReleases += uint64(len(idxs))
 	rp.mLive.Add(uint64(len(idxs)))
@@ -1270,25 +1290,27 @@ func (rp *Replayer) liveTestall(reqs []*simmpi.Request) (bool, []simmpi.Status, 
 	}
 	rp.pool = kept
 	rp.mPool.Add(-int64(len(reqs)))
-	sts := make([]simmpi.Status, len(reqs))
+	sts := rp.sts[:0]
 	for i, m := range msgs { // deliver in request order
-		sts[i] = m.st
+		sts = append(sts, m.st)
 		rp.finishSlot(reqs[i])
 		rp.next.TickReceive(m.st.Clock)
 		if rp.opts.OnRelease != nil {
 			rp.opts.OnRelease(m.st)
 		}
 	}
+	rp.sts = sts
 	rp.stats.LiveReleases += uint64(len(reqs))
 	rp.mLive.Add(uint64(len(reqs)))
 	return true, sts, nil
 }
 
 // liveWait blocks in live mode until limit deliveries (all=false) or every
-// slot (all=true) completes, polling below. Like awaitGroup it keeps one
-// receive outstanding per spec of reqs: ghost reuse can leave a slot with
-// no receive of its own below (its message was reported through another
-// slot, whose ghost Irecv then handed back), also across the handback.
+// slot (all=true, statuses in request order, no indices) completes, polling
+// below. Like awaitGroup it keeps one receive outstanding per spec of reqs:
+// ghost reuse can leave a slot with no receive of its own below (its
+// message was reported through another slot, whose ghost Irecv then handed
+// back), also across the handback.
 func (rp *Replayer) liveWait(reqs []*simmpi.Request, limit int, all bool, what string) ([]int, []simmpi.Status, error) {
 	deadline := time.Now().Add(rp.opts.Timeout) //cdc:allow(nodetermflow) live-wait deadline is a hang guard; grant order is driven by the recorded clocks
 	spins := 0
@@ -1305,11 +1327,7 @@ func (rp *Replayer) liveWait(reqs []*simmpi.Request, limit int, all bool, what s
 				return nil, nil, err
 			}
 			if ok {
-				idxs := make([]int, len(reqs))
-				for i := range idxs {
-					idxs[i] = i
-				}
-				return idxs, sts, nil
+				return nil, sts, nil
 			}
 		} else {
 			idxs, sts := rp.liveDeliver(reqs, limit)
@@ -1348,10 +1366,15 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 				ErrDiverged, s.name, s.t+off)
 		}
 	}
-	staged := make([]pooled, 0, g)
-	start := time.Now() //cdc:allow(nodetermflow) staged-wait deadline is a hang guard; grant order is driven by the recorded clocks
-	deadline := start.Add(rp.opts.Timeout)
-	lastProgress := start
+	staged := rp.staged[:0]
+	var start time.Time
+	if rp.mWaitNs != nil {
+		start = time.Now() //cdc:allow(nodetermflow) wait latency metric for observability; grants follow the recorded clocks
+	}
+	// The clock is read lazily: a group staged by its first pass never
+	// reads it. stalledSince is the first pass without progress since the
+	// last one with progress; the hang-guard deadline starts at the first.
+	var stalledSince, deadline time.Time
 	// clockWaitStart is set while the stream holds collected-but-unreleasable
 	// candidates — time the Axiom 1 clock conditions (not message arrival)
 	// are what blocks progress. Only tracked when instrumented.
@@ -1377,7 +1400,10 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 			progressed = true
 		}
 		if len(staged) == g {
-			rp.mWaitNs.Observe(uint64(time.Since(start))) //cdc:allow(nodetermflow) wait latency metric for observability; grants follow the recorded clocks
+			rp.staged = staged
+			if rp.mWaitNs != nil {
+				rp.mWaitNs.Observe(uint64(time.Since(start))) //cdc:allow(nodetermflow) wait latency metric for observability; grants follow the recorded clocks
+			}
 			if !clockWaitStart.IsZero() {
 				rp.mClockWaitNs.Add(uint64(time.Since(clockWaitStart))) //cdc:allow(nodetermflow) clock-wait latency metric for observability only
 			}
@@ -1393,25 +1419,32 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 				clockWaitStart = time.Time{}
 			}
 		}
-		if !progressed {
-			rp.mStallPolls.Inc()
-		}
 		if progressed {
-			lastProgress = time.Now() //cdc:allow(nodetermflow) optimistic-delay progress stamp; grants still follow the recorded clocks
-		} else if len(s.senders) == 0 && rp.opts.OptimisticDelay >= 0 && time.Since(lastProgress) > rp.opts.OptimisticDelay { //cdc:allow(nodetermflow) optimistic-delay heuristic for live mode; recorded-order grants are unaffected
-			// Strict Axiom 1 cannot certify a candidate; release the best
-			// guess to keep the system live. The end-of-chunk
-			// verification in verifyChunk rejects a wrong guess. A
-			// candidate whose clock is a recorded collision with missing
-			// copies is never guessed: its tie partners are guaranteed
-			// chunk messages, so waiting for them always terminates.
-			if k := s.candidateIndex(s.t + len(staged)); k >= 0 &&
-				!s.tieUnresolved(s.collected[k].st.Clock) {
-				staged = append(staged, s.takeAt(k, s.t+len(staged)))
-				rp.stats.OptimisticReleases++
-				rp.mOptimistic.Inc()
-				lastProgress = time.Now() //cdc:allow(nodetermflow) optimistic-delay progress stamp; grants still follow the recorded clocks
-				continue
+			stalledSince = time.Time{}
+		} else {
+			rp.mStallPolls.Inc()
+			if stalledSince.IsZero() {
+				stalledSince = time.Now() //cdc:allow(nodetermflow) optimistic-delay progress stamp and hang-guard start; grants still follow the recorded clocks
+				if deadline.IsZero() {
+					deadline = stalledSince.Add(rp.opts.Timeout)
+				}
+			}
+			if len(s.senders) == 0 && rp.opts.OptimisticDelay >= 0 && time.Since(stalledSince) > rp.opts.OptimisticDelay { //cdc:allow(nodetermflow) optimistic-delay heuristic for live mode; recorded-order grants are unaffected
+				// Strict Axiom 1 cannot certify a candidate; release the
+				// best guess to keep the system live. The end-of-chunk
+				// verification in verifyChunk rejects a wrong guess. A
+				// candidate whose clock is a recorded collision with
+				// missing copies is never guessed: its tie partners are
+				// guaranteed chunk messages, so waiting for them always
+				// terminates.
+				if k := s.candidateIndex(s.t + len(staged)); k >= 0 &&
+					!s.tieUnresolved(s.collected[k].st.Clock) {
+					staged = append(staged, s.takeAt(k, s.t+len(staged)))
+					rp.stats.OptimisticReleases++
+					rp.mOptimistic.Inc()
+					stalledSince = time.Time{}
+					continue
+				}
 			}
 		}
 		if probesDue {
@@ -1424,7 +1457,7 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 		if spins%64 == 0 {
 			runtime.Gosched()
 		}
-		if spins%1024 == 0 && time.Now().After(deadline) { //cdc:allow(nodetermflow) stall detection deadline; grant order is driven by the recorded clocks
+		if spins%1024 == 0 && !deadline.IsZero() && time.Now().After(deadline) { //cdc:allow(nodetermflow) stall detection deadline; grant order is driven by the recorded clocks
 			return nil, rp.stallError(s, len(staged), g)
 		}
 	}
@@ -1499,6 +1532,13 @@ func (rp *Replayer) assignSlot(reqs []*simmpi.Request, used []bool, m pooled) (i
 		ErrDiverged, m.st.Source, m.st.Tag, m.st.Clock, slots)
 }
 
+// usedSlots returns the reused per-slot flags for n requests, all false.
+func (rp *Replayer) usedSlots(n int) []bool {
+	rp.used = slices.Grow(rp.used[:0], n)[:n]
+	clear(rp.used)
+	return rp.used
+}
+
 // finishSlot marks a slot virtually complete. If its own binding is still
 // pending below, the request becomes a ghost: it stays in the outstanding
 // set and keeps being polled, and the next Irecv of its spec may hand it
@@ -1519,9 +1559,7 @@ func (rp *Replayer) finishSlot(r *simmpi.Request) {
 // record's rows are in request order); otherwise slots are chosen by
 // binding or spec.
 func (rp *Replayer) release(s *stream, reqs []*simmpi.Request, group []pooled, ordered bool) ([]int, []simmpi.Status, error) {
-	used := make([]bool, len(reqs))
-	idxs := make([]int, len(group))
-	sts := make([]simmpi.Status, len(group))
+	used, idxs, sts := rp.usedSlots(len(reqs)), rp.idxs[:0], rp.sts[:0]
 	for gi, m := range group {
 		var slot int
 		if ordered {
@@ -1541,14 +1579,15 @@ func (rp *Replayer) release(s *stream, reqs []*simmpi.Request, group []pooled, o
 			}
 		}
 		used[slot] = true
-		idxs[gi] = slot
-		sts[gi] = m.st
+		idxs = append(idxs, slot)
+		sts = append(sts, m.st)
 		rp.finishSlot(reqs[slot])
 		rp.next.TickReceive(m.st.Clock)
 		if rp.opts.OnRelease != nil {
 			rp.opts.OnRelease(m.st)
 		}
 	}
+	rp.idxs, rp.sts = idxs, sts
 	rp.stats.Released += uint64(len(group))
 	rp.mReleases.Add(uint64(len(group)))
 	s.t += len(group)
@@ -1696,18 +1735,14 @@ func (rp *Replayer) Testall(reqs []*simmpi.Request) (bool, []simmpi.Status, erro
 	if s.consumeUnmatched() {
 		return false, nil, nil
 	}
-	idxs, sts, err := rp.matchedCall(s, reqs, true)
+	_, sts, err := rp.matchedCall(s, reqs, true)
 	if err != nil {
 		return false, nil, err
 	}
 	if len(sts) != len(reqs) {
 		return false, nil, fmt.Errorf("%w: Testall over %d requests released %d events", ErrDiverged, len(reqs), len(sts))
 	}
-	out := make([]simmpi.Status, len(reqs))
-	for k, i := range idxs {
-		out[i] = sts[k]
-	}
-	return true, out, nil
+	return true, sts, nil // an ordered release reports in request order
 }
 
 // Wait replays a blocking single-request wait.
@@ -1762,18 +1797,14 @@ func (rp *Replayer) Waitall(reqs []*simmpi.Request) ([]simmpi.Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	idxs, sts, err := rp.waitFamily(s, reqs, true, "Waitall", -1)
+	_, sts, err := rp.waitFamily(s, reqs, true, "Waitall", -1)
 	if err != nil {
 		return nil, err
 	}
 	if len(sts) != len(reqs) {
 		return nil, fmt.Errorf("%w: Waitall over %d requests released %d events", ErrDiverged, len(reqs), len(sts))
 	}
-	out := make([]simmpi.Status, len(reqs))
-	for k, i := range idxs {
-		out[i] = sts[k]
-	}
-	return out, nil
+	return sts, nil // an ordered release reports in request order
 }
 
 // Stats returns the replayer's counters.

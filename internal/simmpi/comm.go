@@ -24,10 +24,15 @@ type Comm struct {
 	rank     int
 	deadline time.Duration
 
-	posted     fifo[Request]  // active receives, in post order
+	posted     fifo[*Request] // active receives, in post order
 	unexpected fifo[envelope] // arrived but unmatched, in arrival order
 	postSeq    uint64
 	traffic    Traffic
+
+	// idxs and sts back the results of the Test/Wait families (the
+	// lifetime rule on MPI).
+	idxs []int
+	sts  []Status
 }
 
 // Traffic returns the rank's accounting so far. It must be called from the
@@ -84,10 +89,11 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	req := &Request{owner: c, src: src, tag: tag, postSeq: c.postSeq}
 	// MPI semantics: a newly posted receive first searches the unexpected
 	// queue in arrival order.
-	for i, env := range c.unexpected.live() {
-		if req.accepts(env) {
+	live := c.unexpected.live()
+	for i := range live {
+		if req.accepts(&live[i]) {
 			req.matched = true
-			req.env = env
+			req.env = live[i]
 			c.unexpected.remove(i)
 			return req, nil
 		}
@@ -104,19 +110,21 @@ func (r *Request) accepts(env *envelope) bool {
 // poll drains newly arrived messages and matches them against posted
 // receives in post order.
 func (c *Comm) poll() {
-	for _, env := range c.world.boxes[c.rank].drain() {
+	ready := c.world.boxes[c.rank].drain()
+	for k := range ready {
+		env := &ready[k]
 		matched := false
 		for i, req := range c.posted.live() {
 			if req.accepts(env) {
 				req.matched = true
-				req.env = env
+				req.env = *env
 				c.posted.remove(i)
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			c.unexpected.push(env)
+			c.unexpected.push(*env)
 		}
 	}
 }
@@ -186,7 +194,7 @@ func (c *Comm) Testsome(reqs []*Request) ([]int, []Status, error) {
 }
 
 func (c *Comm) gatherMatched(reqs []*Request) ([]int, []Status, error) {
-	var idxs []int
+	idxs := c.idxs[:0]
 	for i, req := range reqs {
 		if !req.consumed && req.matched {
 			idxs = append(idxs, i)
@@ -199,11 +207,12 @@ func (c *Comm) gatherMatched(reqs []*Request) ([]int, []Status, error) {
 			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
 		}
 	}
-	sts := make([]Status, len(idxs))
-	for k, i := range idxs {
+	sts := c.sts[:0]
+	for _, i := range idxs {
 		reqs[i].consumed = true
-		sts[k] = c.statusOf(reqs[i])
+		sts = append(sts, c.statusOf(reqs[i]))
 	}
+	c.idxs, c.sts = idxs, sts
 	return idxs, sts, nil
 }
 
@@ -221,11 +230,12 @@ func (c *Comm) Testall(reqs []*Request) (bool, []Status, error) {
 			return false, nil, nil
 		}
 	}
-	sts := make([]Status, len(reqs))
-	for i, req := range reqs {
+	sts := c.sts[:0]
+	for _, req := range reqs {
 		req.consumed = true
-		sts[i] = c.statusOf(req)
+		sts = append(sts, c.statusOf(req))
 	}
+	c.sts = sts
 	return true, sts, nil
 }
 
@@ -314,14 +324,15 @@ func (c *Comm) Waitsome(reqs []*Request) ([]int, []Status, error) {
 // Waitall blocks until every request completes (MPI_Waitall). Statuses are
 // returned in request order, as MPI does.
 func (c *Comm) Waitall(reqs []*Request) ([]Status, error) {
-	sts := make([]Status, len(reqs))
-	for i, req := range reqs {
+	sts := c.sts[:0]
+	for _, req := range reqs {
 		st, err := c.Wait(req)
 		if err != nil {
 			return nil, err
 		}
-		sts[i] = st
+		sts = append(sts, st)
 	}
+	c.sts = sts
 	return sts, nil
 }
 

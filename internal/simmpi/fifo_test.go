@@ -8,7 +8,7 @@ import (
 
 // checkFifo compares q's live items with want and requires every slot
 // outside the live range to be nil.
-func checkFifo(t *testing.T, step int, q *fifo[int], want []*int) {
+func checkFifo(t *testing.T, step int, q *fifo[*int], want []*int) {
 	t.Helper()
 	if !slices.Equal(q.live(), want) || q.len() != len(want) {
 		t.Fatalf("step %d: live = %v, want %v", step, q.live(), want)
@@ -27,7 +27,7 @@ func checkFifo(t *testing.T, step int, q *fifo[int], want []*int) {
 
 func TestFifoKeepsOrderAndDropsPointers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var q fifo[int]
+	var q fifo[*int]
 	var model []*int
 	next := 0
 	for step := 0; step < 20000; step++ {
@@ -50,7 +50,7 @@ func TestFifoKeepsOrderAndDropsPointers(t *testing.T) {
 }
 
 func TestFifoCompactsHalfDeadPrefix(t *testing.T) {
-	var q fifo[int]
+	var q fifo[*int]
 	vals := make([]int, 8)
 	for i := range vals {
 		q.push(&vals[i])

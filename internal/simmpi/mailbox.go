@@ -44,12 +44,13 @@ type mailbox struct {
 	maxJitter  int
 	tick       uint64
 	depositSeq uint64
-	inflight   []*envelope
+	inflight   []envelope
 	// ready is drain's result buffer, reused across polls. Only the owner
 	// rank touches it, through drain.
-	ready []*envelope
-	// lastArrive tracks per-sender arrival frontiers to keep FIFO order.
-	lastArrive map[int]uint64
+	ready []envelope
+	// lastArrive holds each sender's arrival frontier, indexed by rank, to
+	// keep FIFO order.
+	lastArrive []uint64
 	// deliver, when non-nil, replaces the jitter RNG (Options.Delivery
 	// with this mailbox's rank bound as dst).
 	deliver func(src, tag int, seq uint64) uint64
@@ -57,11 +58,11 @@ type mailbox struct {
 	ins mailboxInstruments
 }
 
-func newMailbox(seed int64, maxJitter int) *mailbox {
+func newMailbox(seed int64, maxJitter, ranks int) *mailbox {
 	return &mailbox{
 		rng:        rand.New(rand.NewSource(seed)),
 		maxJitter:  maxJitter,
-		lastArrive: make(map[int]uint64),
+		lastArrive: make([]uint64, ranks),
 	}
 }
 
@@ -81,7 +82,7 @@ func (m *mailbox) deposit(src, tag int, data []byte) {
 	}
 	m.lastArrive[src] = at
 	m.depositSeq++
-	m.inflight = append(m.inflight, &envelope{
+	m.inflight = append(m.inflight, envelope{
 		src: src, tag: tag, data: data,
 		arriveAt: at, depositSeq: m.depositSeq,
 	})
@@ -93,11 +94,11 @@ func (m *mailbox) deposit(src, tag int, data []byte) {
 // drain advances the receiver's poll tick and returns every message whose
 // arrival time has passed, in arrival order. Called only by the owner rank;
 // the returned slice is reused by the next drain.
-func (m *mailbox) drain() []*envelope {
+func (m *mailbox) drain() []envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tick++
-	clear(m.ready) // drop the previous poll's pointers
+	clear(m.ready) // drop the previous poll's payloads
 	m.ready = m.ready[:0]
 	rest := m.inflight[:0]
 	for _, e := range m.inflight {
@@ -109,7 +110,7 @@ func (m *mailbox) drain() []*envelope {
 	}
 	clear(m.inflight[len(rest):])
 	m.inflight = rest
-	slices.SortFunc(m.ready, func(a, b *envelope) int {
+	slices.SortFunc(m.ready, func(a, b envelope) int {
 		if c := cmp.Compare(a.arriveAt, b.arriveAt); c != 0 {
 			return c
 		}

@@ -3,7 +3,7 @@ package simmpi
 import "testing"
 
 func TestMailboxDrainOrdersByArrival(t *testing.T) {
-	m := newMailbox(1, 0) // jitter 0: everything arrives next tick
+	m := newMailbox(1, 0, 2) // jitter 0: everything arrives next tick
 	m.deposit(0, 0, []byte{1})
 	m.deposit(1, 0, []byte{2})
 	m.deposit(0, 0, []byte{3})
@@ -23,7 +23,7 @@ func TestMailboxDrainOrdersByArrival(t *testing.T) {
 }
 
 func TestMailboxPerSenderArrivalNeverReorders(t *testing.T) {
-	m := newMailbox(7, 32) // large jitter
+	m := newMailbox(7, 32, 4) // large jitter
 	const n = 200
 	for i := 0; i < n; i++ {
 		m.deposit(3, 0, []byte{byte(i)})
@@ -42,7 +42,7 @@ func TestMailboxPerSenderArrivalNeverReorders(t *testing.T) {
 }
 
 func TestMailboxJitterDelaysDelivery(t *testing.T) {
-	m := newMailbox(11, 1000)
+	m := newMailbox(11, 1000, 1)
 	m.deposit(0, 0, nil)
 	// With a huge jitter window the message usually needs many ticks.
 	immediate := len(m.drain())

@@ -61,7 +61,7 @@ type Request struct {
 	src, tag int
 	matched  bool
 	consumed bool
-	env      *envelope
+	env      envelope
 	postSeq  uint64
 }
 
@@ -95,6 +95,13 @@ var ErrTimeout = errors.New("simmpi: wait timed out (deadlock?)")
 //
 // All calls for one rank must come from that rank's goroutine, mirroring
 // MPI_THREAD_FUNNELED.
+//
+// Result lifetime: the index and status slices returned by Testsome,
+// Waitsome, Testall and Waitall belong to the rank's endpoint, like MPI's
+// caller-provided array_of_indices and array_of_statuses. They stay valid
+// until the rank's next Test- or Wait-family call, which may overwrite
+// them; a caller that keeps results longer copies them. Status.Data is
+// not covered by the rule: a payload is never reused.
 type MPI interface {
 	// Rank returns the calling process's rank in [0, Size).
 	Rank() int
@@ -260,7 +267,7 @@ func NewWorld(n int, opts Options) *World {
 	}
 	w.boxes = make([]*mailbox, n)
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox(opts.Seed*1_000_003+int64(i)*7919+1, opts.MaxJitter)
+		w.boxes[i] = newMailbox(opts.Seed*1_000_003+int64(i)*7919+1, opts.MaxJitter, n)
 		w.boxes[i].ins = ins
 		if opts.Delivery != nil {
 			dst := i
