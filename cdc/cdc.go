@@ -71,10 +71,6 @@ const (
 	// LayoutSharded fans rank blobs across shard subdirectories as
 	// compactable fragments, with seekable (gzip-member-aligned) cuts.
 	LayoutSharded = store.LayoutSharded
-	// LayoutMemory is the in-memory backend's layout name; it is never a
-	// valid WithStoreLayout argument (pass a memstore via WithStore) but
-	// appears in reports from sessions recorded through one.
-	LayoutMemory = store.LayoutMemory
 )
 
 // OpenStore opens an existing on-disk run for reading or appending,
@@ -328,9 +324,6 @@ func Replay(world *simmpi.World, app App, opts ...Option) (*ReplayReport, error)
 			Timeout:            cfg.timeout,
 			LiveAfterExhausted: live,
 			Obs:                cfg.obs,
-		}
-		if cfg.optimisticSet {
-			ropts.OptimisticDelay = cfg.optimisticDelay
 		}
 		if cfg.onRelease != nil {
 			onRelease := cfg.onRelease

@@ -12,7 +12,7 @@ import (
 	"cdcreplay/internal/obs"
 	"cdcreplay/internal/simmpi"
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/memstore"
+	"cdcreplay/internal/store/dirstore"
 )
 
 const testRanks = 4
@@ -194,11 +194,11 @@ func TestStorageOptionValidation(t *testing.T) {
 			return err
 		}, "WithDir"},
 		{"store and dir", func() error {
-			_, err := Record(w, app, WithDir(dir), WithStore(memstore.New()))
+			_, err := Record(w, app, WithDir(dir), WithStore(dirstore.New(t.TempDir())))
 			return err
 		}, "WithStore"},
 		{"store and layout", func() error {
-			_, err := Record(w, app, WithStore(memstore.New()), WithStoreLayout(LayoutSharded))
+			_, err := Record(w, app, WithStore(dirstore.New(t.TempDir())), WithStoreLayout(LayoutSharded))
 			return err
 		}, "WithStoreLayout"},
 		{"layout without dir", func() error {
@@ -243,10 +243,10 @@ func TestStorageOptionValidation(t *testing.T) {
 }
 
 // TestRecordReplayViaInjectedStore runs the whole facade round trip over
-// an injected in-memory store: no directory ever touches disk, and replay
-// reads through the same Store value.
+// an injected store: replay reads through the same Store value the
+// recorder wrote, with no WithDir on either side.
 func TestRecordReplayViaInjectedStore(t *testing.T) {
-	st := memstore.New()
+	st := dirstore.New(t.TempDir())
 	var mu sync.Mutex
 	var recorded, replayed float64
 	w := simmpi.NewWorld(testRanks, simmpi.Options{Seed: 71, MaxJitter: 8})
@@ -254,8 +254,8 @@ func TestRecordReplayViaInjectedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Layout != LayoutMemory {
-		t.Errorf("report layout = %q, want %q", rep.Layout, LayoutMemory)
+	if rep.Layout != LayoutDir {
+		t.Errorf("report layout = %q, want %q", rep.Layout, LayoutDir)
 	}
 	w2 := simmpi.NewWorld(testRanks, simmpi.Options{Seed: 72, MaxJitter: 8})
 	if _, err := Replay(w2, mcbApp(&replayed, &mu), WithStore(st), WithApp("mcb")); err != nil {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cdcreplay/internal/simmpi"
-	"cdcreplay/internal/store/memstore"
 )
 
 // releaseDigest folds per-rank release sequences into one order-sensitive
@@ -75,10 +74,6 @@ func TestReplayDecodeWorkersGolden(t *testing.T) {
 		{"sharded", func(t *testing.T) ([]Option, []Option) {
 			o := []Option{WithDir(filepath.Join(t.TempDir(), "rec"))}
 			return append(o[:1:1], WithStoreLayout(LayoutSharded)), o
-		}},
-		{"mem", func(t *testing.T) ([]Option, []Option) {
-			o := []Option{WithStore(memstore.New())}
-			return o, o
 		}},
 	}
 	for _, b := range backends {

@@ -11,17 +11,18 @@ import (
 	"cdcreplay/internal/feed"
 	"cdcreplay/internal/simmpi"
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/memstore"
+	"cdcreplay/internal/store/shardstore"
 )
 
-// recordFeedFixture records the MCB app into a fresh memstore with a
-// deterministic flush cadence, so the run carries several epoch cuts.
+// recordFeedFixture records the MCB app into a fresh sharded store
+// (seekable cuts) with a deterministic flush cadence, so the run carries
+// several epoch cuts.
 // Rank 1 commits between roughly 40 and 60 epochs depending on the
 // message interleaving, always more than the fixed starts of
 // TestOpenFeedStreamsRecord.
 func recordFeedFixture(t *testing.T) Store {
 	t.Helper()
-	st := memstore.New()
+	st := shardstore.New(t.TempDir())
 	var mu sync.Mutex
 	var tally float64
 	w := simmpi.NewWorld(testRanks, simmpi.Options{Seed: 41, MaxJitter: 8})

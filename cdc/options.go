@@ -85,11 +85,9 @@ type config struct {
 	prefetch      int
 
 	// Replay side.
-	timeout         time.Duration
-	optimisticDelay time.Duration
-	optimisticSet   bool
-	live            bool
-	onRelease       func(rank int, st simmpi.Status)
+	timeout   time.Duration
+	live      bool
+	onRelease func(rank int, st simmpi.Status)
 
 	// Feed side (OpenFeed sessions).
 	feedRank         int
@@ -384,22 +382,6 @@ func WithTimeout(d time.Duration) Option {
 			return &OptionError{Option: "WithTimeout", Reason: fmt.Sprintf("timeout must be positive, got %v", d)}
 		}
 		c.timeout = d
-		return nil
-	})
-}
-
-// WithOptimisticDelay sets how long a release may stall on the strict
-// Axiom 1 rule before the best candidate is released optimistically
-// (verified at chunk end; default 50ms). A negative delay disables
-// optimism; zero is rejected as ambiguous.
-func WithOptimisticDelay(d time.Duration) Option {
-	return replayOnly("WithOptimisticDelay", func(c *config) error {
-		if d == 0 {
-			return &OptionError{Option: "WithOptimisticDelay",
-				Reason: "zero is ambiguous; pass a negative delay to disable optimism"}
-		}
-		c.optimisticDelay = d
-		c.optimisticSet = true
 		return nil
 	})
 }

@@ -39,7 +39,6 @@ func TestOptionValueValidation(t *testing.T) {
 	expectOptionError(t, modeRecord, "WithEncodeWorkers", WithEncodeWorkers(-2))
 	expectOptionError(t, modeRecord, "WithEncodeWorkers", WithEncodeWorkers(1000))
 	expectOptionError(t, modeReplay, "WithTimeout", WithTimeout(0))
-	expectOptionError(t, modeReplay, "WithOptimisticDelay", WithOptimisticDelay(0))
 }
 
 func TestOptionModeScoping(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"cdcreplay/internal/record"
 	"cdcreplay/internal/store"
 	"cdcreplay/internal/store/dirstore"
-	"cdcreplay/internal/store/memstore"
 	"cdcreplay/internal/store/shardstore"
 )
 
@@ -43,7 +42,7 @@ type FeedConfig struct {
 	// ({0, 2} in Short).
 	Widths []int
 	// Backends are the storage layouts to sweep, a subset of
-	// {"dir", "sharded", "mem"}. Default all three.
+	// {"dir", "sharded"}. Default both.
 	Backends []string
 	// Short reduces sizes, mirroring go test -short.
 	Short bool
@@ -60,7 +59,7 @@ func (c *FeedConfig) fill() {
 		}
 	}
 	if len(c.Backends) == 0 {
-		c.Backends = []string{"dir", "sharded", "mem"}
+		c.Backends = []string{"dir", "sharded"}
 	}
 }
 
@@ -77,22 +76,18 @@ type FeedReport struct {
 // feedStore builds a fresh store for the named backend; the returned
 // cleanup releases any on-disk state.
 func feedStore(name string) (store.Store, func(), error) {
-	switch name {
-	case "mem":
-		return memstore.New(), func() {}, nil
-	case "dir", "sharded":
-		root, err := os.MkdirTemp("", "dst-feed-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		cleanup := func() { os.RemoveAll(root) } //cdc:allow(errsink) best-effort temp cleanup
-		if name == "dir" {
-			return dirstore.New(root), cleanup, nil
-		}
-		return shardstore.New(root), cleanup, nil
-	default:
+	if name != "dir" && name != "sharded" {
 		return nil, nil, fmt.Errorf("dst: unknown feed backend %q", name)
 	}
+	root, err := os.MkdirTemp("", "dst-feed-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	cleanup := func() { os.RemoveAll(root) } //cdc:allow(errsink) best-effort temp cleanup
+	if name == "dir" {
+		return dirstore.New(root), cleanup, nil
+	}
+	return shardstore.New(root), cleanup, nil
 }
 
 // CheckFeed runs the P6 seek-identity property and reports every

@@ -11,7 +11,7 @@ import (
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/feed"
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/memstore"
+	"cdcreplay/internal/store/shardstore"
 	"cdcreplay/internal/workload"
 )
 
@@ -24,11 +24,11 @@ import (
 // Close appends one final mark that repeats the last clock.
 var fixtureClocks = []uint64{1000, 2000, 3000, 4000}
 
-// buildFeedStore records one rank into a fresh memstore with an epoch cut
-// at each fixture clock (plus the encoder's final close mark).
+// buildFeedStore records one rank into a fresh sharded store with an epoch
+// cut at each fixture clock (plus the encoder's final close mark).
 func buildFeedStore(t testing.TB) store.Store {
 	t.Helper()
-	st := memstore.New()
+	st := shardstore.New(t.TempDir())
 	if err := st.Create(store.Manifest{Ranks: 1, App: "feed-test"}); err != nil {
 		t.Fatal(err)
 	}

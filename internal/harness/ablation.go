@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"cdcreplay/internal/baseline"
@@ -29,6 +31,20 @@ type AblationResult struct {
 	ClockPolicy  []AblationRow
 	Jitter       []AblationRow
 	SenderColumn []AblationRow
+}
+
+// jitterSeeds is how many seeds each jitter row runs. A single run's
+// permutation share moves by several points with goroutine scheduling, as
+// much as the gap between neighbouring jitter windows; the median run of
+// five keeps the sweep's order stable.
+const jitterSeeds = 5
+
+// medianRow returns the run with the median permutation share (its bytes
+// per event travel with it).
+func medianRow(runs []AblationRow) AblationRow {
+	sorted := slices.Clone(runs)
+	slices.SortFunc(sorted, func(a, b AblationRow) int { return cmp.Compare(a.PermutedPct, b.PermutedPct) })
+	return sorted[len(sorted)/2]
 }
 
 // captureWithPolicy runs MCB under a capturing recorder with the given
@@ -149,16 +165,19 @@ func Ablations(cfg Config) (*AblationResult, error) {
 		cfg.printf("  %-12s %7.3f B/event  %5.1f%% permuted\n", row.Name, row.BytesPerEvent, row.PermutedPct)
 	}
 
-	cfg.printf("Ablation: network jitter window (noise → permutation → size)\n")
+	cfg.printf("Ablation: network jitter window (noise → permutation → size; median of %d seeds)\n", jitterSeeds)
 	for _, jitter := range []int{0, 4, 16, 64} {
-		rows, err := captureWithPolicy(&cfg, ranks, jitter, lamport.Classic, cfg.Seed+23)
-		if err != nil {
-			return nil, err
+		runs := make([]AblationRow, jitterSeeds)
+		for i := range runs {
+			rows, err := captureWithPolicy(&cfg, ranks, jitter, lamport.Classic, cfg.Seed+23+int64(i))
+			if err != nil {
+				return nil, err
+			}
+			if runs[i], err = encodeWith(rows, core.EncoderOptions{OmitSenderColumn: true}); err != nil {
+				return nil, err
+			}
 		}
-		row, err := encodeWith(rows, core.EncoderOptions{OmitSenderColumn: true})
-		if err != nil {
-			return nil, err
-		}
+		row := medianRow(runs)
 		row.Name = fmt.Sprintf("jitter %3d", jitter)
 		res.Jitter = append(res.Jitter, row)
 		cfg.printf("  %-12s %7.3f B/event  %5.1f%% permuted\n", row.Name, row.BytesPerEvent, row.PermutedPct)

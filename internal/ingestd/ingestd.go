@@ -44,8 +44,8 @@ type Config struct {
 	// Root/<tenant>/<run>/ in the dir layout. Ignored when Store is set.
 	Root string
 	// Store overrides the storage backend: any store.Root (e.g.
-	// shardstore.OpenRoot for the sharded layout, memstore.OpenRoot for
-	// deterministic simulation). Nil means the dir layout under Root.
+	// shardstore.OpenRoot for the sharded layout). Nil means the dir
+	// layout under Root.
 	Store store.Root
 	// Workers is the ingest shard count; sessions are assigned
 	// round-robin. Default 4.

@@ -13,7 +13,7 @@ import (
 	"cdcreplay/internal/feed"
 	"cdcreplay/internal/obs"
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/memstore"
+	"cdcreplay/internal/store/shardstore"
 	"cdcreplay/internal/workload"
 )
 
@@ -21,7 +21,7 @@ import (
 // over it, its instruments registered into reg.
 func feedFixture(t *testing.T, reg *obs.Registry) *feed.Feed {
 	t.Helper()
-	st := memstore.New()
+	st := shardstore.New(t.TempDir())
 	if err := st.Create(store.Manifest{Ranks: 1, App: "obshttp-test"}); err != nil {
 		t.Fatal(err)
 	}

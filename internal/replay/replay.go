@@ -89,21 +89,6 @@ type Options struct {
 	// DisableMFID must match the recorder's setting: all events live in
 	// the callsite-0 stream.
 	DisableMFID bool
-	// OptimisticDelay is how long a release may stall on the strict
-	// Axiom 1 safety rule before the best available candidate is released
-	// optimistically. Optimism is *verified*: every release consumes a
-	// collected message, so when a chunk's releases finish, all of its
-	// message keys are known and the rank→key assignment is checked to be
-	// monotone; a wrong guess fails the replay with ErrDiverged instead
-	// of silently producing a different execution. Optimism is needed for
-	// tightly-coupled blocking exchanges (halo patterns), where a
-	// receiver can never locally bound a drifted-behind sender's next
-	// clock (the paper's Axiom 1 assumes that bound exists). The delay is
-	// a race guard: a genuinely wedged exchange has nothing in flight, so
-	// waiting longer only costs latency, while releasing too early risks
-	// guessing while the true message is still in transit. Default 50ms;
-	// negative disables optimism.
-	OptimisticDelay time.Duration
 	// LiveAfterExhausted changes what happens when the record runs out —
 	// the normal state of a record salvaged from a crashed run. Instead
 	// of failing with ErrExhausted, the replayer hands control back to
@@ -134,10 +119,22 @@ func (o *Options) fill() {
 	if o.Timeout == 0 {
 		o.Timeout = 30 * time.Second
 	}
-	if o.OptimisticDelay == 0 {
-		o.OptimisticDelay = 50 * time.Millisecond
-	}
 }
+
+// optimisticDelay is how long a release may stall on the strict Axiom 1
+// safety rule before the best available candidate is released
+// optimistically. Optimism is *verified*: every release consumes a
+// collected message, so when a chunk's releases finish, all of its message
+// keys are known and the rank→key assignment is checked to be monotone; a
+// wrong guess fails the replay with ErrDiverged instead of silently
+// producing a different execution. Optimism is needed for tightly-coupled
+// blocking exchanges (halo patterns), where a receiver can never locally
+// bound a drifted-behind sender's next clock (the paper's Axiom 1 assumes
+// that bound exists). The delay is a race guard: a genuinely wedged
+// exchange has nothing in flight, so waiting longer only costs latency,
+// while releasing too early risks guessing while the true message is still
+// in transit. Records with a sender column never reach it.
+const optimisticDelay = 50 * time.Millisecond
 
 // pooled is a completion harvested below but not yet released to the app.
 type pooled struct {
@@ -1429,7 +1426,7 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 					deadline = stalledSince.Add(rp.opts.Timeout)
 				}
 			}
-			if len(s.senders) == 0 && rp.opts.OptimisticDelay >= 0 && time.Since(stalledSince) > rp.opts.OptimisticDelay { //cdc:allow(nodetermflow) optimistic-delay heuristic for live mode; recorded-order grants are unaffected
+			if len(s.senders) == 0 && time.Since(stalledSince) > optimisticDelay { //cdc:allow(nodetermflow) optimistic-delay heuristic for live mode; recorded-order grants are unaffected
 				// Strict Axiom 1 cannot certify a candidate; release the
 				// best guess to keep the system live. The end-of-chunk
 				// verification in verifyChunk rejects a wrong guess. A

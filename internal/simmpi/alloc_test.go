@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -147,5 +148,60 @@ func TestDeliveryTracePinned(t *testing.T) {
 	const want = "5d80b9e1314045b89a6224e82a33ca4bc662845f132b4008d4256b47e56bccc7"
 	if sum := hex.EncodeToString(h.Sum(nil)); sum != want {
 		t.Fatalf("delivery trace digest %s, want %s", sum, want)
+	}
+}
+
+// TestCollectivesAllocateNothing: once warm, Barrier and Allreduce
+// allocate nothing on either side of the rendezvous. The last arriver never
+// waits, so it arms no liveness timer; a rank that blocks reuses its
+// endpoint's one timer. The two-rank case counts both ranks' allocations,
+// since AllocsPerRun reads process-wide counters.
+func TestCollectivesAllocateNothing(t *testing.T) {
+	const runs = 50
+	calls := map[string]func(c *Comm) error{
+		"Barrier": func(c *Comm) error { return c.Barrier() },
+		"Allreduce": func(c *Comm) error {
+			_, err := c.Allreduce(float64(c.Rank()), OpSum)
+			return err
+		},
+	}
+	for name, call := range calls {
+		for _, n := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/ranks=%d", name, n), func(t *testing.T) {
+				w := NewWorld(n, zeroDelay)
+				peerErr := make(chan error, 1)
+				if n == 2 {
+					peer := w.Comm(1)
+					go func() {
+						// AllocsPerRun makes one warm-up call before its runs.
+						for i := 0; i < runs+1; i++ {
+							if err := call(peer); err != nil {
+								peerErr <- err
+								return
+							}
+						}
+						peerErr <- nil
+					}()
+				}
+				c := w.Comm(0)
+				var callErr error
+				allocs := testing.AllocsPerRun(runs, func() {
+					if err := call(c); err != nil {
+						callErr = err
+					}
+				})
+				if n == 2 {
+					if err := <-peerErr; err != nil {
+						t.Fatal(err)
+					}
+				}
+				if callErr != nil {
+					t.Fatal(callErr)
+				}
+				if allocs != 0 {
+					t.Fatalf("%s on %d ranks allocates %.1f times per call, want 0", name, n, allocs)
+				}
+			})
+		}
 	}
 }

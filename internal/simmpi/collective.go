@@ -92,15 +92,6 @@ func (c *collectives) gather(cm *Comm, v float64) ([]float64, error) {
 func (c *collectives) sync(cm *Comm, v float64, op ReduceOp, reduce bool) (float64, error) {
 	seq := cm.world.opts.Sequencer
 	wallClock := seq == nil && !cm.world.opts.VirtualTime
-	if wallClock {
-		timeout := time.AfterFunc(cm.deadline, func() {
-			// Wake sleepers so they can observe the timeout; the generation
-			// check below distinguishes a spurious wake from completion.
-			c.cond.Broadcast()
-		})
-		defer timeout.Stop()
-	}
-	start := time.Now() //cdc:allow(nodetermflow) wall clock bounds the collective wait for liveness; delivery order comes from the mailbox tick
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -131,6 +122,15 @@ func (c *collectives) sync(cm *Comm, v float64, op ReduceOp, reduce bool) (float
 		}
 		return c.result, nil
 	}
+	// This rank blocks. Under wall-clock time, arm the endpoint's one
+	// liveness timer (the last arriver above never waits, so it never arms
+	// one).
+	var start time.Time
+	if wallClock {
+		start = time.Now() //cdc:allow(nodetermflow) wall clock bounds the collective wait for liveness; delivery order comes from the mailbox tick
+		cm.armCollTimer(c)
+		defer cm.collTimer.Stop()
+	}
 	for c.gen == gen {
 		if c.aborted != nil && c.aborted.Load() {
 			return 0, ErrAborted
@@ -154,6 +154,24 @@ func (c *collectives) sync(cm *Comm, v float64, op ReduceOp, reduce bool) (float
 		c.cond.Wait()
 	}
 	return c.result, nil
+}
+
+// armCollTimer schedules a wake of c's sleepers after the endpoint's
+// deadline, so a rank blocked in a collective observes its timeout. The
+// timer is created on the rank's first blocking collective and Reset on
+// each later one. The wake takes c.mu, so it cannot fall between a
+// sleeper's deadline check and its cond.Wait; a stale wake from an earlier
+// collective is a spurious one, which the generation check absorbs.
+func (cm *Comm) armCollTimer(c *collectives) {
+	if cm.collTimer == nil {
+		cm.collTimer = time.AfterFunc(cm.deadline, func() {
+			c.mu.Lock()
+			c.cond.Broadcast()
+			c.mu.Unlock()
+		})
+		return
+	}
+	cm.collTimer.Reset(cm.deadline)
 }
 
 func identity(op ReduceOp) float64 {

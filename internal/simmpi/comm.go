@@ -33,6 +33,10 @@ type Comm struct {
 	// lifetime rule on MPI).
 	idxs []int
 	sts  []Status
+
+	// collTimer wakes this rank from a blocking collective at its
+	// deadline; created on first use and reused (collective.go).
+	collTimer *time.Timer
 }
 
 // Traffic returns the rank's accounting so far. It must be called from the

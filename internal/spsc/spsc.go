@@ -38,7 +38,6 @@ type Queue[T any] struct {
 	// for tests asserting the idle spin is bounded.
 	idleLoops atomic.Uint64
 
-	bo  Backoff
 	ins Instruments
 }
 
@@ -58,89 +57,44 @@ type Instruments struct {
 // Instrument attaches obs instruments. Call before the queue is in use.
 func (q *Queue[T]) Instrument(ins Instruments) { q.ins = ins }
 
-// Backoff tunes how a blocked endpoint waits: it spins hot for
-// SpinBeforeYield consecutive unproductive iterations (lowest latency when
+// Idle backoff thresholds for a blocked endpoint: it spins hot for
+// spinBeforeYield consecutive unproductive iterations (lowest latency when
 // the other endpoint is mid-operation), yields the scheduler slot up to
-// YieldBeforeNap iterations, then sleeps with a nap growing 1µs per
-// iteration, capped at MaxNap — so an idle endpoint consumes a bounded
+// yieldBeforeNap iterations, then sleeps with a nap growing 1µs per
+// iteration, capped at maxNap — so an idle endpoint consumes a bounded
 // number of scheduler slots instead of busy-spinning forever.
-//
-// Latency-sensitive recorders raise SpinBeforeYield/YieldBeforeNap to keep
-// the CDC thread hot through bursty gaps; oversubscribed deployments (more
-// ranks than cores) shrink them so blocked endpoints get off the CPU fast.
-// Zero-valued fields take the defaults, so the zero Backoff IS
-// DefaultBackoff().
-type Backoff struct {
-	// SpinBeforeYield is the number of hot-spin iterations before the
-	// first runtime.Gosched.
-	SpinBeforeYield int
-	// YieldBeforeNap is the iteration count after which yielding turns
-	// into sleeping. It is also the iteration span used to grow the nap.
-	YieldBeforeNap int
-	// MaxNap caps the per-iteration sleep.
-	MaxNap time.Duration
-}
-
-// DefaultBackoff returns the tuned default thresholds.
-func DefaultBackoff() Backoff {
-	return Backoff{
-		SpinBeforeYield: 64,
-		YieldBeforeNap:  1024,
-		MaxNap:          200 * time.Microsecond,
-	}
-}
-
-// fill substitutes defaults for zero fields and repairs inverted
-// thresholds (yield point below the spin point) by raising the yield point.
-func (b Backoff) fill() Backoff {
-	d := DefaultBackoff()
-	if b.SpinBeforeYield <= 0 {
-		b.SpinBeforeYield = d.SpinBeforeYield
-	}
-	if b.YieldBeforeNap <= 0 {
-		b.YieldBeforeNap = d.YieldBeforeNap
-	}
-	if b.YieldBeforeNap < b.SpinBeforeYield {
-		b.YieldBeforeNap = b.SpinBeforeYield
-	}
-	if b.MaxNap <= 0 {
-		b.MaxNap = d.MaxNap
-	}
-	return b
-}
+const (
+	spinBeforeYield = 64
+	yieldBeforeNap  = 1024
+	maxNap          = 200 * time.Microsecond
+)
 
 // backoff performs the wait step appropriate for the i-th consecutive
 // unproductive iteration.
 func (q *Queue[T]) backoff(i int) {
 	q.idleLoops.Add(1)
 	switch {
-	case i < q.bo.SpinBeforeYield:
+	case i < spinBeforeYield:
 		// Hot spin: the other endpoint is probably mid-operation.
-	case i < q.bo.YieldBeforeNap:
+	case i < yieldBeforeNap:
 		runtime.Gosched()
 	default:
-		nap := time.Duration(i-q.bo.YieldBeforeNap+1) * time.Microsecond
-		if nap > q.bo.MaxNap {
-			nap = q.bo.MaxNap
+		nap := time.Duration(i-yieldBeforeNap+1) * time.Microsecond
+		if nap > maxNap {
+			nap = maxNap
 		}
 		time.Sleep(nap)
 	}
 }
 
 // New returns a queue with capacity rounded up to the next power of two
-// (minimum 2), using the default idle backoff.
+// (minimum 2).
 func New[T any](capacity int) *Queue[T] {
-	return NewWithBackoff[T](capacity, Backoff{})
-}
-
-// NewWithBackoff is New with explicit idle-backoff thresholds; zero fields
-// of bo take their defaults.
-func NewWithBackoff[T any](capacity int, bo Backoff) *Queue[T] {
 	n := 2
 	for n < capacity {
 		n <<= 1
 	}
-	return &Queue[T]{buf: make([]T, n), mask: uint64(n - 1), bo: bo.fill()}
+	return &Queue[T]{buf: make([]T, n), mask: uint64(n - 1)}
 }
 
 // Cap reports the queue capacity.
@@ -264,7 +218,7 @@ func (q *Queue[T]) DequeueTimeout(d time.Duration) (v T, ok bool, done bool) {
 		}
 		q.backoff(spins)
 		spins++
-		if (spins < q.bo.YieldBeforeNap && spins%64 == 0 || spins >= q.bo.YieldBeforeNap) &&
+		if (spins < yieldBeforeNap && spins%64 == 0 || spins >= yieldBeforeNap) &&
 			time.Now().After(deadline) {
 			var zero T
 			return zero, false, false

@@ -210,65 +210,6 @@ func BenchmarkThroughput(b *testing.B) {
 	<-done
 }
 
-// TestBackoffFill pins the zero-default and repair semantics of Backoff:
-// zero fields take DefaultBackoff values, an inverted yield point is raised
-// to the spin point, and explicit values survive untouched.
-func TestBackoffFill(t *testing.T) {
-	d := DefaultBackoff()
-	if got := (Backoff{}).fill(); got != d {
-		t.Errorf("zero Backoff fills to %+v, want %+v", got, d)
-	}
-	custom := Backoff{SpinBeforeYield: 7, YieldBeforeNap: 9, MaxNap: 3 * time.Millisecond}
-	if got := custom.fill(); got != custom {
-		t.Errorf("explicit Backoff mutated by fill: %+v", got)
-	}
-	inverted := Backoff{SpinBeforeYield: 500, YieldBeforeNap: 10, MaxNap: time.Millisecond}
-	if got := inverted.fill(); got.YieldBeforeNap != 500 {
-		t.Errorf("inverted thresholds not repaired: %+v", got)
-	}
-	partial := Backoff{SpinBeforeYield: 5}.fill()
-	if partial.SpinBeforeYield != 5 || partial.YieldBeforeNap != d.YieldBeforeNap ||
-		partial.MaxNap != d.MaxNap {
-		t.Errorf("partial Backoff fill = %+v", partial)
-	}
-	if neg := (Backoff{SpinBeforeYield: -1, YieldBeforeNap: -1, MaxNap: -time.Second}).fill(); neg != d {
-		t.Errorf("negative fields should default: %+v", neg)
-	}
-}
-
-// TestNewWithBackoff checks the queue adopts the filled profile and still
-// behaves as a FIFO under a producer/consumer pair with a tiny, nap-heavy
-// profile (forcing the sleep branch of backoff to run).
-func TestNewWithBackoff(t *testing.T) {
-	q := NewWithBackoff[int](4, Backoff{SpinBeforeYield: 1, YieldBeforeNap: 2, MaxNap: time.Microsecond})
-	if q.bo.SpinBeforeYield != 1 || q.bo.YieldBeforeNap != 2 || q.bo.MaxNap != time.Microsecond {
-		t.Fatalf("queue backoff = %+v", q.bo)
-	}
-	const n = 2000
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			q.Enqueue(i)
-		}
-		q.Close()
-	}()
-	for i := 0; i < n; i++ {
-		v, ok := q.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("Dequeue = %d,%v want %d,true", v, ok, i)
-		}
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("Dequeue succeeded after close+drain")
-	}
-	wg.Wait()
-	if q.IdleLoops() == 0 {
-		t.Error("nap-heavy profile recorded no idle loops")
-	}
-}
-
 // TestTryEnqueueCountsStalls pins the shed-load contract: a failed
 // TryEnqueue on a full ring registers on the Stalls instrument (so
 // non-blocking producers are as observable as blocking ones), a successful

@@ -40,7 +40,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		{Ranks: 1, App: "sweep", Complete: true, Salvaged: true, Layout: store.LayoutSharded, SeekableCuts: true,
 			Index:  [][]store.IndexEntry{{{Epoch: 1, Clock: 9, Events: 4, Offset: 80}, {Epoch: 2, Clock: 12, Events: 9, Offset: 161}}},
 			Shards: &store.ShardMap{Fanout: 16, Ranks: [][]store.Fragment{{{Path: "shards/s00/r0000.f0001.cdc", Size: 161}}}}},
-		{Ranks: 3, App: "dst-exchange", Layout: store.LayoutMemory, SeekableCuts: true},
+		{Ranks: 3, App: "dst-exchange", Layout: store.LayoutSharded, SeekableCuts: true},
 		{Ranks: 4, App: "legacy", Complete: true}, // no layout field: reads as dir
 	}
 	for _, m := range seeds {

@@ -7,19 +7,19 @@ import (
 
 	"cdcreplay/internal/dst"
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/memstore"
+	"cdcreplay/internal/store/dirstore"
 )
 
-// orderProbe is a memstore destination that logs, in order, every rank
+// orderProbe is a dirstore destination that logs, in order, every rank
 // write, sync and close and every manifest publish that marks the run
 // complete.
 type orderProbe struct {
-	*memstore.MemStore
+	*dirstore.DirStore
 	log *[]string
 }
 
 func (p orderProbe) CreateRank(rank int) (store.BlobWriter, error) {
-	w, err := p.MemStore.CreateRank(rank)
+	w, err := p.DirStore.CreateRank(rank)
 	return &probeWriter{BlobWriter: w, rank: rank, log: p.log}, err
 }
 
@@ -27,12 +27,12 @@ func (p orderProbe) WriteManifest(m store.Manifest) error {
 	if m.Complete {
 		*p.log = append(*p.log, "publish")
 	}
-	return p.MemStore.WriteManifest(m)
+	return p.DirStore.WriteManifest(m)
 }
 
 func (p orderProbe) Finalize() error {
 	*p.log = append(*p.log, "publish")
-	return p.MemStore.Finalize()
+	return p.DirStore.Finalize()
 }
 
 type probeWriter struct {
@@ -63,12 +63,12 @@ func (w *probeWriter) Close() error {
 // power loss, leave a Complete manifest naming bytes that never reached
 // the disk.
 func TestSalvageToSyncsBeforePublish(t *testing.T) {
-	src := memstore.New()
+	src := dirstore.New(t.TempDir())
 	if err := dst.CrashRecord(11, src); err != nil {
 		t.Fatal(err)
 	}
 	var log []string
-	report, err := store.SalvageTo(src, orderProbe{MemStore: memstore.New(), log: &log})
+	report, err := store.SalvageTo(src, orderProbe{DirStore: dirstore.New(t.TempDir()), log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}

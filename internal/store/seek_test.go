@@ -9,7 +9,6 @@ import (
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/store"
 	"cdcreplay/internal/store/dirstore"
-	"cdcreplay/internal/store/memstore"
 	"cdcreplay/internal/store/shardstore"
 	"cdcreplay/internal/workload"
 )
@@ -154,7 +153,6 @@ func TestSeekRankIterEpochBoundaries(t *testing.T) {
 		name string
 		mk   func(t *testing.T) store.Store
 	}{
-		{"mem", func(t *testing.T) store.Store { return memstore.New() }},
 		{"dir", func(t *testing.T) store.Store { return dirstore.New(t.TempDir()) }},
 		{"sharded", func(t *testing.T) store.Store { return shardstore.New(t.TempDir()) }},
 	}

@@ -3,7 +3,7 @@
 // one append-only record blob per rank, and a per-epoch chunk index — and
 // a Root holds many runs for the ingest daemon. Everything above this
 // package (core, the cdc facade, replay, ingestd, the CLIs) speaks Store;
-// everything below it (dirstore, shardstore, memstore) owns a concrete
+// everything below it (dirstore, shardstore) owns a concrete
 // layout. No package outside internal/store constructs run-layout paths.
 //
 // # Commit discipline
@@ -23,8 +23,7 @@
 // old incomplete runs without journals read as before. An older binary
 // reads a new incomplete run as having nothing committed, since its cuts
 // are still in the journals; salvage is unaffected, because PlanSalvage
-// scans the blobs, not the index. memstore keeps the same contract in
-// memory.
+// scans the blobs, not the index.
 //
 // # Concurrent readers (epoch pinning)
 //
@@ -48,8 +47,6 @@ const (
 	// LayoutSharded spreads rank blobs as fragment files across fan-out
 	// shard subdirectories with size-tiered compaction (shardstore).
 	LayoutSharded = "sharded"
-	// LayoutMemory is the in-memory backend (memstore), for DST and tests.
-	LayoutMemory = "mem"
 )
 
 // Cut is one committed epoch boundary as the writing encoder saw it. The
@@ -76,7 +73,7 @@ type Cut struct {
 // readers pin to the last committed cut and salvage discards the rest.
 type BlobWriter interface {
 	io.Writer
-	// Sync forces buffered bytes to stable storage (no-op for memstore).
+	// Sync forces buffered bytes to stable storage.
 	Sync() error
 	// Commit durably records cut as the rank's next chunk-index entry: on
 	// disk, one record appended to the rank's index journal and fsynced,
@@ -119,8 +116,7 @@ func (emptyBlob) Size() int64                       { return 0 }
 // by one writer per rank plus any number of readers in the same process;
 // cross-process writing is not part of the contract.
 type Store interface {
-	// Layout names the backend's layout (LayoutDir, LayoutSharded,
-	// LayoutMemory).
+	// Layout names the backend's layout (LayoutDir or LayoutSharded).
 	Layout() string
 	// Seekable reports whether committed index offsets are random-access
 	// decode points (the writer closed a gzip member at every cut). When
