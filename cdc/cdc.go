@@ -312,7 +312,6 @@ func Replay(world *simmpi.World, app App, opts ...Option) (*ReplayReport, error)
 	if err != nil {
 		return nil, err
 	}
-	live := m.Salvaged || cfg.live
 	report := &ReplayReport{
 		Dir:      storeDir(st),
 		Manifest: m,
@@ -322,7 +321,7 @@ func Replay(world *simmpi.World, app App, opts ...Option) (*ReplayReport, error)
 	err = world.RunRanked(func(rank int, mpi simmpi.MPI) error {
 		ropts := replay.Options{
 			Timeout:            cfg.timeout,
-			LiveAfterExhausted: live,
+			LiveAfterExhausted: m.Salvaged,
 			Obs:                cfg.obs,
 		}
 		if cfg.onRelease != nil {

@@ -86,7 +86,6 @@ type config struct {
 
 	// Replay side.
 	timeout   time.Duration
-	live      bool
 	onRelease func(rank int, st simmpi.Status)
 
 	// Feed side (OpenFeed sessions).
@@ -382,17 +381,6 @@ func WithTimeout(d time.Duration) Option {
 			return &OptionError{Option: "WithTimeout", Reason: fmt.Sprintf("timeout must be positive, got %v", d)}
 		}
 		c.timeout = d
-		return nil
-	})
-}
-
-// WithLiveReplay forces LiveAfterExhausted even for complete records: when
-// a callsite's recorded stream runs out, execution continues live instead
-// of failing. Salvaged (crashed-run) records get this behaviour
-// automatically.
-func WithLiveReplay() Option {
-	return replayOnly("WithLiveReplay", func(c *config) error {
-		c.live = true
 		return nil
 	})
 }

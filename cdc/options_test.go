@@ -47,7 +47,6 @@ func TestOptionModeScoping(t *testing.T) {
 	expectOptionError(t, modeReplay, "WithDurable", WithDurable())
 	expectOptionError(t, modeReplay, "WithParams", WithParams(nil))
 	expectOptionError(t, modeReplay, "WithEncodeWorkers", WithEncodeWorkers(4))
-	expectOptionError(t, modeRecord, "WithLiveReplay", WithLiveReplay())
 	expectOptionError(t, modeRecord, "WithOnRelease", WithOnRelease(nil))
 	_, err := newConfig(modeRecord, []Option{WithTimeout(time.Second)})
 	var oe *OptionError

@@ -73,9 +73,18 @@ func buildFeedStore(t testing.TB) store.Store {
 // drive drains sub and advances the virtual clock to the next pending
 // deadline whenever the feed has nothing queued, until pred matches an
 // event. Received events accumulate into got.
+//
+// The clock moves only while the pump is parked on it: a waiter seen
+// pending BEFORE an empty read was registered after everything the pump
+// published ahead of it, so all of that has already passed pred. Reading
+// first and advancing on whatever waiter is pending afterwards would race
+// the pump: it can publish pred's event and register the next mark's
+// waiter in between, and the advance would then release that mark at the
+// old rate before the caller's next control.
 func drive(t *testing.T, vc *feed.VirtualClock, sub *feed.Subscription, got *[]feed.Event, pred func(feed.Event) bool) {
 	t.Helper()
 	for spins := 0; ; {
+		parked := vc.Waiting() > 0
 		if ev, ok := sub.TryRecv(); ok {
 			*got = append(*got, ev)
 			if pred(ev) {
@@ -84,7 +93,8 @@ func drive(t *testing.T, vc *feed.VirtualClock, sub *feed.Subscription, got *[]f
 			spins = 0
 			continue
 		}
-		if _, ok := vc.AdvanceToNext(); ok {
+		if parked {
+			vc.AdvanceToNext()
 			spins = 0
 			continue
 		}

@@ -10,10 +10,11 @@
 //   - Per-tenant quotas cap sessions, ingest rate, and disk, with typed
 //     rejection codes a client can classify as retryable or fatal.
 //   - Every ACKed offset is a durable, exactly-once promise: it names
-//     events that are on disk past a flush cut AND whose cross-rank
-//     references are themselves acked, so even a SIGKILL followed by
-//     the restart sweep (Root.SalvageAll) cannot trim them. Clients
-//     resume from the server-stated offset after any disconnect.
+//     events that are on disk past a flush cut AND inside the cross-rank
+//     consistent cut salvage would keep (store.ConsistentCut, the rule
+//     salvage itself trims with), so even a SIGKILL followed by the
+//     restart sweep (Root.SalvageAll) cannot trim them. Clients resume
+//     from the server-stated offset after any disconnect.
 //   - Graceful drain (SIGTERM) flushes, fsyncs, and finalizes manifests;
 //     crash recovery (restart) salvages every incomplete run before
 //     accepting the first session.

@@ -15,23 +15,6 @@ import (
 // ingestApp is the manifest App stamp for daemon-recorded runs.
 const ingestApp = "ingest"
 
-// segment is a sealed, not-yet-acked span of one rank's record: everything
-// between two durable flush cuts.
-type segment struct {
-	// end is the rank's logical-event offset at the segment's cut.
-	end uint64
-	// clock is the cut's flush-mark clock.
-	clock uint64
-	// maxRef holds, per OTHER rank, the largest piggybacked clock the
-	// segment's matched events reference. The segment is acked only once
-	// it sits inside the run's maximal self-consistent cut: every
-	// referenced rank holds a durable cut at or past that clock which
-	// itself survives the cross-rank trim. store salvage retains any
-	// self-consistent cut, so an ack is a durable exactly-once promise
-	// even across a daemon crash.
-	maxRef map[int]uint64
-}
-
 // rankState is one rank's ingest state within a run. All fields are
 // guarded by the owning run's mu.
 type rankState struct {
@@ -55,12 +38,16 @@ type rankState struct {
 	clock uint64
 	// rowsSinceSeal counts logical events since the last durable cut.
 	rowsSinceSeal uint64
-	// pendingRef accumulates the next segment's maxRef.
-	pendingRef map[int]uint64
-	lastSeal   time.Time
+	// next accumulates the cross-rank references of the span being
+	// observed; seal stamps its clock and moves it onto segments.
+	next     store.SegmentSummary
+	lastSeal time.Time
 
-	// segments are sealed spans awaiting the cross-rank ack barrier.
-	segments []segment
+	// segments are sealed spans — everything between two durable flush
+	// cuts — awaiting the cross-rank ack barrier; ends[i] is the rank's
+	// logical-event offset at segments[i]'s cut.
+	segments []store.SegmentSummary
+	ends     []uint64
 	// acked is the offset promised durable to the client; ackedClock the
 	// flush clock of the last acked cut.
 	acked      uint64
@@ -218,13 +205,8 @@ func (r *run) observe(rs *rankState, row ingestwire.Row) error {
 			rs.openGroups--
 		}
 	}
-	if ev.Flag && int(ev.Rank) != rs.rank {
-		if rs.pendingRef == nil {
-			rs.pendingRef = make(map[int]uint64)
-		}
-		if ev.Clock > rs.pendingRef[int(ev.Rank)] {
-			rs.pendingRef[int(ev.Rank)] = ev.Clock
-		}
+	if ev.Flag {
+		rs.next.Ref(ev.Rank, ev.Clock)
 	}
 	if row.Clock > rs.clock {
 		rs.clock = row.Clock
@@ -279,8 +261,10 @@ func (r *run) closeRank(rs *rankState) error {
 }
 
 func (rs *rankState) pushSegment() {
-	rs.segments = append(rs.segments, segment{end: rs.offset, clock: rs.clock, maxRef: rs.pendingRef})
-	rs.pendingRef = nil
+	rs.next.Clock = rs.clock
+	rs.segments = append(rs.segments, rs.next)
+	rs.ends = append(rs.ends, rs.offset)
+	rs.next = store.SegmentSummary{}
 	rs.rowsSinceSeal = 0
 	rs.lastSeal = time.Now()
 }
@@ -304,78 +288,40 @@ func (e *quotaDiskError) Error() string {
 	return fmt.Sprintf("tenant %s over disk quota", e.tenant)
 }
 
-// advanceAcks runs the cross-rank ack barrier: it computes the MAXIMAL
-// self-consistent cut over sealed segments — start from every rank's full
-// sealed frontier and trim tail segments whose references exceed another
-// rank's retained clock, cascading until stable — then acks everything
-// retained. This mirrors store.PlanSalvage's trim exactly: salvage keeps
-// any self-consistent cut, and adding later segments can only extend (never
-// invalidate) a consistent prefix, so acked data survives every future
-// crash. A least fixed point ("refs must already be ACKED") would deadlock
-// here: ranks whose final segments reference each other form a cycle that
-// only the maximal solution resolves. Caller holds the run's mu.
+// advanceAcks runs the cross-rank ack barrier: it acks every sealed
+// segment inside the run's maximal cross-rank-consistent cut, computed by
+// store.ConsistentCut — the rule salvage applies after a crash — on the
+// state a crash would leave: each rank's acked prefix is kept (base is its
+// acked clock), its sealed segments follow, and it is intact only once the
+// client finished and the record closed cleanly. A rank that never
+// attached has no segments and base 0, as salvage sees a missing blob.
+// Adding later segments only extends a consistent cut, so acked data
+// survives every future crash. Caller holds the run's mu.
 func (r *run) advanceAcks() {
-	keep := make(map[int]int, len(r.rankState))
-	front := make(map[int]uint64, len(r.rankState))
-	for rank, rs := range r.rankState {
-		keep[rank] = len(rs.segments)
-		front[rank] = frontierClock(rs, len(rs.segments))
-	}
-	for changed := true; changed; {
-		changed = false
-		for rank, rs := range r.rankState {
-			k := keep[rank]
-			for k > 0 && !refsCovered(rank, rs.segments[k-1].maxRef, front) {
-				k--
-				changed = true
-			}
-			if k != keep[rank] {
-				keep[rank] = k
-				front[rank] = frontierClock(rs, k)
-			}
+	segs := make([][]store.SegmentSummary, r.ranks)
+	base := make([]uint64, r.ranks)
+	intact := make([]bool, r.ranks)
+	for rank := range segs {
+		if rs := r.rankState[rank]; rs != nil {
+			segs[rank] = rs.segments
+			base[rank] = rs.ackedClock
+			intact[rank] = rs.finished && rs.closed && rs.err == nil
 		}
 	}
+	keep, _ := store.ConsistentCut(segs, base, intact)
 	for rank, rs := range r.rankState {
 		k := keep[rank]
 		if k == 0 {
 			continue
 		}
-		for i := 0; i < k; i++ {
-			seg := rs.segments[i]
-			rs.acked = seg.end
-			if seg.clock > rs.ackedClock {
-				rs.ackedClock = seg.clock
+		for _, seg := range rs.segments[:k] {
+			if seg.Clock > rs.ackedClock {
+				rs.ackedClock = seg.Clock
 			}
 		}
-		rs.segments = rs.segments[k:]
+		rs.acked = rs.ends[k-1]
+		rs.segments, rs.ends = rs.segments[k:], rs.ends[k:]
 	}
-}
-
-// frontierClock is rank rs's retained flush clock when its first k sealed
-// segments are kept: the acked clock advanced through those cuts.
-func frontierClock(rs *rankState, k int) uint64 {
-	c := rs.ackedClock
-	for i := 0; i < k; i++ {
-		if rs.segments[i].clock > c {
-			c = rs.segments[i].clock
-		}
-	}
-	return c
-}
-
-// refsCovered reports whether every cross-rank reference in maxRef lands at
-// or below the referenced rank's retained frontier clock. A rank that never
-// attached has no durable data, so any reference to it fails.
-func refsCovered(self int, maxRef map[int]uint64, front map[int]uint64) bool {
-	for rank, clock := range maxRef {
-		if rank == self {
-			continue
-		}
-		if f, ok := front[rank]; !ok || f < clock {
-			return false
-		}
-	}
-	return true
 }
 
 // maybeFinalize marks the run complete once every declared rank finished

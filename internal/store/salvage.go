@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,22 +96,35 @@ type RunSalvage struct {
 }
 
 // Segment is one flush-point segment: the frames up to and including a
-// flush mark, with its chunk frames also decoded for frontier math.
-// FlushClock is the writing rank's Lamport clock stamped into the closing
-// mark — a lower bound on its clock at the cut.
+// flush mark, with the matched-event count and cut summary of its chunks.
 type Segment struct {
-	Frames     []*core.Frame
-	Chunks     []*cdcformat.Chunk
-	FlushClock uint64
+	Frames []*core.Frame
+	// Events counts the segment's matched receive events.
+	Events uint64
+	SegmentSummary
 }
 
-// Events counts the segment's matched receive events.
-func (s *Segment) Events() uint64 {
-	var n uint64
-	for _, c := range s.Chunks {
-		n += c.NumMatched
+// SegmentSummary is what the consistent-cut rule reads of one flush-point
+// segment. Clock is the writing rank's Lamport clock stamped into the
+// closing mark — a lower bound on its clock at the cut. Refs holds, per
+// sender, the largest clock the segment's matched events reference, sorted
+// by rank.
+type SegmentSummary struct {
+	Clock uint64
+	Refs  []cdcformat.EpochEntry
+}
+
+// Ref raises the summary's referenced clock for sender to at least clock.
+func (s *SegmentSummary) Ref(sender int32, clock uint64) {
+	i, found := slices.BinarySearchFunc(s.Refs, sender, func(e cdcformat.EpochEntry, r int32) int {
+		return cmp.Compare(e.Rank, r)
+	})
+	switch {
+	case !found:
+		s.Refs = slices.Insert(s.Refs, i, cdcformat.EpochEntry{Rank: sender, Clock: clock})
+	case clock > s.Refs[i].Clock:
+		s.Refs[i].Clock = clock
 	}
-	return n
 }
 
 // ScanSegments scans one record blob into complete flush-point segments,
@@ -132,11 +147,14 @@ func ScanSegments(r io.Reader) (segs []*Segment, clean bool, damage string) {
 			return segs, false, err.Error()
 		}
 		cur.Frames = append(cur.Frames, frame)
-		if frame.Chunk != nil {
-			cur.Chunks = append(cur.Chunks, frame.Chunk)
+		if ch := frame.Chunk; ch != nil {
+			cur.Events += ch.NumMatched
+			for _, e := range ch.EpochLine {
+				cur.Ref(e.Rank, e.Clock)
+			}
 		}
 		if frame.Flush {
-			cur.FlushClock = frame.FlushClock
+			cur.Clock = frame.FlushClock
 			segs = append(segs, cur)
 			cur = &Segment{}
 		}
@@ -158,6 +176,7 @@ type SalvagePlan struct {
 func PlanSalvage(m Manifest, openRank func(rank int) (io.ReadCloser, error)) (*SalvagePlan, error) {
 	n := m.Ranks
 	segs := make([][]*Segment, n)
+	sums := make([][]SegmentSummary, n)
 	report := &SalvageReport{Ranks: make([]RankSalvage, n)}
 	clean := make([]bool, n)
 	for r := 0; r < n; r++ {
@@ -172,29 +191,14 @@ func PlanSalvage(m Manifest, openRank func(rank int) (io.ReadCloser, error)) (*S
 		}
 		rs.Truncated = !clean[r]
 		rs.SegmentsTotal = len(segs[r])
-		for _, s := range segs[r] {
-			rs.EventsTotal += s.Events()
+		sums[r] = make([]SegmentSummary, len(segs[r]))
+		for i, s := range segs[r] {
+			sums[r][i] = s.SegmentSummary
+			rs.EventsTotal += s.Events
 		}
 	}
 
-	// Fixed-point trim to a consistent cross-rank frontier.
-	keep := make([]int, n)
-	frontiers := make([]uint64, n)
-	for r := 0; r < n; r++ {
-		keep[r] = len(segs[r])
-		frontiers[r] = frontier(segs[r], keep[r], clean[r])
-	}
-	for changed := true; changed; {
-		changed = false
-		for r := 0; r < n; r++ {
-			if v := firstViolation(segs[r], keep[r], frontiers); v < keep[r] {
-				keep[r] = v
-				frontiers[r] = frontier(segs[r], keep[r], clean[r])
-				changed = true
-			}
-		}
-	}
-
+	keep, frontiers := ConsistentCut(sums, make([]uint64, n), clean)
 	plan := &SalvagePlan{Report: report, Keep: make([][]*Segment, n)}
 	for r := 0; r < n; r++ {
 		rs := &report.Ranks[r]
@@ -202,10 +206,43 @@ func PlanSalvage(m Manifest, openRank func(rank int) (io.ReadCloser, error)) (*S
 		rs.Frontier = frontiers[r]
 		plan.Keep[r] = segs[r][:keep[r]]
 		for _, s := range plan.Keep[r] {
-			rs.EventsKept += s.Events()
+			rs.EventsKept += s.Events
 		}
 	}
 	return plan, nil
+}
+
+// ConsistentCut is the one consistent-cut rule, shared by salvage and the
+// ingest daemon's ack barrier. Given each rank's flush-point segments in
+// order, it returns how many of segs[r] the maximal cross-rank-consistent
+// cut keeps and rank r's frontier C[r] at that cut. base[r] is a clock
+// already kept below segs[r] (0 when segs[r] starts at the record head);
+// intact[r] reports that segs[r] runs to the end of a cleanly closed
+// record, so keeping all of it makes C[r] infinite. A rank with no
+// segments, base 0 and intact false is a rank with no durable data.
+//
+// The maximal fixed point matters: salvage keeps any self-consistent cut,
+// and ranks whose last segments reference each other form cycles that
+// only the maximal solution keeps.
+func ConsistentCut(segs [][]SegmentSummary, base []uint64, intact []bool) (keep []int, frontiers []uint64) {
+	n := len(segs)
+	keep = make([]int, n)
+	frontiers = make([]uint64, n)
+	for r := 0; r < n; r++ {
+		keep[r] = len(segs[r])
+		frontiers[r] = frontier(segs[r], keep[r], base[r], intact[r])
+	}
+	for changed := true; changed; {
+		changed = false
+		for r := 0; r < n; r++ {
+			if v := firstViolation(segs[r], keep[r], frontiers); v < keep[r] {
+				keep[r] = v
+				frontiers[r] = frontier(segs[r], keep[r], base[r], intact[r])
+				changed = true
+			}
+		}
+	}
+	return keep, frontiers
 }
 
 // frontier computes C[r] over the kept prefix: the rank's own clock at the
@@ -215,36 +252,32 @@ func PlanSalvage(m Manifest, openRank func(rank int) (io.ReadCloser, error)) (*S
 // deterministic continuation alike). Received epoch clocks — a weaker lower
 // bound on the same clock — are folded in for records whose marks carry no
 // sample.
-func frontier(segs []*Segment, keep int, clean bool) uint64 {
-	if clean && keep == len(segs) {
+func frontier(segs []SegmentSummary, keep int, base uint64, intact bool) uint64 {
+	if intact && keep == len(segs) {
 		return math.MaxUint64
 	}
-	var c uint64
+	c := base
 	for _, s := range segs[:keep] {
-		if s.FlushClock > c {
-			c = s.FlushClock
+		if s.Clock > c {
+			c = s.Clock
 		}
-		for _, ch := range s.Chunks {
-			for _, e := range ch.EpochLine {
-				if e.Clock > c {
-					c = e.Clock
-				}
+		for _, e := range s.Refs {
+			if e.Clock > c {
+				c = e.Clock
 			}
 		}
 	}
 	return c
 }
 
-// firstViolation returns the index of the first kept segment holding a
-// chunk that references a sender clock beyond that sender's frontier, or
-// keep when the whole kept prefix is consistent.
-func firstViolation(segs []*Segment, keep int, frontiers []uint64) int {
+// firstViolation returns the index of the first kept segment that
+// references a sender clock beyond that sender's frontier, or keep when
+// the whole kept prefix is consistent.
+func firstViolation(segs []SegmentSummary, keep int, frontiers []uint64) int {
 	for i, s := range segs[:keep] {
-		for _, ch := range s.Chunks {
-			for _, e := range ch.EpochLine {
-				if int(e.Rank) < len(frontiers) && e.Clock > frontiers[e.Rank] {
-					return i
-				}
+		for _, e := range s.Refs {
+			if int(e.Rank) < len(frontiers) && e.Clock > frontiers[e.Rank] {
+				return i
 			}
 		}
 	}
@@ -267,7 +300,7 @@ func WriteSegments(w io.Writer, segs []*Segment) (n int64, lastClock uint64, err
 				return fw.BytesWritten(), 0, err
 			}
 		}
-		lastClock = s.FlushClock
+		lastClock = s.Clock
 	}
 	if err := fw.Close(lastClock); err != nil {
 		return fw.BytesWritten(), lastClock, err

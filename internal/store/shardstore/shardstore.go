@@ -49,42 +49,20 @@ const DefaultFanout = 16
 // compaction pass on the next AppendRank.
 const DefaultCompactAt = 8
 
-// Options tune a ShardStore.
-type Options struct {
-	// Fanout is the shard-directory count for runs this store Creates
-	// (existing runs use their manifest's recorded fanout). 0 means
-	// DefaultFanout.
-	Fanout int
-	// CompactAt triggers compaction when a rank reaches this many
-	// fragments at AppendRank time. 0 means DefaultCompactAt; negative
-	// disables the automatic trigger (Compact can still be called).
-	CompactAt int
-}
-
-// ShardStore is one run in the sharded layout. Use New or NewWithOptions;
-// safe for one writer per rank plus concurrent readers in-process.
+// ShardStore is one run in the sharded layout. Use New; safe for one
+// writer per rank plus concurrent readers in-process.
 type ShardStore struct {
-	dir  string
-	opts Options
+	dir string
 	// mu serializes manifest read-modify-write (fragment registration,
 	// compaction, lifecycle publishes) across rank writers. Commits append
 	// to per-rank journals and do not take it.
 	mu sync.Mutex
 }
 
-// New returns the sharded run store rooted at dir with default options.
-func New(dir string) *ShardStore { return NewWithOptions(dir, Options{}) }
-
-// NewWithOptions returns the sharded run store rooted at dir.
-func NewWithOptions(dir string, opts Options) *ShardStore {
-	if opts.Fanout <= 0 {
-		opts.Fanout = DefaultFanout
-	}
-	if opts.CompactAt == 0 {
-		opts.CompactAt = DefaultCompactAt
-	}
-	return &ShardStore{dir: dir, opts: opts}
-}
+// New returns the sharded run store rooted at dir. Runs it Creates fan
+// out over DefaultFanout shard directories; existing runs keep their
+// manifest's recorded fanout.
+func New(dir string) *ShardStore { return &ShardStore{dir: dir} }
 
 // Dir exposes the underlying directory for operator-facing messages.
 func (s *ShardStore) Dir() string { return s.dir }
@@ -114,7 +92,7 @@ func (s *ShardStore) Create(m store.Manifest) error {
 	m.Index = nil
 	m.Layout = store.LayoutSharded
 	m.SeekableCuts = true
-	m.Shards = &store.ShardMap{Fanout: s.opts.Fanout, Ranks: make([][]store.Fragment, m.Ranks)}
+	m.Shards = &store.ShardMap{Fanout: DefaultFanout, Ranks: make([][]store.Fragment, m.Ranks)}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
@@ -192,7 +170,7 @@ func (s *ShardStore) CreateRank(rank int) (store.BlobWriter, error) {
 // (the previous tail fragment is sealed by construction — its writer
 // closed before a resume happens). resume reports existing committed
 // content, in which case the caller must encode with
-// core.EncoderOptions.Resume. Reaching the configured fragment count
+// core.EncoderOptions.Resume. Reaching DefaultCompactAt fragments
 // triggers a size-tiered compaction pass first.
 func (s *ShardStore) AppendRank(rank int) (store.BlobWriter, bool, error) {
 	s.mu.Lock()
@@ -204,7 +182,7 @@ func (s *ShardStore) AppendRank(rank int) (store.BlobWriter, bool, error) {
 	if err := s.checkShardMap(&m, rank); err != nil {
 		return nil, false, err
 	}
-	if s.opts.CompactAt > 0 && len(m.Shards.Ranks[rank]) >= s.opts.CompactAt {
+	if len(m.Shards.Ranks[rank]) >= DefaultCompactAt {
 		if _, err := s.compactRankLocked(&m, rank); err != nil {
 			return nil, false, err
 		}

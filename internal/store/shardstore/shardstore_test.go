@@ -76,18 +76,18 @@ func fragments(t *testing.T, st store.Store) []store.Fragment {
 	return m.Shards.Ranks[0]
 }
 
-// TestCompactionFixedPoint accumulates many sealed fragments with the
-// automatic trigger disabled, compacts explicitly, and checks the merge
+// TestCompactionFixedPoint accumulates sealed fragments below the
+// automatic trigger (DefaultCompactAt), compacts explicitly, and checks the merge
 // reaches a fixed point without changing a single blob byte: same bytes,
 // same committed offsets, fewer files, and a second Compact is a no-op.
 func TestCompactionFixedPoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
-	st := shardstore.NewWithOptions(dir, shardstore.Options{CompactAt: -1})
+	st := shardstore.New(dir)
 	if err := st.Create(store.Manifest{Ranks: 1, App: "compact"}); err != nil {
 		t.Fatal(err)
 	}
 	var clock uint64
-	for i := 0; i < 9; i++ {
+	for i := 0; i < shardstore.DefaultCompactAt-1; i++ {
 		events := workload.Stream(workload.StreamParams{Events: 80, Senders: 1, Disorder: 2, Seed: int64(i + 1)})
 		clock = appendBurst(t, st, events, clock)
 	}
@@ -95,8 +95,8 @@ func TestCompactionFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := fragments(t, st)
-	if len(before) < 4 {
-		t.Fatalf("setup grew only %d fragments, want enough to merge", len(before))
+	if len(before) < 4 || len(before) >= shardstore.DefaultCompactAt {
+		t.Fatalf("setup grew %d fragments, want enough to merge and fewer than the auto trigger", len(before))
 	}
 	raw, err := st.RawRank(0)
 	if err != nil {
@@ -166,10 +166,10 @@ func TestCompactionFixedPoint(t *testing.T) {
 }
 
 // TestAutoCompactionBoundsFragments checks AppendRank's trigger: fragment
-// counts stay bounded near CompactAt no matter how many times a rank is
-// resumed.
+// counts stay bounded near DefaultCompactAt no matter how many times a
+// rank is resumed.
 func TestAutoCompactionBoundsFragments(t *testing.T) {
-	st := shardstore.NewWithOptions(filepath.Join(t.TempDir(), "run"), shardstore.Options{CompactAt: 4})
+	st := shardstore.New(filepath.Join(t.TempDir(), "run"))
 	if err := st.Create(store.Manifest{Ranks: 1, App: "auto"}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +178,44 @@ func TestAutoCompactionBoundsFragments(t *testing.T) {
 		events := workload.Stream(workload.StreamParams{Events: 60, Senders: 1, Disorder: 2, Seed: int64(i + 1)})
 		clock = appendBurst(t, st, events, clock)
 	}
-	if got := len(fragments(t, st)); got > 5 {
-		t.Fatalf("16 resumes grew %d fragments; the CompactAt=4 trigger never fired", got)
+	if got := len(fragments(t, st)); got > shardstore.DefaultCompactAt+1 {
+		t.Fatalf("16 resumes grew %d fragments; the DefaultCompactAt=%d trigger never fired", got, shardstore.DefaultCompactAt)
 	}
 	if err := st.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := rank0Events(st); err != nil || n == 0 {
 		t.Fatalf("auto-compacted blob does not decode: %v", err)
+	}
+}
+
+// TestRecordedFanoutKept checks that a run recorded with another fanout
+// keeps placing its fragments by its manifest's fanout, not DefaultFanout.
+func TestRecordedFanoutKept(t *testing.T) {
+	st := shardstore.New(filepath.Join(t.TempDir(), "run"))
+	if err := st.Create(store.Manifest{Ranks: 6, App: "fanout"}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Shards.Fanout = 4
+	if err := st.WriteManifest(m); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := st.AppendRank(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = st.Manifest(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Shards.Ranks[5][0].Path, "shards/s01/r0005.f0001.cdc"; got != want {
+		t.Fatalf("rank 5 fragment at %s, want %s (fanout 4 from the manifest)", got, want)
 	}
 }
 

@@ -22,11 +22,11 @@ func TestFirstCommitSyncsFragmentDirs(t *testing.T) {
 	defer func() { syncDir = store.SyncDir }()
 
 	run := filepath.Join(t.TempDir(), "run")
-	s := NewWithOptions(run, Options{Fanout: 4, CompactAt: -1})
+	s := New(run)
 	if err := s.Create(store.Manifest{Ranks: 6}); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{filepath.Join(run, "shards", "s01"), filepath.Join(run, "shards"), run}
+	want := []string{filepath.Join(run, "shards", "s05"), filepath.Join(run, "shards"), run}
 	commits := func(w store.BlobWriter, n int) {
 		t.Helper()
 		for i := 1; i <= n; i++ {
