@@ -33,6 +33,26 @@ func (e *RejectedError) Error() string {
 // Retryable reports whether redialing can help.
 func (e *RejectedError) Retryable() bool { return e.Code.Retryable() }
 
+// FrontierError is a WELCOME whose resume offset contradicts the client's
+// own frontier: behind what the server already acked (a record root swap
+// would do this), or past every event the client produced. Redialing the
+// same server cannot repair either, so reconnect stops on it at once.
+type FrontierError struct {
+	// Resume is the server's stated resume offset.
+	Resume uint64
+	// Acked is the server's acked frontier the client holds.
+	Acked uint64
+	// Offset is the client's total logical-event count.
+	Offset uint64
+}
+
+func (e *FrontierError) Error() string {
+	if e.Resume < e.Acked {
+		return fmt.Sprintf("ingestclient: server resume offset %d behind acked %d", e.Resume, e.Acked)
+	}
+	return fmt.Sprintf("ingestclient: server resume offset %d past client offset %d", e.Resume, e.Offset)
+}
+
 // Backoff shapes the reconnect schedule: attempt n waits
 // min(Base·2ⁿ, Cap), multiplied by a uniform jitter in [1−Jitter, 1+Jitter]
 // so a herd of clients reconnecting after a daemon restart spreads out
@@ -258,17 +278,13 @@ func (c *Client) connect(gen uint64) error {
 		c.offset = w.Offset
 		c.acked.Store(w.Offset)
 	}
-	if w.Offset < c.acked.Load() {
+	if acked := c.acked.Load(); w.Offset < acked || w.Offset > c.offset {
 		// The server must never move the durable frontier backwards past
-		// what it acked; a record root swap would do this.
+		// what it acked, nor past what the client sent.
+		err := &FrontierError{Resume: w.Offset, Acked: acked, Offset: c.offset}
 		c.mu.Unlock()
 		nc.Close() //cdc:allow(errsink) teardown of an inconsistent session
-		return fmt.Errorf("ingestclient: server resume offset %d behind acked %d", w.Offset, c.acked.Load())
-	}
-	if w.Offset > c.offset {
-		c.mu.Unlock()
-		nc.Close() //cdc:allow(errsink) teardown of an inconsistent session
-		return fmt.Errorf("ingestclient: server resume offset %d past client offset %d", w.Offset, c.offset)
+		return err
 	}
 	c.nc, c.wc, c.live = nc, wc, true
 	c.sentThrough = w.Offset
@@ -488,7 +504,8 @@ func (c *Client) Flush() error {
 }
 
 // reconnect redials under the backoff schedule until a session is
-// established, a permanent rejection arrives, or attempts run out.
+// established, a permanent rejection or a FrontierError arrives, or
+// attempts run out.
 func (c *Client) reconnect() error {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.Backoff.MaxAttempts; attempt++ {
@@ -501,7 +518,8 @@ func (c *Client) reconnect() error {
 		}
 		lastErr = err
 		var re *RejectedError
-		if errors.As(err, &re) && !re.Retryable() {
+		var fe *FrontierError
+		if errors.As(err, &re) && !re.Retryable() || errors.As(err, &fe) {
 			return err
 		}
 		time.Sleep(c.cfg.Backoff.Delay(attempt))

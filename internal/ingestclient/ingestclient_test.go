@@ -1,11 +1,16 @@
 package ingestclient
 
 import (
+	"errors"
 	"math/rand"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cdcreplay/internal/ingestwire"
+	"cdcreplay/internal/tables"
 )
 
 func TestBackoffDelayBounds(t *testing.T) {
@@ -94,5 +99,95 @@ func TestRejectedErrorRetryable(t *testing.T) {
 		if e.Error() == "" {
 			t.Errorf("RejectedError{%v} has empty message", tc.code)
 		}
+	}
+}
+
+// stubSession serves one connection of a stub daemon: it welcomes the
+// client at resume, then acks every EVENTS frame through the stream's
+// offset and hangs up once acked events have been acked.
+func stubSession(t *testing.T, nc net.Conn, resume, acked uint64) {
+	defer nc.Close()
+	wc := ingestwire.NewConn(nc)
+	if kind, _, err := wc.ReadFrame(); err != nil || kind != ingestwire.KindHello {
+		t.Errorf("stub: handshake read kind %#x, err %v", kind, err)
+		return
+	}
+	if err := wc.WriteWelcome(ingestwire.Welcome{Session: 1, Offset: resume}); err != nil {
+		return
+	}
+	off := resume
+	for off < acked {
+		kind, payload, err := wc.ReadFrame()
+		if err != nil {
+			return
+		}
+		if kind != ingestwire.KindEvents {
+			continue
+		}
+		rows, err := ingestwire.DecodeRows(payload)
+		if err != nil {
+			t.Errorf("stub: %v", err)
+			return
+		}
+		for _, r := range rows {
+			off += r.Weight()
+		}
+		if err := wc.WriteOffset(ingestwire.KindAck, off); err != nil {
+			return
+		}
+	}
+}
+
+// TestFrontierRegressionIsPermanent: after a session acks three events and
+// drops, the stub daemon welcomes the reconnect at a resume offset the
+// client's frontier rules out. Reconnect must fail with a FrontierError
+// after exactly one dial instead of retrying to MaxAttempts.
+func TestFrontierRegressionIsPermanent(t *testing.T) {
+	const acked = 3
+	for _, resume := range []uint64{1, 100} {
+		var dials atomic.Int32
+		var wg sync.WaitGroup
+		cfg := Config{
+			Addr: "stub", Run: "r", Ranks: 1, BatchRows: 1,
+			Backoff: Backoff{Base: time.Millisecond, Cap: time.Millisecond, MaxAttempts: 5},
+			Dialer: func(string) (net.Conn, error) {
+				client, server := net.Pipe()
+				r, a := uint64(0), uint64(acked)
+				if dials.Add(1) > 1 {
+					r, a = resume, 0
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					stubSession(t, server, r, a)
+				}()
+				return client, nil
+			},
+		}
+		c, err := Dial(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < acked; i++ {
+			if err := c.Observe(7, "cs", tables.Matched(0, uint64(i+1), false), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Acked() < acked {
+			if time.Now().After(deadline) {
+				t.Fatalf("stub acked %d of %d events", c.Acked(), acked)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		err = c.Observe(7, "", tables.Matched(0, acked+1, false), 0)
+		var fe *FrontierError
+		if !errors.As(err, &fe) || fe.Resume != resume {
+			t.Fatalf("resume %d: err = %v, want a FrontierError at resume %d", resume, err, resume)
+		}
+		if got := dials.Load(); got != 2 {
+			t.Fatalf("resume %d: %d dials, want the first session plus exactly one reconnect attempt", resume, got)
+		}
+		wg.Wait()
 	}
 }

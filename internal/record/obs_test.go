@@ -12,6 +12,7 @@ import (
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/obs"
 	"cdcreplay/internal/simmpi"
+	"cdcreplay/internal/tables"
 	"cdcreplay/internal/workload"
 )
 
@@ -188,5 +189,40 @@ func TestObsDisabledOverheadWithinNoise(t *testing.T) {
 	}
 	if onNs > offNs*1.5 {
 		t.Errorf("enabled instrumentation more than 50%% over disabled: on %.0f ns/op vs off %.0f ns/op", onNs, offNs)
+	}
+}
+
+// slowBackend is a collector whose Observe takes long enough that a small
+// observe queue fills behind it.
+type slowBackend struct{ *collector }
+
+func (b slowBackend) Observe(cs uint64, ev tables.Event) error {
+	time.Sleep(50 * time.Microsecond)
+	return b.collector.Observe(cs, ev)
+}
+
+// TestEnqueueBlockedIsQueueStalls forces the observe queue full and checks
+// RateStats.EnqueueBlocked and record.queue.stalls report one count.
+func TestEnqueueBlockedIsQueueStalls(t *testing.T) {
+	const rows = 200
+	reg := obs.NewRegistry()
+	w := simmpi.NewWorld(1, simmpi.Options{})
+	rec := New(lamport.Wrap(w.Comm(0)), slowBackend{newCollector()}, Options{QueueCapacity: 2, Obs: reg})
+	for i := 0; i < rows; i++ {
+		rec.enqueue(0, "slow", tables.MatchedTagged(0, 1, uint64(i+1), false))
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := rec.Stats()
+	stalls := reg.Snapshot().Counter("record.queue.stalls")
+	if st.EnqueueBlocked == 0 {
+		t.Fatalf("EnqueueBlocked = 0 with a 2-slot queue behind a slow backend; the queue never filled")
+	}
+	if st.EnqueueBlocked != stalls {
+		t.Fatalf("EnqueueBlocked = %d, record.queue.stalls = %d; want one count", st.EnqueueBlocked, stalls)
+	}
+	if st.Enqueued != rows {
+		t.Fatalf("Enqueued = %d, want %d", st.Enqueued, rows)
 	}
 }

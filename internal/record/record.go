@@ -84,7 +84,8 @@ type RateStats struct {
 	// Enqueued is the number of rows the main thread produced.
 	Enqueued uint64
 	// EnqueueBlocked counts Enqueue calls that found the queue full at
-	// least once (expected to stay zero: the CDC thread drains faster).
+	// least once (expected to stay zero: the CDC thread drains faster). It
+	// is the queue's own stall count, the one record.queue.stalls reports.
 	EnqueueBlocked uint64
 	// DrainDuration is the CDC goroutine's busy time: every stretch it
 	// spends processing rows or flushing rather than waiting on the queue.
@@ -361,7 +362,11 @@ func (r *Recorder) Err() error {
 }
 
 // Stats returns queue-rate statistics (valid after Close).
-func (r *Recorder) Stats() RateStats { return r.stats }
+func (r *Recorder) Stats() RateStats {
+	s := r.stats
+	s.EnqueueBlocked = r.q.Stalls()
+	return s
+}
 
 func (r *Recorder) enqueue(cs uint64, name string, ev tables.Event) {
 	if r.Err() != nil {
@@ -383,13 +388,6 @@ func (r *Recorder) enqueue(cs uint64, name string, ev tables.Event) {
 		clock = r.clockNow()
 	}
 	item := queueItem{callsite: cs, first: first, ev: ev, clock: clock}
-	// Full-at-entry is sampled from the producer's own view rather than via
-	// TryEnqueue, whose failure path now bumps the shared Stalls instrument;
-	// Enqueue below counts the same episode once, keeping one blocking
-	// episode = one stall.
-	if r.q.Len() == r.q.Cap() {
-		r.stats.EnqueueBlocked++
-	}
 	if !r.q.Enqueue(item) {
 		return
 	}

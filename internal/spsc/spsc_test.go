@@ -1,31 +1,39 @@
 package spsc
 
 import (
-	"cdcreplay/internal/obs"
-
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"cdcreplay/internal/obs"
 )
 
+// TestFIFOOrder fills queues to capacity, including requested capacities
+// that are not a multiple of the segment length, and checks TryEnqueue
+// fails exactly at Cap() and the items come back in order.
 func TestFIFOOrder(t *testing.T) {
-	q := New[int](8)
-	for i := 0; i < 8; i++ {
-		if !q.TryEnqueue(i) {
-			t.Fatalf("TryEnqueue(%d) failed on non-full queue", i)
+	for _, req := range []int{8, 100, 1500, 3000, 5000} {
+		q := New[int](req)
+		n := q.Cap()
+		for i := 0; i < n; i++ {
+			if !q.TryEnqueue(i) {
+				t.Fatalf("New(%d): TryEnqueue(%d) failed below Cap() = %d", req, i, n)
+			}
 		}
-	}
-	if q.TryEnqueue(99) {
-		t.Fatal("TryEnqueue succeeded on full queue")
-	}
-	for i := 0; i < 8; i++ {
-		v, ok := q.TryDequeue()
-		if !ok || v != i {
-			t.Fatalf("TryDequeue = %d,%v want %d,true", v, ok, i)
+		if q.TryEnqueue(99) {
+			t.Fatalf("New(%d): TryEnqueue succeeded at Cap() = %d", req, n)
 		}
-	}
-	if _, ok := q.TryDequeue(); ok {
-		t.Fatal("TryDequeue succeeded on empty queue")
+		for i := 0; i < n; i++ {
+			v, ok := q.TryDequeue()
+			if !ok || v != i {
+				t.Fatalf("New(%d): TryDequeue = %d,%v want %d,true", req, v, ok, i)
+			}
+		}
+		if _, ok := q.TryDequeue(); ok {
+			t.Fatalf("New(%d): TryDequeue succeeded on empty queue", req)
+		}
 	}
 }
 
@@ -80,29 +88,41 @@ func TestEnqueueAfterCloseDrops(t *testing.T) {
 }
 
 // TestCloseUnblocksFullEnqueue simulates a crashed consumer: the producer is
-// blocked on a full ring, a supervisor closes the queue, and the producer
-// must unblock with Enqueue reporting the item was dropped.
+// blocked on a full queue, a supervisor closes it, and the producer must
+// unblock with Enqueue reporting the item was dropped. The larger queue's
+// backlog spans several segments.
 func TestCloseUnblocksFullEnqueue(t *testing.T) {
-	q := New[int](2)
-	q.Enqueue(1)
-	q.Enqueue(2)
-	done := make(chan bool, 1)
-	go func() {
-		done <- q.Enqueue(3) // blocks: ring is full, nobody is draining
-	}()
-	select {
-	case <-done:
-		t.Fatal("Enqueue on full queue returned before Close")
-	case <-time.After(20 * time.Millisecond):
-	}
-	q.Close()
-	select {
-	case accepted := <-done:
-		if accepted {
-			t.Fatal("Enqueue after Close-while-blocked reported accepted")
+	for _, capacity := range []int{2, 4 * maxSegmentLen} {
+		q := New[int](capacity)
+		for i := 0; i < capacity; i++ {
+			q.Enqueue(i)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked Enqueue did not unblock after Close")
+		done := make(chan bool, 1)
+		go func() {
+			done <- q.Enqueue(-1) // blocks: the queue is full, nobody is draining
+		}()
+		select {
+		case <-done:
+			t.Fatalf("cap %d: Enqueue on full queue returned before Close", capacity)
+		case <-time.After(20 * time.Millisecond):
+		}
+		q.Close()
+		select {
+		case accepted := <-done:
+			if accepted {
+				t.Fatalf("cap %d: Enqueue after Close-while-blocked reported accepted", capacity)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cap %d: blocked Enqueue did not unblock after Close", capacity)
+		}
+		for i := 0; i < capacity; i++ {
+			if v, ok := q.Dequeue(); !ok || v != i {
+				t.Fatalf("cap %d: drain got %d,%v want %d,true", capacity, v, ok, i)
+			}
+		}
+		if _, ok := q.Dequeue(); ok {
+			t.Fatalf("cap %d: Dequeue on closed drained queue returned ok", capacity)
+		}
 	}
 }
 
@@ -178,8 +198,128 @@ func TestPointerValuesReleased(t *testing.T) {
 	q.Enqueue(v)
 	q.Dequeue()
 	// The slot must have been zeroed so the queue doesn't pin the object.
-	if q.buf[0] != nil {
+	if q.first.buf[0] != nil {
 		t.Fatal("dequeued slot still references the value")
+	}
+}
+
+// segments counts the segments chained from the consumer's to the
+// producer's. Call it only while neither endpoint is running.
+func segments[T any](q *Queue[T]) int {
+	n := 1
+	for s := q.headSeg; s != q.tailSeg; s = s.next.Load() {
+		n++
+	}
+	return n
+}
+
+// TestNewAllocatesOneSegment: a 65,536-slot observe queue of 56-byte rows
+// allocates its first segment only, not the whole capacity.
+func TestNewAllocatesOneSegment(t *testing.T) {
+	const queues = 8
+	segBytes := uint64(maxSegmentLen * 56)
+	var q *Queue[[56]byte]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queues; i++ {
+		q = New[[56]byte](65536)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / queues; per >= 2*segBytes {
+		t.Fatalf("New[[56]byte](65536) allocated %d bytes, want less than two %d-byte segments", per, segBytes)
+	}
+	if q.Cap() != 65536 || segments(q) != 1 {
+		t.Fatalf("Cap() = %d with %d segments, want 65536 with 1", q.Cap(), segments(q))
+	}
+}
+
+// TestBacklogHoldsCeilSegments: a backlog of d items enqueued from the
+// start holds ceil(d/segment) segments, and draining it leaves one.
+func TestBacklogHoldsCeilSegments(t *testing.T) {
+	for _, d := range []int{1, maxSegmentLen - 1, maxSegmentLen, maxSegmentLen + 1, 3000, 4 * maxSegmentLen} {
+		q := New[int](4 * maxSegmentLen)
+		for i := 0; i < d; i++ {
+			if !q.TryEnqueue(i) {
+				t.Fatalf("backlog %d: TryEnqueue(%d) failed", d, i)
+			}
+		}
+		if got, want := segments(q), (d+maxSegmentLen-1)/maxSegmentLen; got != want {
+			t.Errorf("backlog %d: %d segments, want %d", d, got, want)
+		}
+		for i := 0; i < d; i++ {
+			if v, ok := q.TryDequeue(); !ok || v != i {
+				t.Fatalf("backlog %d: TryDequeue = %d,%v want %d,true", d, v, ok, i)
+			}
+		}
+		if got := segments(q); got != 1 {
+			t.Errorf("backlog %d drained: %d segments, want 1", d, got)
+		}
+	}
+}
+
+// TestSteadyStateAllocatesNothing: traffic whose backlog stays within two
+// segments runs on the consumer's spare and allocates nothing per item.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	for _, burst := range []int{1, 700, maxSegmentLen} {
+		q := New[[56]byte](65536)
+		var item [56]byte
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < burst; i++ {
+				q.TryEnqueue(item)
+			}
+			for i := 0; i < burst; i++ {
+				q.TryDequeue()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("burst %d: %.2f allocations per burst, want 0", burst, allocs)
+		}
+	}
+}
+
+// TestSegmentedFIFOStress streams items through a multi-segment queue in
+// random bursts while the consumer pauses now and then, so the backlog
+// grows and shrinks across segment boundaries; run it under -race.
+func TestSegmentedFIFOStress(t *testing.T) {
+	const n = 300_000
+	q := New[int](4 * maxSegmentLen)
+	depth := obs.NewRegistry().Gauge("depth")
+	q.Instrument(Instruments{Depth: depth})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < n; {
+			burst := 1 + rng.Intn(3*maxSegmentLen)
+			for j := 0; j < burst && i < n; j++ {
+				q.Enqueue(i)
+				i++
+			}
+			runtime.Gosched()
+		}
+		q.Close()
+	}()
+	want := 0
+	for {
+		v, ok := q.Dequeue()
+		if !ok {
+			break
+		}
+		if v != want {
+			t.Fatalf("out of order: got %d want %d", v, want)
+		}
+		want++
+		if want%20_000 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if want != n {
+		t.Fatalf("consumed %d items, want %d", want, n)
+	}
+	wg.Wait()
+	if m := depth.Max(); m <= maxSegmentLen {
+		t.Fatalf("peak backlog %d never crossed a segment boundary", m)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"cdcreplay/internal/store"
 )
@@ -36,7 +37,19 @@ import (
 // DirStore is one run in the dir layout. The zero value is unusable; use
 // New. Safe for one writer per rank plus concurrent readers in-process:
 // each rank's writer appends only to its own blob and journal.
-type DirStore struct{ dir string }
+type DirStore struct {
+	dir string
+	// complete is the last Complete manifest load decoded, with the
+	// manifest.json it came from; nil until one is seen.
+	complete atomic.Pointer[completeManifest]
+}
+
+// completeManifest is a decoded Complete manifest and the FileInfo of the
+// manifest.json it was read from.
+type completeManifest struct {
+	fi os.FileInfo
+	m  store.Manifest
+}
 
 // New returns the run store rooted at dir. Nothing is touched until
 // Create (recording) or a read method (replay).
@@ -60,7 +73,31 @@ func (s *DirStore) Seekable() bool { return false }
 // Manifest returns the current manifest, with the index journals of an
 // incomplete run folded in.
 func (s *DirStore) Manifest() (store.Manifest, error) {
-	return store.LoadManifest(s.dir)
+	m, err := s.load()
+	return m.Clone(), err
+}
+
+// load is Manifest for callers that only read the result, which may share
+// its slices with the remembered manifest. A Complete manifest is decoded
+// once and remembered against manifest.json's FileInfo (same file, size
+// and mtime): every republish renames a new file into place, so a Reopen
+// or Finalize through any handle shows as a different FileInfo. Incomplete
+// runs are decoded on every call, since their journals change at every
+// commit. The stat precedes the read, so a republish between the two
+// leaves the remembered FileInfo older than the bytes, which costs one
+// more decode and never a stale hit.
+func (s *DirStore) load() (store.Manifest, error) {
+	fi, statErr := os.Stat(filepath.Join(s.dir, store.ManifestName))
+	c := s.complete.Load()
+	if statErr == nil && c != nil && os.SameFile(c.fi, fi) &&
+		c.fi.Size() == fi.Size() && c.fi.ModTime().Equal(fi.ModTime()) {
+		return c.m, nil
+	}
+	m, err := store.LoadManifest(s.dir)
+	if err == nil && statErr == nil && m.Complete {
+		s.complete.Store(&completeManifest{fi: fi, m: m})
+	}
+	return m, err
 }
 
 // Create prepares the run directory (creating it if needed) and publishes
@@ -150,7 +187,7 @@ func (s *DirStore) AppendRank(rank int) (store.BlobWriter, bool, error) {
 // existing size is baseOffset; resumed cuts count events on from the
 // rank's last committed cut). On error f is closed.
 func (s *DirStore) openWriter(rank int, f *os.File, baseOffset int64) (*blobWriter, error) {
-	m, err := s.Manifest()
+	m, err := s.load()
 	var j *store.Journal
 	if err == nil {
 		j, err = store.OpenJournal(s.dir, rank, len(m.RankIndex(rank)))
@@ -170,7 +207,7 @@ func (s *DirStore) openWriter(rank int, f *os.File, baseOffset int64) (*blobWrit
 // index offset when the run is incomplete (the concurrent-reader rule:
 // never hand out bytes past the committed epoch line).
 func (s *DirStore) OpenRank(rank int) (store.BlobReader, error) {
-	m, err := s.Manifest()
+	m, err := s.load()
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +262,7 @@ func (s *DirStore) RawRank(rank int) (store.BlobReader, error) {
 // <run>.salvaged, which the root sweep adopts. Complete runs are untouched
 // (nil report). A run another layout wrote is refused, not rewritten.
 func (s *DirStore) Salvage() (*store.SalvageReport, error) {
-	m, err := s.Manifest()
+	m, err := s.load()
 	if err != nil || m.Complete {
 		return nil, err
 	}

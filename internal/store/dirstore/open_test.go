@@ -1,6 +1,7 @@
 package dirstore_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -191,5 +192,81 @@ func TestOpenRejectsWrongVersion(t *testing.T) {
 	}
 	if _, err := store.Open(dirstore.New(dir), "", 0); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestOpenRankDecodesCompleteManifestOnce: OpenRank on a complete run
+// decodes manifest.json once. Garbling the file in place, keeping its
+// inode, size and mtime, goes unnoticed by later calls, which a re-decode
+// would fail on; a Reopen through a second handle is seen by the first.
+func TestOpenRankDecodesCompleteManifestOnce(t *testing.T) {
+	dir := t.TempDir()
+	st := dirstore.New(dir)
+	if err := st.Create(store.Manifest{Ranks: 2, App: "mcb"}); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		writeRank(t, st, r, 5)
+	}
+	if err := st.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := st.OpenRank(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	path := filepath.Join(dir, store.ManifestName)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.Repeat([]byte{'x'}, len(orig)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		r, err := st.OpenRank(i % 2)
+		if err != nil {
+			t.Fatalf("OpenRank call %d decoded the manifest again: %v", i+2, err)
+		}
+		r.Close()
+	}
+	if _, err := dirstore.New(dir).OpenRank(0); !errors.Is(err, store.ErrBadManifest) {
+		t.Fatalf("fresh handle on the garbled manifest: err = %v, want ErrBadManifest", err)
+	}
+
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dirstore.New(dir).Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Complete {
+		t.Fatal("Reopen through a second handle not seen: manifest still Complete")
+	}
+	// An incomplete run reads a rank whose blob is gone as empty, where a
+	// complete one would fail.
+	if err := os.Remove(dirstore.RankPath(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r, err = st.OpenRank(1)
+	if err != nil {
+		t.Fatalf("OpenRank after Reopen still treats the run as complete: %v", err)
+	}
+	defer r.Close()
+	if r.Size() != 0 {
+		t.Fatalf("missing blob of an incomplete run has size %d, want 0", r.Size())
 	}
 }
