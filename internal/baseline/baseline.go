@@ -300,3 +300,7 @@ func (m *CDCMethod) Stats() core.Stats { return m.enc.Stats() }
 // FlushAll forwards the periodic memory-bound flush (§3.5), stamping the
 // rank's sampled Lamport clock into the flush-point mark.
 func (m *CDCMethod) FlushAll(clock uint64) error { return m.enc.FlushAll(clock) }
+
+// NoteCollective forwards the rank's collective clock to the encoder, whose
+// later flush-point marks carry it.
+func (m *CDCMethod) NoteCollective(clock uint64) { m.enc.NoteCollective(clock) }

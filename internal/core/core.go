@@ -16,7 +16,7 @@
 //	  frame := kind byte, varint payload length, payload, CRC32 trailer
 //	  kind 1: chunk           (cdcformat.Chunk)
 //	  kind 2: callsite name   (varint id, UTF-8 name)
-//	  kind 3: flush point     (varint writer clock)
+//	  kind 3: flush point     (varint writer clock [, varint collective clock])
 //
 // The trailer is the IEEE CRC32 of kind+length+payload, little-endian, so a
 // reader can stop cleanly at the last intact frame of a crashed run's
@@ -24,9 +24,14 @@
 // only when every callsite stream was flushed through it, which is what
 // makes a salvaged prefix replayable (see store.PlanSalvage). The frame
 // carries the rank's own Lamport clock at the cut (a lower bound sampled on
-// the application thread): every send the rank made with a smaller or equal
-// clock provably precedes the cut, which is what lets salvage compute a
-// tight cross-rank consistency frontier instead of cascading to nothing.
+// the application thread): every send the rank made with a smaller clock
+// provably precedes the cut, which is what lets salvage compute a tight
+// cross-rank consistency frontier instead of cascading to nothing. A mark
+// written after the rank left a collective also carries its clock on
+// leaving the newest one (omitted while zero, so records of collective-free
+// runs are unchanged): a collective's result depends on every rank's
+// contribution, so salvage keeps a cut past it only where every rank's kept
+// prefix reaches that collective.
 //
 // Chunks for one callsite appear in record order; chunks of different
 // callsites interleave in flush order.
@@ -262,11 +267,12 @@ func (fw *FrameWriter) Flush() error {
 }
 
 // FlushPoint marks a consistent cut — a flush-point frame carrying the
-// writer's clock, followed by a Flush — after which everything written so
-// far is salvageable as a unit. With SetSeekableCuts the member is closed
-// instead of sync-flushed, leaving BytesWritten on a member boundary.
-func (fw *FrameWriter) FlushPoint(clock uint64) error {
-	if err := fw.WriteFrame(frameFlush, varint.AppendUint(nil, clock)); err != nil {
+// writer's clock and collective clock (see markPayload), followed by a
+// Flush — after which everything written so far is salvageable as a unit.
+// With SetSeekableCuts the member is closed instead of sync-flushed,
+// leaving BytesWritten on a member boundary.
+func (fw *FrameWriter) FlushPoint(clock, coll uint64) error {
+	if err := fw.WriteFrame(frameFlush, markPayload(clock, coll)); err != nil {
 		return err
 	}
 	if fw.seekable {
@@ -303,13 +309,14 @@ func (fw *FrameWriter) endMember() error {
 	return nil
 }
 
-// Close writes a final flush-point frame carrying clock, finalizes the gzip
-// stream, and fsyncs when durable. The FrameWriter cannot be used afterwards.
-func (fw *FrameWriter) Close(clock uint64) error {
+// Close writes a final flush-point frame carrying clock and coll, finalizes
+// the gzip stream, and fsyncs when durable. The FrameWriter cannot be used
+// afterwards.
+func (fw *FrameWriter) Close(clock, coll uint64) error {
 	if fw.closed {
 		return nil
 	}
-	if err := fw.WriteFrame(frameFlush, varint.AppendUint(nil, clock)); err != nil {
+	if err := fw.WriteFrame(frameFlush, markPayload(clock, coll)); err != nil {
 		return err
 	}
 	fw.closed = true
@@ -324,6 +331,17 @@ func (fw *FrameWriter) Close(clock uint64) error {
 		return fw.sync.Sync()
 	}
 	return nil
+}
+
+// markPayload is a flush-point frame's payload: the writer's clock, then
+// its collective clock when nonzero. A zero collective clock is omitted, so
+// marks of runs without collectives keep their one-varint form.
+func markPayload(clock, coll uint64) []byte {
+	b := varint.AppendUint(nil, clock)
+	if coll > 0 {
+		b = varint.AppendUint(b, coll)
+	}
+	return b
 }
 
 // BytesWritten reports the compressed bytes emitted so far (exact after
@@ -341,8 +359,10 @@ type Encoder struct {
 	named   map[uint64]bool
 	// clock is the best lower bound on the writing rank's Lamport clock:
 	// the max of FlushAll-supplied samples and observed receive clocks. It
-	// stamps flush-point frames.
+	// stamps flush-point frames, and so does coll, the largest clock
+	// NoteCollective reported.
 	clock  uint64
+	coll   uint64
 	stats  Stats
 	closed bool
 
@@ -550,11 +570,21 @@ func (e *Encoder) FlushAll(clock uint64) error {
 		e.stats.FlushPoints++
 	}
 	j := e.getJob(kind)
-	j.clock = e.clock
+	j.clock, j.coll = e.clock, e.coll
 	if err := e.run(j); err != nil || skipped {
 		return err
 	}
 	return e.notifyFlushPoint()
+}
+
+// NoteCollective reports that the writing rank left a collective with
+// Lamport clock clock, before the events observed since. Every later
+// flush-point mark carries the largest such clock, so salvage can tell which
+// collectives a cut has passed (see store.ConsistentCut).
+func (e *Encoder) NoteCollective(clock uint64) {
+	if clock > e.coll {
+		e.coll = clock
+	}
 }
 
 // notifyFlushPoint invokes the OnFlushPoint commit hook after a mark
@@ -583,7 +613,7 @@ func (e *Encoder) Close() error {
 	}
 	e.stats.FlushPoints++
 	j := e.getJob(jobClose)
-	j.clock = e.clock
+	j.clock, j.coll = e.clock, e.coll
 	err := e.run(j)
 	if e.pipe != nil {
 		e.pipe.shutdown()

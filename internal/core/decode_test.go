@@ -345,7 +345,7 @@ func frameAsRecord(f *testing.F, payload []byte) []byte {
 	if err := fw.WriteFrame(frameChunk, payload); err != nil {
 		f.Fatal(err)
 	}
-	if err := fw.Close(1); err != nil {
+	if err := fw.Close(1, 0); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()

@@ -132,17 +132,18 @@ func TestFrameReaderBitFlipAtEveryOffset(t *testing.T) {
 }
 
 // TestFlushPointClockRoundTrip checks flush-point frames carry their clocks
-// through a write/read cycle, at both the FrameWriter and Encoder levels.
+// and collective clocks through a write/read cycle, and that a mark with no
+// collective clock keeps its one-varint payload.
 func TestFlushPointClockRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw, err := NewFrameWriter(&buf, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.FlushPoint(42); err != nil {
+	if err := fw.FlushPoint(42, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Close(99); err != nil {
+	if err := fw.Close(99, 7); err != nil {
 		t.Fatal(err)
 	}
 	frames, err := readAll(buf.Bytes())
@@ -154,5 +155,11 @@ func TestFlushPointClockRoundTrip(t *testing.T) {
 	}
 	if frames[0].FlushClock != 42 || frames[1].FlushClock != 99 {
 		t.Fatalf("clocks %d, %d; want 42, 99", frames[0].FlushClock, frames[1].FlushClock)
+	}
+	if frames[0].CollClock != 0 || frames[1].CollClock != 7 {
+		t.Fatalf("collective clocks %d, %d; want 0, 7", frames[0].CollClock, frames[1].CollClock)
+	}
+	if len(frames[0].Payload) != 1 {
+		t.Fatalf("mark without a collective clock has a %d-byte payload, want 1", len(frames[0].Payload))
 	}
 }

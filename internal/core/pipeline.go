@@ -72,9 +72,9 @@ func putGzipWriter(level int, zw *gzip.Writer) {
 const (
 	jobChunk      = iota // encode events into a chunk frame
 	jobCallsite          // pre-marshaled callsite-name frame
-	jobFlushPoint        // FrameWriter.FlushPoint(clock)
+	jobFlushPoint        // FrameWriter.FlushPoint(clock, coll)
 	jobFlushOnly         // FrameWriter.Flush (FlushAll round that skipped a stream)
-	jobClose             // FrameWriter.Close(clock)
+	jobClose             // FrameWriter.Close(clock, coll)
 )
 
 // encodeJob is one unit of encode work. Jobs own their events, exceptions,
@@ -87,6 +87,7 @@ type encodeJob struct {
 	kind       int
 	callsite   uint64
 	clock      uint64
+	coll       uint64
 	events     []tables.Event
 	exceptions []tables.MatchedEntry
 	payload    []byte
@@ -138,13 +139,13 @@ func (e *Encoder) commit(j *encodeJob) error {
 	case jobCallsite:
 		err = e.fw.WriteFrame(frameCallsite, j.payload)
 	case jobFlushPoint:
-		err = e.fw.FlushPoint(j.clock)
+		err = e.fw.FlushPoint(j.clock, j.coll)
 		e.reportGzipBytes()
 	case jobFlushOnly:
 		err = e.fw.Flush()
 		e.reportGzipBytes()
 	case jobClose:
-		err = e.fw.Close(j.clock)
+		err = e.fw.Close(j.clock, j.coll)
 		e.reportGzipBytes()
 	}
 	if err != nil {

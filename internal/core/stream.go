@@ -58,9 +58,12 @@ type Frame struct {
 	CallsiteID   uint64
 	CallsiteName string
 	// Flush marks a flush-point frame (a consistent cut); FlushClock is the
-	// writing rank's Lamport clock lower bound at that cut.
+	// writing rank's Lamport clock lower bound at that cut, and CollClock
+	// its clock on leaving the newest collective before the cut (zero when
+	// the mark carries none).
 	Flush      bool
 	FlushClock uint64
+	CollClock  uint64
 }
 
 // FrameReader decodes a record file incrementally, one frame at a time,
@@ -238,6 +241,11 @@ func parseFrame(raw rawFrame) (*Frame, error) {
 		clock, err := pr.Uint()
 		if err != nil {
 			return nil, fmt.Errorf("core: flush frame clock: %w", err)
+		}
+		if pr.Len() != 0 {
+			if f.CollClock, err = pr.Uint(); err != nil {
+				return nil, fmt.Errorf("core: flush frame collective clock: %w", err)
+			}
 		}
 		if pr.Len() != 0 {
 			return nil, fmt.Errorf("core: %d trailing bytes in flush frame", pr.Len())

@@ -153,6 +153,7 @@ func (t *teeMethod) RegisterCallsite(id uint64, name string) error {
 }
 
 func (t *teeMethod) FlushAll(clock uint64) error { return t.cdc.FlushAll(clock) }
+func (t *teeMethod) NoteCollective(clock uint64) { t.cdc.NoteCollective(clock) }
 
 func (t *teeMethod) Close() error { return t.cdc.Close() }
 

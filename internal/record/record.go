@@ -34,6 +34,12 @@ type registrar interface {
 	RegisterCallsite(id uint64, name string) error
 }
 
+// collectiveNoter is implemented by backends whose flush-point marks carry
+// the rank's collective clock (core.Encoder via baseline.CDCMethod).
+type collectiveNoter interface {
+	NoteCollective(clock uint64)
+}
+
 // Options configure a Recorder.
 type Options struct {
 	// QueueCapacity bounds the observe queue (default 65536 events).
@@ -77,6 +83,11 @@ type queueItem struct {
 	// into flush-point marks so salvage can bound which of this rank's
 	// sends each cut covers.
 	clock uint64
+	// coll is the rank's Lamport clock when it last left a collective
+	// before this row's MF call (zero before the first). The CDC goroutine
+	// hands the newest to the backend, whose marks carry it so salvage
+	// keeps a cut past a collective only if every rank's cut reaches it.
+	coll uint64
 }
 
 // RateStats capture the §6.2 queue-throughput measurement.
@@ -111,6 +122,9 @@ type Recorder struct {
 	// clockNow samples the layer below's Lamport clock (nil when the next
 	// layer has none).
 	clockNow func() uint64
+	// coll is the clock sampled when the application last left a
+	// collective; rows enqueued after it carry it.
+	coll uint64
 
 	// firstErr latches the first backend/IO failure the CDC goroutine
 	// hits, so the application thread observes it from its next MF call
@@ -180,6 +194,8 @@ func (r *Recorder) cdcThread() {
 	var burst time.Time
 	var err error
 	fl, canFlush := r.backend.(flusher)
+	noter, _ := r.backend.(collectiveNoter)
+	var lastColl uint64
 	timedFlush := canFlush && r.opts.FlushInterval > 0
 	lastFlush := time.Now() //cdc:allow(nodetermflow) wall clock only paces background flushes; row order is fixed before rows reach the flusher
 	rowsSinceFlush := 0
@@ -285,6 +301,12 @@ func (r *Recorder) cdcThread() {
 		if item.clock > lastClock {
 			lastClock = item.clock
 		}
+		if item.coll > lastColl {
+			lastColl = item.coll
+			if noter != nil {
+				noter.NoteCollective(lastColl)
+			}
+		}
 		if err == nil && item.first {
 			if reg, ok := r.backend.(registrar); ok {
 				latch(reg.RegisterCallsite(item.callsite, r.takeName(item.callsite)))
@@ -387,7 +409,7 @@ func (r *Recorder) enqueue(cs uint64, name string, ev tables.Event) {
 	if r.clockNow != nil {
 		clock = r.clockNow()
 	}
-	item := queueItem{callsite: cs, first: first, ev: ev, clock: clock}
+	item := queueItem{callsite: cs, first: first, ev: ev, clock: clock, coll: r.coll}
 	if !r.q.Enqueue(item) {
 		return
 	}
@@ -570,30 +592,55 @@ func (r *Recorder) Waitall(reqs []*simmpi.Request) ([]simmpi.Status, error) {
 	return sts, err
 }
 
-// Barrier passes through; collectives are deterministic.
-func (r *Recorder) Barrier() error { return r.next.Barrier() }
+// leftCollective samples the clock after a collective returned. Collectives
+// pass through unrecorded: their results are deterministic only given every
+// rank's contribution, so the marks carry this clock and salvage keeps a
+// cut past a collective only where every rank's contribution is replayed
+// too.
+func (r *Recorder) leftCollective(err error) {
+	if err == nil && r.clockNow != nil {
+		r.coll = r.clockNow()
+	}
+}
 
-// Allreduce passes through; collectives are deterministic.
+// Barrier passes through and notes the collective.
+func (r *Recorder) Barrier() error {
+	err := r.next.Barrier()
+	r.leftCollective(err)
+	return err
+}
+
+// Allreduce passes through and notes the collective.
 func (r *Recorder) Allreduce(v float64, op simmpi.ReduceOp) (float64, error) {
-	return r.next.Allreduce(v, op)
+	out, err := r.next.Allreduce(v, op)
+	r.leftCollective(err)
+	return out, err
 }
 
-// Reduce passes through; collectives are deterministic.
+// Reduce passes through and notes the collective.
 func (r *Recorder) Reduce(v float64, op simmpi.ReduceOp, root int) (float64, error) {
-	return r.next.Reduce(v, op, root)
+	out, err := r.next.Reduce(v, op, root)
+	r.leftCollective(err)
+	return out, err
 }
 
-// Bcast passes through; collectives are deterministic.
+// Bcast passes through and notes the collective.
 func (r *Recorder) Bcast(data []byte, root int) ([]byte, error) {
-	return r.next.Bcast(data, root)
+	out, err := r.next.Bcast(data, root)
+	r.leftCollective(err)
+	return out, err
 }
 
-// Gather passes through; collectives are deterministic.
+// Gather passes through and notes the collective.
 func (r *Recorder) Gather(v float64, root int) ([]float64, error) {
-	return r.next.Gather(v, root)
+	out, err := r.next.Gather(v, root)
+	r.leftCollective(err)
+	return out, err
 }
 
-// Allgather passes through; collectives are deterministic.
+// Allgather passes through and notes the collective.
 func (r *Recorder) Allgather(v float64) ([]float64, error) {
-	return r.next.Allgather(v)
+	out, err := r.next.Allgather(v)
+	r.leftCollective(err)
+	return out, err
 }

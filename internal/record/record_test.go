@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -497,4 +498,68 @@ func TestQueueItemHoldsNoPointers(t *testing.T) {
 		}
 	}
 	walk("queueItem", reflect.TypeOf(queueItem{}))
+}
+
+// TestCollectiveClockReachesMarks: the clock a rank leaves a collective
+// with is stamped into every later flush-point mark, and into none before.
+func TestCollectiveClockReachesMarks(t *testing.T) {
+	var buf bytes.Buffer
+	var left uint64
+	w := simmpi.NewWorld(2, simmpi.Options{Seed: 3})
+	err := w.Run(func(mpi simmpi.MPI) error {
+		lam := lamport.Wrap(mpi)
+		if mpi.Rank() == 1 {
+			if err := lam.Send(0, 1, nil); err != nil {
+				return err
+			}
+			if _, err := lam.Allreduce(1, simmpi.OpSum); err != nil {
+				return err
+			}
+			return lam.Send(0, 1, nil)
+		}
+		enc, err := core.NewEncoder(&buf, core.EncoderOptions{})
+		if err != nil {
+			return err
+		}
+		rec := New(lam, baseline.NewCDC(enc), Options{FlushEveryRows: 1})
+		for i := 0; i < 2; i++ {
+			if i == 1 {
+				if _, err := rec.Allreduce(1, simmpi.OpSum); err != nil {
+					return err
+				}
+				left = lam.Clock()
+			}
+			req, err := rec.Irecv(1, 1)
+			if err != nil {
+				return err
+			}
+			if _, err := rec.Wait(req); err != nil {
+				return err
+			}
+		}
+		return rec.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := core.NewFrameReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var colls []uint64
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Flush {
+			colls = append(colls, f.CollClock)
+		}
+	}
+	if want := []uint64{0, left, left}; left == 0 || !reflect.DeepEqual(colls, want) {
+		t.Fatalf("mark collective clocks %v, want %v", colls, want)
+	}
 }

@@ -258,21 +258,32 @@ func TestBacklogHoldsCeilSegments(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNothing: traffic whose backlog stays within two
-// segments runs on the consumer's spare and allocates nothing per item.
+// segments runs on the consumer's spare and allocates nothing. Allocations
+// are counted over a fixed number of segment-boundary crossings, not per
+// burst: a burst shorter than a segment crosses a boundary only now and
+// then, so one allocation per crossing must show as one per crossing.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
+	const crossings = 64
 	for _, burst := range []int{1, 700, maxSegmentLen} {
 		q := New[[56]byte](65536)
 		var item [56]byte
-		allocs := testing.AllocsPerRun(100, func() {
-			for i := 0; i < burst; i++ {
-				q.TryEnqueue(item)
+		run := func(items int) {
+			for done := 0; done < items; done += burst {
+				for i := 0; i < burst; i++ {
+					q.TryEnqueue(item)
+				}
+				for i := 0; i < burst; i++ {
+					q.TryDequeue()
+				}
 			}
-			for i := 0; i < burst; i++ {
-				q.TryDequeue()
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("burst %d: %.2f allocations per burst, want 0", burst, allocs)
+		}
+		run(2 * maxSegmentLen) // the first crossing allocates the second segment
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(crossings * maxSegmentLen)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n >= crossings/2 {
+			t.Errorf("burst %d: %d allocations over %d segment crossings, want none", burst, n, crossings)
 		}
 	}
 }

@@ -2,8 +2,11 @@ package dirstore_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -135,8 +138,75 @@ func TestKillARankSalvageReplay(t *testing.T) {
 		t.Fatalf("no crash placement salvaged any events (last run recorded %d)", total)
 	}
 	t.Logf("salvaged %d of %d events", kept, total)
+	replaySalvaged(t, salv, params, report, recLogs)
+}
 
-	// Replay the salvaged prefix on two different networks.
+// TestSalvageStopsBeforeUnreachedCollective salvages and replays a crashed
+// run kept in testdata/collective-crash: an MCB record made as
+// recordCrashedRun makes one (seed 5, rank 1 killed after 90 receives),
+// with each rank's observed receives in received.txt. Its ranks' last durable marks lie past
+// different quiescence Allreduces. A rank kept past an Allreduce whose
+// contribution from another rank lies beyond that rank's kept prefix
+// replays with a different sum there and diverges (with the collective rule
+// off, both replay seeds stall on a message its sender never sends), so
+// salvage must stop every rank before such a collective.
+func TestSalvageStopsBeforeUnreachedCollective(t *testing.T) {
+	const ranks = 4
+	params := mcb.Params{Particles: 150, TimeSteps: 2, Seed: 11, CrossProb: 0.4}
+	src := filepath.Join(t.TempDir(), "record")
+	salv := filepath.Join(t.TempDir(), "salvaged")
+	copyDir(t, filepath.Join("testdata", "collective-crash", "run"), src)
+
+	report, err := store.SalvageTo(dirstore.New(src), dirstore.New(salv))
+	if err != nil {
+		t.Fatalf("salvage: %v", err)
+	}
+	if kept, _ := report.Events(); kept == 0 {
+		t.Fatal("salvage kept no events")
+	}
+	recLogs := make([][]rcv, ranks)
+	data, err := os.ReadFile(filepath.Join("testdata", "collective-crash", "received.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rank int
+		var x rcv
+		if _, err := fmt.Sscan(line, &rank, &x.src, &x.clock); err != nil {
+			t.Fatalf("received.txt line %q: %v", line, err)
+		}
+		recLogs[rank] = append(recLogs[rank], x)
+	}
+	replaySalvaged(t, salv, params, report, recLogs)
+}
+
+// copyDir copies the regular files of src into a new directory dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// replaySalvaged replays the salvaged run in salv on two different networks
+// and requires each rank's replayed receive order to match recLogs, the
+// crashed run's observed order, through the entire salvaged prefix.
+func replaySalvaged(t *testing.T, salv string, params mcb.Params, report *store.SalvageReport, recLogs [][]rcv) {
+	t.Helper()
+	ranks := len(recLogs)
 	for _, seed := range []int64{77, 78} {
 		repLogs := make([][]rcv, ranks)
 		var mu sync.Mutex

@@ -30,15 +30,20 @@ import (
 // last CRC-valid mark (torn by the crash) are discarded.
 //
 // Per-rank prefixes are then trimmed to a mutually consistent frontier.
-// Let C[s] be the largest received-message clock in rank s's kept prefix
-// (infinite when s's whole record survived intact). Any send s made with
-// piggyback clock ≤ C[s] necessarily precedes the kept receive achieving
-// C[s] — Lamport clocks are monotone within a rank — so a prefix replay of
-// s deterministically regenerates it. A kept chunk of rank r is therefore
-// only replayable if every epoch-line entry (sender s, clock c) satisfies
-// c ≤ C[s]; segments violating this are trimmed, which can lower C[r] and
-// cascade, so the trim iterates to a fixed point (it terminates: kept
-// prefixes only shrink).
+// Let C[s] be the largest clock such that everything rank s did at a
+// Lamport clock ≤ C[s] precedes its kept prefix's last row (infinite when
+// s's whole record survived intact): a kept receive of clock c gives c,
+// and a mark stamped with s's own clock M gives M-1. Lamport clocks are
+// monotone within a rank, so a prefix replay of s deterministically
+// regenerates every send s made with piggyback clock ≤ C[s], and enters
+// every collective it entered at a clock ≤ C[s] with the recorded
+// contribution. A kept chunk of rank r is therefore only replayable if
+// every epoch-line entry (sender s, clock c) satisfies c ≤ C[s], and a
+// kept segment in which r left a collective with clock K (the mark's
+// collective clock; every participant entered it at a clock ≤ K-1) only
+// if K-1 ≤ C[s] for every rank s. Segments violating either are trimmed,
+// which can lower C[r] and cascade, so the trim iterates to a fixed point
+// (it terminates: kept prefixes only shrink).
 
 // SalvageReport describes what a salvage recovered.
 type SalvageReport struct {
@@ -106,11 +111,13 @@ type Segment struct {
 
 // SegmentSummary is what the consistent-cut rule reads of one flush-point
 // segment. Clock is the writing rank's Lamport clock stamped into the
-// closing mark — a lower bound on its clock at the cut. Refs holds, per
-// sender, the largest clock the segment's matched events reference, sorted
-// by rank.
+// closing mark — a lower bound on its clock at the cut. Coll is the mark's
+// collective clock: the rank's clock on leaving the newest collective
+// before the cut, zero when it has left none. Refs holds, per sender, the
+// largest clock the segment's matched events reference, sorted by rank.
 type SegmentSummary struct {
 	Clock uint64
+	Coll  uint64
 	Refs  []cdcformat.EpochEntry
 }
 
@@ -154,7 +161,7 @@ func ScanSegments(r io.Reader) (segs []*Segment, clean bool, damage string) {
 			}
 		}
 		if frame.Flush {
-			cur.Clock = frame.FlushClock
+			cur.Clock, cur.Coll = frame.FlushClock, frame.CollClock
 			segs = append(segs, cur)
 			cur = &Segment{}
 		}
@@ -245,12 +252,15 @@ func ConsistentCut(segs [][]SegmentSummary, base []uint64, intact []bool) (keep 
 	return keep, frontiers
 }
 
-// frontier computes C[r] over the kept prefix: the rank's own clock at the
-// last kept flush mark (every send with clock ≤ C[r] strictly precedes the
-// cut, since the clock ticks at each send), or MaxUint64 for a fully intact
-// record (its replay regenerates every send, recorded receives and the
-// deterministic continuation alike). Received epoch clocks — a weaker lower
-// bound on the same clock — are folded in for records whose marks carry no
+// frontier computes C[r] over the kept prefix: one below the rank's own
+// clock at the last kept flush mark, or MaxUint64 for a fully intact record
+// (its replay regenerates every send, recorded receives and the
+// deterministic continuation alike). The mark's clock M was sampled when
+// the cut's last MF call returned; everything the rank did at a clock
+// below M precedes that return, but a send at clock M itself may follow
+// failed tests past the cut, which a replay runs live. Received epoch
+// clocks are folded in as they are (the receive of clock c leaves the
+// clock above c); they are the only bound for records whose marks carry no
 // sample.
 func frontier(segs []SegmentSummary, keep int, base uint64, intact bool) uint64 {
 	if intact && keep == len(segs) {
@@ -258,8 +268,8 @@ func frontier(segs []SegmentSummary, keep int, base uint64, intact bool) uint64 
 	}
 	c := base
 	for _, s := range segs[:keep] {
-		if s.Clock > c {
-			c = s.Clock
+		if s.Clock > 0 && s.Clock-1 > c {
+			c = s.Clock - 1
 		}
 		for _, e := range s.Refs {
 			if e.Clock > c {
@@ -271,10 +281,18 @@ func frontier(segs []SegmentSummary, keep int, base uint64, intact bool) uint64 
 }
 
 // firstViolation returns the index of the first kept segment that
-// references a sender clock beyond that sender's frontier, or keep when
-// the whole kept prefix is consistent.
+// references a sender clock beyond that sender's frontier, or that passed a
+// collective some rank's frontier does not reach, or keep when the whole
+// kept prefix is consistent.
 func firstViolation(segs []SegmentSummary, keep int, frontiers []uint64) int {
 	for i, s := range segs[:keep] {
+		if s.Coll > 0 {
+			for _, f := range frontiers {
+				if s.Coll-1 > f {
+					return i
+				}
+			}
+		}
 		for _, e := range s.Refs {
 			if int(e.Rank) < len(frontiers) && e.Clock > frontiers[e.Rank] {
 				return i
@@ -285,24 +303,25 @@ func firstViolation(segs []SegmentSummary, keep int, frontiers []uint64) int {
 }
 
 // WriteSegments re-emits kept frames verbatim into a fresh record blob
-// (magic, one gzip stream, cleanly closed with the last kept flush clock),
-// byte-identical to what the pre-Store salvage wrote. It returns the blob
-// size and closing clock, which with the plan's EventsKept form the
-// salvaged run's single-cut index entry.
+// (magic, one gzip stream, cleanly closed with the last kept flush clock
+// and collective clock), byte-identical to what the pre-Store salvage
+// wrote. It returns the blob size and closing clock, which with the plan's
+// EventsKept form the salvaged run's single-cut index entry.
 func WriteSegments(w io.Writer, segs []*Segment) (n int64, lastClock uint64, err error) {
 	fw, err := core.NewFrameWriter(w, 0, false)
 	if err != nil {
 		return 0, 0, err
 	}
+	var lastColl uint64
 	for _, s := range segs {
 		for _, frame := range s.Frames {
 			if err := fw.WriteFrame(frame.Kind, frame.Payload); err != nil {
 				return fw.BytesWritten(), 0, err
 			}
 		}
-		lastClock = s.Clock
+		lastClock, lastColl = s.Clock, s.Coll
 	}
-	if err := fw.Close(lastClock); err != nil {
+	if err := fw.Close(lastClock, lastColl); err != nil {
 		return fw.BytesWritten(), lastClock, err
 	}
 	return fw.BytesWritten(), lastClock, nil
