@@ -1,13 +1,13 @@
 // Command cdclint runs cdcreplay's repo-specific static analyzers over the
 // module and exits non-zero on findings. It enforces the determinism and
-// safety invariants DESIGN.md §10 and §15 document: no wall-clock or
-// randomness in the encode/decode packages (nodeterm, and interprocedurally
-// nodetermflow), no map-iteration order leaking into serialized bytes
-// (maporder), no swallowed storage errors (errsink), guarded obs
-// instruments (obsguard), no copied locks or unaligned atomics (locksafe),
-// no library panics (panicfree), no lock-acquisition cycles across the call
-// graph (lockorder), and no unstoppable goroutines or undrained channels
-// (leakcheck).
+// safety invariants DESIGN.md §10 and §15 document: no wall-clock,
+// randomness or map-order read, direct or through helpers, in the
+// record/replay packages (nodetermflow), no map-iteration order leaking
+// into serialized bytes (maporder), no swallowed storage errors
+// (errsink), guarded obs instruments (obsguard), no library panics
+// (panicfree), no lock-acquisition cycles across the call graph
+// (lockorder), and no unstoppable goroutines or undrained channels
+// (leakcheck). Copied locks are go vet's copylocks check.
 //
 // Usage:
 //

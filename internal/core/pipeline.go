@@ -102,7 +102,7 @@ type encodeJob struct {
 func (e *Encoder) build(b *cdcformat.Builder, j *encodeJob) {
 	var start time.Time
 	if e.mStageNs != nil {
-		start = time.Now() //cdc:allow(nodeterm) telemetry only: feeds the encode.stage.ns histogram, never the record bytes
+		start = time.Now() //cdc:allow(nodetermflow) telemetry only: feeds the encode.stage.ns histogram, never the record bytes
 	}
 	chunk := b.Build(j.callsite, j.events, !e.opts.OmitSenderColumn)
 	chunk.Exceptions = j.exceptions
@@ -120,7 +120,7 @@ func (e *Encoder) build(b *cdcformat.Builder, j *encodeJob) {
 	e.valuesCDC.Add(uint64(chunk.ValueCount()))
 	j.payload = b.AppendMarshal(j.payload[:0], chunk)
 	if e.mStageNs != nil {
-		e.mStageNs.Observe(uint64(time.Since(start))) //cdc:allow(nodeterm) telemetry only: stage latency, never the record bytes
+		e.mStageNs.Observe(uint64(time.Since(start))) //cdc:allow(nodetermflow) telemetry only: stage latency, never the record bytes
 	}
 }
 

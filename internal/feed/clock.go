@@ -28,7 +28,7 @@ type wallClock struct{}
 // Wall returns the wall clock.
 func Wall() Clock { return wallClock{} }
 
-func (wallClock) Now() time.Time { return time.Now() } //cdc:allow(nodeterm) the feed.Clock boundary: the one sanctioned wall-clock read behind the pacer
+func (wallClock) Now() time.Time { return time.Now() } //cdc:allow(nodetermflow) the feed.Clock boundary: the one sanctioned wall-clock read behind the pacer
 
 func (wallClock) After(d time.Duration) (<-chan time.Time, func()) {
 	t := time.NewTimer(d)

@@ -86,7 +86,7 @@ func (b *Backoff) fill() {
 		b.MaxAttempts = 10
 	}
 	if b.Rand == nil {
-		b.Rand = rand.New(rand.NewSource(time.Now().UnixNano())) //cdc:allow(nodeterm) reconnect jitter wants wall-clock entropy
+		b.Rand = rand.New(rand.NewSource(time.Now().UnixNano())) //cdc:allow(nodetermflow) reconnect jitter wants wall-clock entropy
 	}
 }
 

@@ -649,8 +649,7 @@ func (w *worker) serviceSession(s *session) (detach bool) {
 			rs.err = fmt.Errorf("rank %d finished at offset %d, server consumed %d", rs.rank, want, rs.offset)
 			fatal = &errSessionFatal{code: ingestwire.RejectMalformed, err: rs.err}
 		default:
-			rs.finished = true
-			if err := r.closeRank(rs); err != nil {
+			if err := r.finishRank(rs); err != nil {
 				rs.err = err
 				fatal = sealFatal(err)
 			}

@@ -95,6 +95,7 @@ func (s *Server) openRun(tenant *tenantState, h ingestwire.Hello) (*run, *ingest
 	if err != nil {
 		return nil, &ingestwire.Reject{Code: ingestwire.RejectMalformed, Msg: err.Error()}
 	}
+	r := &run{key: key, tenant: tenant, st: st, ranks: h.Ranks, rankState: make(map[int]*rankState)}
 	m, err := st.Manifest()
 	switch {
 	case err == nil:
@@ -107,6 +108,9 @@ func (s *Server) openRun(tenant *tenantState, h ingestwire.Hello) (*run, *ingest
 		if _, err := st.Reopen(); err != nil {
 			return nil, &ingestwire.Reject{Code: ingestwire.RejectMalformed, Msg: err.Error()}
 		}
+		if err := seedFinishedRanks(r, m); err != nil {
+			return nil, &ingestwire.Reject{Code: ingestwire.RejectMalformed, Msg: err.Error()}
+		}
 	case errors.Is(err, fs.ErrNotExist):
 		if err := st.Create(store.Manifest{Ranks: h.Ranks, App: ingestApp}); err != nil {
 			return nil, &ingestwire.Reject{Code: ingestwire.RejectMalformed, Msg: err.Error()}
@@ -114,15 +118,45 @@ func (s *Server) openRun(tenant *tenantState, h ingestwire.Hello) (*run, *ingest
 	default:
 		return nil, &ingestwire.Reject{Code: ingestwire.RejectMalformed, Msg: err.Error()}
 	}
-	r := &run{key: key, tenant: tenant, st: st, ranks: h.Ranks, rankState: make(map[int]*rankState)}
 	s.runs[key] = r
 	return r, nil
 }
 
+// seedFinishedRanks gives every rank the manifest lists as finished a
+// finished, closed state, acked to its end. Such a rank's client finished
+// before a previous process stopped, so it has no reason to reattach;
+// without this state the ack barrier would treat the rank as one with no
+// durable data, and the run could never finalize. Only finishRank lists a
+// rank, and salvage drops every rank it trims, so a rank that Drain
+// closed or salvage rewrote is not taken for a finished one.
+func seedFinishedRanks(r *run, m store.Manifest) error {
+	for _, rank := range m.Finished {
+		if rank < 0 || rank >= r.ranks {
+			return fmt.Errorf("run %s: manifest lists finished rank %d of %d", r.key, rank, r.ranks)
+		}
+		events, clock, err := store.RankFrontier(r.st, rank)
+		if err != nil {
+			return err
+		}
+		r.rankState[rank] = &rankState{
+			rank:   rank,
+			offset: events, clock: clock,
+			acked: events, ackedClock: clock,
+			resumed: true, finished: true, closed: true,
+		}
+	}
+	return nil
+}
+
 // openRank finds or opens one rank's record blob and encoder. Called with
 // the run's mu held.
+//
+// A state seeded by seedFinishedRanks holds no encoder. Until the run
+// finalizes, a client reattaching to one gets a resumable state in its
+// place, as if no state had been seeded; once the run is final, the
+// client gets DONE from the seeded state.
 func (s *Server) openRank(r *run, rank int) (*rankState, error) {
-	if rs := r.rankState[rank]; rs != nil {
+	if rs := r.rankState[rank]; rs != nil && (rs.enc != nil || r.finalized) {
 		if rs.err != nil {
 			return nil, rs.err
 		}
@@ -236,6 +270,18 @@ func (r *run) seal(rs *rankState) error {
 	}
 	rs.pushSegment()
 	return r.chargeDisk(rs)
+}
+
+// finishRank closes the record of a rank whose client finished and lists
+// the rank as finished in the manifest, so that a later process counts
+// the rank without its client (seedFinishedRanks). Caller holds the run's
+// mu.
+func (r *run) finishRank(rs *rankState) error {
+	rs.finished = true
+	if err := r.closeRank(rs); err != nil {
+		return err
+	}
+	return r.st.MarkFinished(rs.rank)
 }
 
 // closeRank finishes the rank's record: every pending stream flushes and

@@ -16,14 +16,14 @@ func parseDirectives(t *testing.T, src string) ([]lint.Directive, []lint.Finding
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	known := map[string]bool{"nodeterm": true, "errsink": true}
+	known := map[string]bool{"nodetermflow": true, "errsink": true}
 	return lint.ParseDirectives(fset, file, known)
 }
 
 func TestParseDirectivesValid(t *testing.T) {
 	src := `package p
 
-//cdc:allow(nodeterm) telemetry only, never serialized
+//cdc:allow(nodetermflow) telemetry only, never serialized
 var a int
 
 func f() {
@@ -39,7 +39,7 @@ func f() {
 	if len(ds) != 4 {
 		t.Fatalf("got %d directives, want 4: %+v", len(ds), ds)
 	}
-	if ds[0].Kind != "allow" || ds[0].Check != "nodeterm" || ds[0].Reason != "telemetry only, never serialized" || ds[0].Line != 3 {
+	if ds[0].Kind != "allow" || ds[0].Check != "nodetermflow" || ds[0].Reason != "telemetry only, never serialized" || ds[0].Line != 3 {
 		t.Errorf("directive 0 = %+v", ds[0])
 	}
 	if ds[1].Kind != "allow" || ds[1].Check != "errsink" || ds[1].Reason != "best-effort cleanup" || ds[1].Line != 7 {
@@ -59,9 +59,9 @@ func TestParseDirectivesMalformed(t *testing.T) {
 		comment string
 		wantMsg string
 	}{
-		{"missing parens", "//cdc:allow nodeterm because", "malformed //cdc:allow"},
-		{"no close paren", "//cdc:allow(nodeterm because", "malformed //cdc:allow"},
-		{"missing reason", "//cdc:allow(nodeterm)", "missing its reason"},
+		{"missing parens", "//cdc:allow nodetermflow because", "malformed //cdc:allow"},
+		{"no close paren", "//cdc:allow(nodetermflow because", "malformed //cdc:allow"},
+		{"missing reason", "//cdc:allow(nodetermflow)", "missing its reason"},
 		{"blank reason", "//cdc:allow(errsink)   ", "missing its reason"},
 		{"unknown check", "//cdc:allow(bogus) some reason", `unknown check "bogus"`},
 		{"empty check", "//cdc:allow() some reason", `unknown check ""`},
@@ -95,7 +95,7 @@ func TestParseDirectivesMalformed(t *testing.T) {
 func TestParseDirectivesIgnoresOrdinaryComments(t *testing.T) {
 	src := `package p
 
-// cdc:allow(nodeterm) leading space means plain prose, not a directive
+// cdc:allow(nodetermflow) leading space means plain prose, not a directive
 // just a comment mentioning time.Now
 var x int
 `

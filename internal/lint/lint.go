@@ -3,9 +3,11 @@
 // cannot see: the encode/decode/replay paths must produce byte-identical
 // reference order between record and replay, which means they must be free
 // of wall-clock reads, unseeded randomness, map-iteration-order leakage,
-// swallowed durable-path errors, unguarded instrument access, copied locks,
-// and stray panics. Each invariant is one Analyzer; cmd/cdclint runs them
-// over the module and exits non-zero on findings.
+// swallowed durable-path errors, unguarded instrument access, stray
+// panics, lock-order cycles and leaked goroutines. Each invariant is one
+// Analyzer; cmd/cdclint runs them over the module and exits non-zero on
+// findings. Copied locks are go vet's copylocks check, not an analyzer
+// here.
 //
 // The framework is deliberately zero-dependency: packages are loaded with
 // go/parser and typechecked with go/types, resolving module-local imports
@@ -139,8 +141,9 @@ func (p *ModulePass) ScopedPkgs() []*Package {
 // AllowedAt reports whether an //cdc:allow(check) directive covers pos
 // (its own line or the line below, the same rule applySuppressions uses).
 // Interprocedural analyzers use this to treat inventoried violations as
-// sanctioned: a wall-clock read that carries a reasoned allow(nodeterm)
-// must not re-surface as a taint source three call frames later.
+// sanctioned: a wall-clock read that carries a reasoned
+// allow(nodetermflow) must not re-surface as a taint source three call
+// frames later.
 func (p *ModulePass) AllowedAt(pos token.Pos, check string) bool {
 	position := p.Fset.Position(pos)
 	return p.allowed[allowKey{p.run.relFile(position.Filename), position.Line, check}]
@@ -185,16 +188,14 @@ type Config struct {
 	Scopes map[string][]string
 }
 
-// Analyzers returns the full analyzer set in a fixed order: the six
-// intra-procedural checks from the original framework, then the three
-// interprocedural checks built on the call graph.
+// Analyzers returns the full analyzer set in a fixed order: the four
+// intra-procedural checks, then the three interprocedural checks built on
+// the call graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NodetermAnalyzer,
 		MaporderAnalyzer,
 		ErrsinkAnalyzer,
 		ObsguardAnalyzer,
-		LocksafeAnalyzer,
 		PanicfreeAnalyzer,
 		NodetermflowAnalyzer,
 		LockorderAnalyzer,

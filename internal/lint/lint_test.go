@@ -17,11 +17,9 @@ import (
 // packages don't trip one another's checks.
 func fixtureConfig() lint.Config {
 	return lint.Config{Scopes: map[string][]string{
-		"nodeterm":  {"nodeterm"},
 		"maporder":  {"maporder"},
 		"errsink":   {"errsink"},
 		"obsguard":  {"obsguard", "obs"},
-		"locksafe":  {"locksafe"},
 		"panicfree": {"panicfree"},
 		// Interprocedural analyzers: scoped to their own fixture package;
 		// helper packages (e.g. nodetermflow/ndhelp) stay outside every
@@ -243,14 +241,14 @@ func TestReportJSON(t *testing.T) {
 // reports nothing there even when violations exist.
 func TestScopeRestriction(t *testing.T) {
 	cfg := fixtureConfig()
-	cfg.Scopes["nodeterm"] = []string{"maporder"} // nodeterm fixture now out of scope
+	cfg.Scopes["nodetermflow"] = []string{"maporder"} // nodetermflow fixture now out of scope
 	findings, err := lint.Run(filepath.Join("testdata", "src", "fixture"), []string{"./..."}, lint.Analyzers(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, f := range findings {
-		if f.Check == "nodeterm" {
-			t.Errorf("nodeterm finding outside its scope: %s", f)
+		if f.Check == "nodetermflow" {
+			t.Errorf("nodetermflow finding outside its scope: %s", f)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // package are reported too, and healthy sibling packages are still
 // analyzed.
 func TestLoadErrorsAreFindings(t *testing.T) {
-	cfg := lint.Config{Scopes: map[string][]string{"nodeterm": {"good"}}}
+	cfg := lint.Config{Scopes: map[string][]string{"nodetermflow": {"good"}}}
 	findings, err := lint.Run(filepath.Join("testdata", "src", "broken"), []string{"./..."}, lint.Analyzers(), cfg)
 	if err != nil {
 		t.Fatalf("Run returned a fatal error, want loaderror findings: %v", err)
@@ -55,7 +55,7 @@ func TestLoadErrorsAreFindings(t *testing.T) {
 
 	// The healthy package was still analyzed.
 	var sawGood bool
-	for _, f := range byCheck["nodeterm"] {
+	for _, f := range byCheck["nodetermflow"] {
 		if strings.HasPrefix(f.File, "good/") {
 			sawGood = true
 		}

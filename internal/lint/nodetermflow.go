@@ -9,25 +9,29 @@ import (
 	"cdcreplay/internal/lint/callgraph"
 )
 
-// NodetermflowAnalyzer is the interprocedural extension of nodeterm: it
-// propagates taint from nondeterminism sources — wall-clock reads,
-// math/rand, order-leaking map iteration, goroutine-population probes —
-// through arbitrarily deep helper chains, and reports every call edge by
-// which a function in the deterministic sink packages (encode, record,
-// store) first reaches one. nodeterm only sees a time.Now written
-// directly inside a scoped package; this pass sees the same read hidden
-// one (or ten) helper calls away, in any package of the module.
+// NodetermflowAnalyzer is cdclint's one determinism check. The CDC
+// record's bytes are replayed bit-for-bit (PAPER.md §4: the reference
+// order reconstructed at replay must equal the recorded one), and replay's
+// release decision must depend on recorded clocks alone, so no function in
+// the deterministic packages may read a nondeterminism source: wall-clock
+// reads, math/rand's global state, order-leaking map iteration,
+// goroutine-population probes. It reports every call or reference to a
+// source function written directly in a scoped function or package-level
+// initializer (a map range written there is maporder's finding), and, by
+// propagating taint through the module call graph, every call edge by
+// which a scoped function reaches any source through any depth of helper
+// calls, in any package of the module.
 //
 // Sanctioned sources do not taint: a call that carries a reasoned
-// //cdc:allow(nodeterm) (or //cdc:allow(nodetermflow)), and a map range
-// carrying //cdc:allow(maporder), are vouched deterministic-in-effect by
-// their inventory reason, so paths through them are not findings. The
-// finding message embeds the full source→sink witness path.
+// //cdc:allow(nodetermflow), and a map range carrying
+// //cdc:allow(maporder), are vouched deterministic-in-effect by their
+// inventory reason, so paths through them are not findings. A chain
+// finding's message embeds the full source→sink witness path.
 var NodetermflowAnalyzer = &Analyzer{
 	Name: "nodetermflow",
-	Doc: "taint nondeterminism sources (wall clock, math/rand, map order, " +
-		"goroutine counts) through helper chains into the deterministic " +
-		"encode/record/store packages",
+	Doc: "forbid wall-clock reads, math/rand, map order and goroutine " +
+		"counts, directly or through helper chains, in the deterministic " +
+		"encode/record/store/replay packages",
 	Scope: []string{
 		"internal/cdcformat",
 		"internal/lpe",
@@ -36,7 +40,9 @@ var NodetermflowAnalyzer = &Analyzer{
 		"internal/tables",
 		"internal/lamport",
 		"internal/core",
+		"internal/feed",
 		"internal/record",
+		"internal/replay",
 		"internal/store/...",
 	},
 	RunModule: runNodetermflow,
@@ -51,7 +57,9 @@ func nodetermflowSource(fn *types.Func) string {
 	}
 	switch pkg.Path() {
 	case "time":
-		if nodetermClockFuncs[fn.Name()] {
+		// Only sampling the clock is a hazard; Duration arithmetic and
+		// constants are fine.
+		if fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until" {
 			return "time." + fn.Name()
 		}
 	case "math/rand", "math/rand/v2":
@@ -121,7 +129,7 @@ func runNodetermflow(p *ModulePass) {
 			if desc == "" {
 				continue
 			}
-			if p.AllowedAt(e.Site, NodetermAnalyzer.Name) || p.AllowedAt(e.Site, "nodetermflow") {
+			if p.AllowedAt(e.Site, p.Analyzer.Name) {
 				continue
 			}
 			seed(n, taintInfo{source: desc, srcPos: e.Site, next: e, hasNext: true, dist: 1})
@@ -177,9 +185,10 @@ func runNodetermflow(p *ModulePass) {
 		}
 	}
 
-	// Report: every call edge from a sink-scope function into a tainted
-	// module-local callee. Direct source calls (external callee) are
-	// nodeterm's intra-procedural business and are not re-reported here.
+	// Report, per sink-scope function: every site that reads a source
+	// directly (two reads in one function are two findings; a sanctioned
+	// one is suppressed with the rest), and the first call edge into each
+	// tainted module-local callee.
 	type repKey struct{ caller, callee *callgraph.Node }
 	reported := make(map[repKey]bool)
 	for _, n := range g.Funcs() {
@@ -188,7 +197,11 @@ func runNodetermflow(p *ModulePass) {
 		}
 		for _, e := range n.Out {
 			callee := e.Callee
-			if !callee.Local() || callee == n {
+			if !callee.Local() {
+				reportDirectSource(p, e.Site, callee.Func, n.Pkg.RelPath)
+				continue
+			}
+			if callee == n {
 				continue
 			}
 			ti, ok := taint[callee]
@@ -204,6 +217,36 @@ func runNodetermflow(p *ModulePass) {
 				"call chain reaches nondeterminism source %s (%s): %s → %s; the recorded order must not depend on wall clock, randomness, or map order",
 				ti.source, p.RelPosition(ti.srcPos), p.ShortName(n.Func), renderTaintPath(p, callee, taint))
 		}
+	}
+
+	// Package-level var initializers run outside every function, so the
+	// call graph holds no edge for them: check their direct reads here.
+	for _, pkg := range p.ScopedPkgs() {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					ast.Inspect(gd, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
+								reportDirectSource(p, id.Pos(), fn, pkg.RelPath)
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+}
+
+// reportDirectSource reports a call or reference to fn at site, in package
+// relPath, when fn is a nondeterminism source. A sanctioning directive
+// drops the finding with every other suppressed one.
+func reportDirectSource(p *ModulePass, site token.Pos, fn *types.Func, relPath string) {
+	if desc := nodetermflowSource(fn); desc != "" {
+		p.Reportf(site,
+			"%s in deterministic package %s: the recorded order and replay's release decision must not depend on wall clock, randomness, or goroutine counts",
+			desc, relPath)
 	}
 }
 
@@ -229,7 +272,7 @@ func leakyMapRange(p *ModulePass, pkg *Package, body *ast.BlockStmt) token.Pos {
 		if maporderSink(pkg.Info, rng.Body) == "" {
 			return true
 		}
-		if p.AllowedAt(rng.Pos(), MaporderAnalyzer.Name) || p.AllowedAt(rng.Pos(), "nodetermflow") {
+		if p.AllowedAt(rng.Pos(), MaporderAnalyzer.Name) || p.AllowedAt(rng.Pos(), p.Analyzer.Name) {
 			return true
 		}
 		pos = rng.Pos()

@@ -1,4 +1,4 @@
-// Package good typechecks fine and carries one nodeterm violation,
+// Package good typechecks fine and carries one nodetermflow violation,
 // proving analysis proceeds for healthy packages even when siblings are
 // broken.
 package good
@@ -7,5 +7,5 @@ import "time"
 
 // Now samples the clock.
 func Now() time.Time {
-	return time.Now() // the loaderror test expects this nodeterm finding
+	return time.Now() // the loaderror test expects this nodetermflow finding
 }

@@ -28,7 +28,7 @@ func Keys(m map[string]int) []string {
 
 // SanctionedStamp's clock read is vouched for, so it does not taint.
 func SanctionedStamp() int64 {
-	return time.Now().UnixNano() //cdc:allow(nodeterm) fixture: diagnostic timestamp, never serialized
+	return time.Now().UnixNano() //cdc:allow(nodetermflow) fixture: diagnostic timestamp, never serialized
 }
 
 // Pure is a source-free helper.

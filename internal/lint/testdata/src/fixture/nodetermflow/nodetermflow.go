@@ -1,8 +1,8 @@
-// Package nodetermflow exercises the interprocedural taint analyzer: a
-// nondeterminism source reached through a helper chain (here, via the
-// ndhelp package, which no intra-procedural check watches) taints every
-// in-scope caller. Direct source calls are nodeterm's job and are not
-// re-reported here.
+// Package nodetermflow exercises the determinism analyzer. This file holds
+// the interprocedural cases: a nondeterminism source reached through a
+// helper chain (here, via the ndhelp package, which lies outside the
+// scope) taints every in-scope caller. direct.go holds the reads written
+// in scope.
 package nodetermflow
 
 import (
@@ -34,7 +34,7 @@ func Ordered(m map[string]int) []string {
 }
 
 // Sanctioned calls a helper whose clock read carries a reasoned
-// //cdc:allow(nodeterm): vouched sources do not taint, so no finding.
+// //cdc:allow(nodetermflow): vouched sources do not taint, so no finding.
 func Sanctioned(buf []byte) []byte {
 	return append(buf, byte(ndhelp.SanctionedStamp()))
 }

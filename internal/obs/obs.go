@@ -166,9 +166,9 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // StartTimer samples the clock and returns a function that records the
 // elapsed nanoseconds when called. On a nil Histogram the clock is never
 // sampled and the returned function is a no-op — which is what lets
-// lint-clean deterministic packages (cdclint nodeterm) time their stages:
-// the wall-clock read lives here, behind the instrument, instead of in the
-// encode/decode path itself.
+// lint-clean deterministic packages (cdclint nodetermflow) time their
+// stages: the one sanctioned wall-clock read lives here, behind the
+// instrument, instead of in the encode/decode path itself.
 func (h *Histogram) StartTimer() func() {
 	if h == nil {
 		return func() {}

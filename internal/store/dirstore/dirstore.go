@@ -29,6 +29,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"cdcreplay/internal/store"
@@ -39,6 +40,9 @@ import (
 // each rank's writer appends only to its own blob and journal.
 type DirStore struct {
 	dir string
+	// mu serializes the manifest rewrites that read the manifest first
+	// (Finalize, Reopen, MarkFinished), so none loses another's change.
+	mu sync.Mutex
 	// complete is the last Complete manifest load decoded, with the
 	// manifest.json it came from; nil until one is seen.
 	complete atomic.Pointer[completeManifest]
@@ -111,6 +115,7 @@ func (s *DirStore) Create(m store.Manifest) error {
 	m.Version = store.ManifestVersion
 	m.Complete = false
 	m.Index = nil
+	m.Finished = nil
 	m.Shards = nil
 	m.Layout = store.LayoutDir
 	m.SeekableCuts = false
@@ -141,6 +146,8 @@ func (s *DirStore) WriteManifest(m store.Manifest) error {
 // Finalize publishes the folded index as the Complete manifest and
 // removes the index journals.
 func (s *DirStore) Finalize() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	m, err := s.Manifest()
 	if err != nil {
 		return err
@@ -153,7 +160,16 @@ func (s *DirStore) Finalize() error {
 // as it was before. The rank files are left untouched; a crash while
 // appending is then seen as an incomplete run, not a finished one.
 func (s *DirStore) Reopen() (store.Manifest, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return store.ReopenManifestFile(s.dir)
+}
+
+// MarkFinished adds rank to the manifest's finished ranks.
+func (s *DirStore) MarkFinished(rank int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return store.MarkFinishedFile(s.dir, rank)
 }
 
 // CreateRank opens rank's record file for writing from scratch.

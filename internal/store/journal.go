@@ -9,17 +9,19 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // This file holds the per-rank index journal, the append-only half of an
 // on-disk run's commit record. manifest.json is rewritten only at
-// lifecycle points (Create, Finalize, Reopen, WriteManifest, Salvage,
-// Compact); between them every BlobWriter.Commit appends one fixed-size,
-// CRC-sealed record to its rank's journal and fsyncs it, so a commit costs
-// the same at the first cut as at the ten-thousandth and takes no lock
-// shared with other ranks. Readers of an incomplete run fold the journals
-// into the manifest's chunk index (LoadManifest); Finalize publishes the
-// folded index as the Complete manifest and removes the journals.
+// lifecycle points (Create, Finalize, Reopen, MarkFinished,
+// WriteManifest, Salvage, Compact); between them every BlobWriter.Commit
+// appends one fixed-size, CRC-sealed record to its rank's journal and
+// fsyncs it, so a commit costs the same at the first cut as at the
+// ten-thousandth and takes no lock shared with other ranks. Readers of an
+// incomplete run fold the journals into the manifest's chunk index
+// (LoadManifest); Finalize publishes the folded index as the Complete
+// manifest and removes the journals.
 //
 // A journal record is JournalRecordSize bytes, little-endian:
 //
@@ -148,6 +150,22 @@ func ReopenManifestFile(dir string) (Manifest, error) {
 	}
 	m.Complete = false
 	return prev, WriteManifestFile(dir, m)
+}
+
+// MarkFinishedFile adds rank to dir's Manifest.Finished. It rewrites the
+// manifest as read, leaving any unfolded journals as they are; callers
+// serialize it with every other manifest rewrite of the run.
+func MarkFinishedFile(dir string, rank int) error {
+	m, err := ReadManifestFile(dir)
+	if err != nil {
+		return err
+	}
+	i, ok := slices.BinarySearch(m.Finished, rank)
+	if ok {
+		return nil
+	}
+	m.Finished = slices.Insert(m.Finished, i, rank)
+	return WriteManifestFile(dir, m)
 }
 
 // Journal is one rank's open index journal, owned by that rank's

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // ManifestName is the metadata file's name inside an on-disk run.
@@ -59,6 +60,12 @@ type Manifest struct {
 	// Shards is the sharded layout's fragment map (nil for other
 	// layouts).
 	Shards *ShardMap `json:"shards,omitempty"`
+	// Finished lists, in ascending order, the ranks whose writer declared
+	// its record whole: its client finished and the record closed after
+	// its last event (Store.MarkFinished). A cleanly closed blob alone
+	// does not say this, since a drained writer and a salvage close blobs
+	// too. Salvage keeps a rank here only if it keeps its record whole.
+	Finished []int `json:"finished,omitempty"`
 }
 
 // IndexEntry is one committed epoch in a rank's chunk index.
@@ -129,6 +136,7 @@ func (m *Manifest) AppendIndex(rank int, e IndexEntry) {
 // later commits cannot mutate.
 func (m Manifest) Clone() Manifest {
 	out := m
+	out.Finished = slices.Clone(m.Finished)
 	if m.Params != nil {
 		out.Params = make(map[string]string, len(m.Params))
 		for k, v := range m.Params {

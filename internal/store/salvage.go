@@ -175,6 +175,12 @@ func ScanSegments(r io.Reader) (segs []*Segment, clean bool, damage string) {
 type SalvagePlan struct {
 	Report *SalvageReport
 	Keep   [][]*Segment
+	// Finished is the salvaged run's Manifest.Finished: the source's
+	// finished ranks whose record the cut keeps whole. A trimmed rank's
+	// writer has to resume onto its kept prefix, and a salvaged blob
+	// closes cleanly whatever was cut from it, so a later salvage could
+	// not tell.
+	Finished []int
 }
 
 // PlanSalvage scans every rank's blob (openRank; a missing blob may return
@@ -214,6 +220,9 @@ func PlanSalvage(m Manifest, openRank func(rank int) (io.ReadCloser, error)) (*S
 		plan.Keep[r] = segs[r][:keep[r]]
 		for _, s := range plan.Keep[r] {
 			rs.EventsKept += s.Events
+		}
+		if rs.Frontier == math.MaxUint64 && slices.Contains(m.Finished, r) {
+			plan.Finished = append(plan.Finished, r)
 		}
 	}
 	return plan, nil
@@ -358,6 +367,7 @@ func SalvageTo(src, dst Store) (*SalvageReport, error) {
 	}
 	m.Complete = true
 	m.Salvaged = true
+	m.Finished = plan.Finished
 	if err := dst.WriteManifest(m); err != nil {
 		return nil, err
 	}

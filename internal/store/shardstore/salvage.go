@@ -69,6 +69,7 @@ func (s *ShardStore) Salvage() (*store.SalvageReport, error) {
 	}
 	m.Complete = true
 	m.Salvaged = true
+	m.Finished = plan.Finished
 	if err := store.WriteManifestFile(s.dir, m); err != nil {
 		return nil, err
 	}

@@ -90,6 +90,7 @@ func (s *ShardStore) Create(m store.Manifest) error {
 	m.Version = store.ManifestVersion
 	m.Complete = false
 	m.Index = nil
+	m.Finished = nil
 	m.Layout = store.LayoutSharded
 	m.SeekableCuts = true
 	m.Shards = &store.ShardMap{Fanout: DefaultFanout, Ranks: make([][]store.Fragment, m.Ranks)}
@@ -137,6 +138,13 @@ func (s *ShardStore) Reopen() (store.Manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return store.ReopenManifestFile(s.dir)
+}
+
+// MarkFinished adds rank to the manifest's finished ranks.
+func (s *ShardStore) MarkFinished(rank int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return store.MarkFinishedFile(s.dir, rank)
 }
 
 // CreateRank opens rank's blob for writing from scratch: existing

@@ -127,7 +127,8 @@ type Store interface {
 	// ErrBadManifest when the bytes exist but are not a valid manifest.
 	Manifest() (Manifest, error)
 	// Create initializes the run from m (Version and Complete are
-	// overridden; stale rank blobs from a previous run are removed) and
+	// overridden, no rank is finished; stale rank blobs from a previous
+	// run are removed) and
 	// publishes the manifest with Complete unset.
 	Create(m Manifest) error
 	// WriteManifest republishes m atomically, replacing the current
@@ -140,6 +141,11 @@ type Store interface {
 	// before clearing. A Complete manifest is the whole commit record, so
 	// cuts committed on a run that was not reopened are not read.
 	Reopen() (Manifest, error)
+	// MarkFinished records in the manifest that rank's record is whole:
+	// its writer closed it after the client's last event
+	// (Manifest.Finished). It survives Reopen and Finalize; salvage keeps
+	// it only for ranks it keeps whole.
+	MarkFinished(rank int) error
 	// CreateRank opens rank's blob for writing from scratch (any previous
 	// content is discarded).
 	CreateRank(rank int) (BlobWriter, error)

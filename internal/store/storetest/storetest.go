@@ -9,6 +9,8 @@ package storetest
 
 import (
 	"io"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -37,6 +39,89 @@ func Run(t *testing.T, factory Factory) {
 		}
 	})
 	t.Run("SalvageTo", func(t *testing.T) { testSalvageTo(t, factory) })
+	t.Run("FinishedRanks", func(t *testing.T) { testFinishedRanks(t, factory(t)) })
+}
+
+// testFinishedRanks checks Manifest.Finished through a salvage. Rank 0
+// crashes before it writes anything (frontier 0); ranks 1 and 2 close
+// cleanly and are marked finished, but rank 1's segments reference rank
+// 0's clocks 5 and 10. Salvage trims rank 1, so only rank 2 may stay
+// finished. A second salvage sees rank 1's rewritten blob cleanly closed
+// and reports it whole, and must still not list it.
+func testFinishedRanks(t *testing.T, st store.Store) {
+	if err := st.Create(store.Manifest{Ranks: 3, App: "fin"}); err != nil {
+		t.Fatal(err)
+	}
+	// writeRank records one segment per batch, each flushed at its
+	// clock, and closes the record cleanly.
+	writeRank := func(rank int, clocks []uint64, batches ...[]tables.Event) {
+		t.Helper()
+		w, err := st.CreateRank(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := core.NewEncoder(w, core.EncoderOptions{
+			SeekableCuts: st.Seekable(),
+			OnFlushPoint: func(c, ev uint64, offset int64) error {
+				return w.Commit(store.Cut{Clock: c, Events: ev, Offset: offset})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range batches {
+			for _, ev := range b {
+				if err := enc.Observe(1, ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := enc.FlushAll(clocks[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeRank(1, []uint64{6, 11},
+		[]tables.Event{tables.Matched(0, 5, false)}, []tables.Event{tables.Matched(0, 10, false)})
+	writeRank(2, []uint64{4}, []tables.Event{tables.Unmatched(2)})
+	for _, rank := range []int{2, 1, 2} {
+		if err := st.MarkFinished(rank); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, err := st.Manifest(); err != nil || !slices.Equal(m.Finished, []int{1, 2}) {
+		t.Fatalf("marked ranks 2, 1, 2: finished %v, %v; want [1 2]", m.Finished, err)
+	}
+
+	report, err := st.Salvage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := report.Ranks[1].Frontier; f == math.MaxUint64 {
+		t.Fatalf("salvage kept rank 1 whole although it references rank 0 past its frontier: %+v", report.Ranks)
+	}
+	m, err := st.Manifest()
+	if err != nil || !slices.Equal(m.Finished, []int{2}) {
+		t.Fatalf("after salvage: finished %v, %v; want [2]", m.Finished, err)
+	}
+
+	if _, err := st.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if report, err = st.Salvage(); err != nil {
+		t.Fatal(err)
+	}
+	if report.Ranks[1].Frontier != math.MaxUint64 {
+		t.Fatalf("second salvage: rank 1 frontier %d; this test expects the rewritten blob to read whole", report.Ranks[1].Frontier)
+	}
+	if m, err = st.Manifest(); err != nil || !slices.Equal(m.Finished, []int{2}) {
+		t.Fatalf("after a second salvage: finished %v, %v; want [2]", m.Finished, err)
+	}
 }
 
 // testSalvageTo crash-records a run, copies its consistent prefix into a
