@@ -331,9 +331,9 @@ func Replay(world *simmpi.World, app App, opts ...Option) (*ReplayReport, error)
 		// Two streaming passes: a prescan summarizes the rank's record
 		// (per-callsite event totals and exception pins) in bounded memory,
 		// then the replayer pulls chunks from a second pass as replay
-		// progresses — with WithDecodeWorkers, both passes run through the
-		// parallel decode pipeline and the feed pass stays a prefetch window
-		// ahead of the consumption frontier.
+		// progresses — with WithDecodeWorkers on a seekable store, both
+		// passes run through the parallel decode pipeline and the feed pass
+		// stays a prefetch window ahead of the consumption frontier.
 		rp, err := replay.Open(lamport.WrapManual(mpi), func() (*core.RecordIter, io.Closer, error) {
 			return store.OpenRankIter(st, rank, cfg.decoderOptions())
 		}, ropts)

@@ -93,7 +93,7 @@ func TestReplayDecodeWorkersGolden(t *testing.T) {
 					var replayed float64
 					opts := append([]Option{WithApp("mcb"), WithOnRelease(rd.observe)}, storeOpts...)
 					if workers > 0 {
-						opts = append(opts, WithDecodeWorkers(workers), WithPrefetch(2*workers))
+						opts = append(opts, WithDecodeWorkers(workers))
 					}
 					w2 := simmpi.NewWorld(testRanks, simmpi.Options{Seed: int64(91 + workers), MaxJitter: 8})
 					rep, err := Replay(w2, mcbApp(&replayed, &mu), opts...)
@@ -118,23 +118,18 @@ func TestReplayDecodeWorkersGolden(t *testing.T) {
 	}
 }
 
-// TestDecodeOptionValidation pins the decode-side option contract: bounds,
-// the prefetch-requires-workers cross rule, and mode scoping.
+// TestDecodeOptionValidation pins the decode-side option contract: bounds
+// and mode scoping.
 func TestDecodeOptionValidation(t *testing.T) {
 	expectOptionError(t, modeReplay, "WithDecodeWorkers", WithDecodeWorkers(-1))
 	expectOptionError(t, modeReplay, "WithDecodeWorkers", WithDecodeWorkers(257))
-	expectOptionError(t, modeReplay, "WithPrefetch", WithPrefetch(0))
-	expectOptionError(t, modeReplay, "WithPrefetch", WithPrefetch(1<<16+1))
-	// Prefetch without a worker pool has nothing to prefetch into.
-	expectOptionError(t, modeReplay, "WithPrefetch", WithDir("rec"), WithDecodeWorkers(0), WithPrefetch(4))
 	// Decode options are read-side: record mode rejects them.
 	expectOptionError(t, modeRecord, "WithDecodeWorkers", WithDecodeWorkers(4))
-	expectOptionError(t, modeRecord, "WithPrefetch", WithPrefetch(4))
 
-	if _, err := newConfig(modeReplay, []Option{WithDir("rec"), WithDecodeWorkers(4), WithPrefetch(8)}); err != nil {
+	if _, err := newConfig(modeReplay, []Option{WithDir("rec"), WithDecodeWorkers(4)}); err != nil {
 		t.Errorf("valid decode options rejected: %v", err)
 	}
-	if _, err := readerConfig([]Option{WithDecodeWorkers(8), WithPrefetch(16)}); err != nil {
+	if _, err := readerConfig([]Option{WithDecodeWorkers(8)}); err != nil {
 		t.Errorf("reader mode rejected decode options: %v", err)
 	}
 	if o, err := readerConfig([]Option{WithDecodeWorkers(3)}); err != nil || o.DecodeWorkers != 3 {

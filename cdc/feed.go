@@ -195,7 +195,6 @@ func OpenFeed(opts ...Option) (*Feed, error) {
 		Interval:         cfg.feedInterval,
 		Clock:            cfg.feedClock,
 		DecodeWorkers:    cfg.decodeWorkers,
-		Prefetch:         cfg.prefetch,
 		SubscriberBuffer: cfg.subscriberBuffer,
 		Policy:           cfg.slowConsumer,
 		StartEpoch:       cfg.startEpoch,

@@ -213,12 +213,12 @@ func TestFeedOptionValidation(t *testing.T) {
 	expectOptionError(t, modeFeed, "WithTimeout", WithTimeout(time.Second))
 	expectOptionError(t, modeFeed, "WithChunkEvents", WithChunkEvents(128))
 
-	// A valid feed option set passes, including the decode-side knobs.
+	// A valid feed option set passes, including the decode-side knob.
 	valid := []Option{
 		WithDir("rec"), WithFeedRank(2), WithFeedRate(0.5),
 		WithFeedInterval(time.Millisecond), WithSubscriberBuffer(16),
 		WithSlowConsumer(FeedDrop), WithStartEpoch(3), WithFeedPaused(),
-		WithDecodeWorkers(2), WithPrefetch(8),
+		WithDecodeWorkers(2),
 	}
 	if _, err := newConfig(modeFeed, valid); err != nil {
 		t.Errorf("valid feed options rejected: %v", err)

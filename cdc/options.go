@@ -80,9 +80,8 @@ type config struct {
 	omitSenderColumn bool
 	encodeWorkers    int
 
-	// Decode side (Replay sessions and record readers).
+	// Decode side (Replay sessions, record readers and feeds).
 	decodeWorkers int
-	prefetch      int
 
 	// Replay side.
 	timeout   time.Duration
@@ -101,7 +100,7 @@ type config struct {
 
 // decoderOptions is the decode policy the session's options describe.
 func (c *config) decoderOptions() core.DecoderOptions {
-	return core.DecoderOptions{DecodeWorkers: c.decodeWorkers, Prefetch: c.prefetch, Obs: c.obs}
+	return core.DecoderOptions{DecodeWorkers: c.decodeWorkers, Obs: c.obs}
 }
 
 // Option configures a Record or Replay session. Options are validated when
@@ -130,8 +129,8 @@ func replayOnly(name string, f func(*config) error) Option {
 }
 
 // decodeSide wraps an option body with a decode-path check: valid for
-// Replay sessions and the record readers (OpenRecord, OpenRankRecord), but
-// not for Record sessions.
+// Replay sessions, OpenRankRecord and OpenFeed, but not for Record
+// sessions.
 func decodeSide(name string, f func(*config) error) Option {
 	return func(c *config) error {
 		if c.mode == modeRecord {
@@ -172,10 +171,6 @@ func newConfig(mode sessionMode, opts []Option) (*config, error) {
 	if c.store == nil && c.dir == "" && c.mode != modeRead {
 		return nil, &OptionError{Option: "WithDir",
 			Reason: c.mode.String() + " needs a storage destination: pass WithDir (optionally with WithStoreLayout) or WithStore"}
-	}
-	if c.prefetch > 0 && c.decodeWorkers == 0 {
-		return nil, &OptionError{Option: "WithPrefetch",
-			Reason: "requires WithDecodeWorkers; a serial decode has no prefetch window"}
 	}
 	return c, nil
 }
@@ -334,14 +329,15 @@ func WithOmitSenderColumn() Option {
 	})
 }
 
-// WithDecodeWorkers fans record decoding — CRC verification and chunk-table
-// decode, plus per-epoch gzip inflation when the store is seekable with a
-// committed chunk index — across n workers, with an ordered delivery stage
-// keeping the frame sequence identical to a serial decode (DESIGN.md §14).
-// During replay the delivery queue doubles as a prefetch window ahead of
-// the replayer's consumption frontier. n = 0 — the default — decodes
-// serially in-line. Valid for Replay sessions and the record readers
-// (OpenRecord, OpenRankRecord).
+// WithDecodeWorkers decodes a seekable store's records (the sharded
+// layout, with a committed chunk index) on n workers: each committed epoch
+// is an independently inflated segment, and an ordered delivery stage
+// keeps the frame sequence identical to a serial decode (DESIGN.md §14).
+// The delivery queue doubles as a fixed prefetch window of 2n+4 epochs
+// ahead of the consumer. Every other read — a non-seekable store such as
+// the dir layout, or a record with no committed cut — decodes serially
+// whatever n is. n = 0 — the default — decodes serially in-line. Valid for
+// Replay sessions, OpenRankRecord and OpenFeed.
 func WithDecodeWorkers(n int) Option {
 	return decodeSide("WithDecodeWorkers", func(c *config) error {
 		if n < 0 {
@@ -351,24 +347,6 @@ func WithDecodeWorkers(n int) Option {
 			return &OptionError{Option: "WithDecodeWorkers", Reason: fmt.Sprintf("worker count %d exceeds the sanity cap of 256", n)}
 		}
 		c.decodeWorkers = n
-		return nil
-	})
-}
-
-// WithPrefetch bounds the decode pipeline's ordered delivery window: how
-// many decoded units (frames, or whole epochs on a seekable store) may sit
-// verified ahead of the consumer. Larger windows smooth bursty consumers at
-// the cost of memory; the default is 2*DecodeWorkers+4. Requires
-// WithDecodeWorkers — a serial decode has no window.
-func WithPrefetch(n int) Option {
-	return decodeSide("WithPrefetch", func(c *config) error {
-		if n < 1 {
-			return &OptionError{Option: "WithPrefetch", Reason: fmt.Sprintf("prefetch window must be positive, got %d", n)}
-		}
-		if n > 1<<16 {
-			return &OptionError{Option: "WithPrefetch", Reason: fmt.Sprintf("prefetch window %d exceeds the sanity cap of %d", n, 1<<16)}
-		}
-		c.prefetch = n
 		return nil
 	})
 }

@@ -3,7 +3,6 @@ package cdc
 import (
 	"errors"
 	"io"
-	"os"
 
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/store"
@@ -67,9 +66,9 @@ type RecordReader struct {
 	it *core.RecordIter
 }
 
-// readerConfig validates reader-side options (WithDecodeWorkers,
-// WithPrefetch; record- or replay-session options are rejected) and returns
-// the decode policy they describe.
+// readerConfig validates reader-side options (WithDecodeWorkers and
+// WithObs; record- or replay-session options are rejected) and returns the
+// decode policy they describe.
 func readerConfig(opts []Option) (core.DecoderOptions, error) {
 	cfg, err := newConfig(modeRead, opts)
 	if err != nil {
@@ -78,39 +77,14 @@ func readerConfig(opts []Option) (core.DecoderOptions, error) {
 	return cfg.decoderOptions(), nil
 }
 
-// OpenRecord opens a raw record file the caller already has a path to
-// (e.g. a file handed to a support engineer) for streaming. Tooling that
-// knows a run directory should use OpenStore + OpenRankRecord instead and
-// never touch layout paths. The returned reader owns the file handle;
-// Close releases both it and the decompressor.
-//
-// Reader-side options apply: WithDecodeWorkers decodes frames on a worker
-// pool with ordered delivery, WithPrefetch bounds its window, and WithObs
-// collects the decode.* instruments.
-func OpenRecord(path string, opts ...Option) (*RecordReader, error) {
-	o, err := readerConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	it, err := core.OpenRecordOptions(f, o)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &RecordReader{f: f, it: it}, nil
-}
-
 // OpenRankRecord opens one rank's record blob from a store (see
 // OpenStore) for streaming. On an incomplete run the blob arrives pinned
 // to the last committed epoch line, so a record being written concurrently
 // reads as a stable prefix.
 //
-// Reader-side options apply, as in OpenRecord; with WithDecodeWorkers on a
-// seekable store the committed epochs are inflated in parallel.
+// Reader-side options apply: with WithDecodeWorkers on a seekable store
+// the committed epochs are inflated in parallel, and WithObs collects the
+// decode.* instruments of that pipeline.
 func OpenRankRecord(st Store, rank int, opts ...Option) (*RecordReader, error) {
 	o, err := readerConfig(opts)
 	if err != nil {

@@ -89,8 +89,8 @@ func cmdFeed(args []string) int {
 		printFeedEvent(ev)
 	}
 	s := f.Stats()
-	fmt.Fprintf(os.Stderr, "cdcinspect: feed done: %d releases over %d epochs (lead %d, drops %d)\n",
-		s.Released, s.Epochs, s.Lead, s.Drops)
+	fmt.Fprintf(os.Stderr, "cdcinspect: feed done: %d releases over %d epochs (%d drops)\n",
+		s.Released, s.Epochs, s.Drops)
 	return code
 }
 

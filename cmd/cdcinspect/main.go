@@ -7,8 +7,8 @@
 //	cdcinspect verify  [-json] <record-file>...      # CRC scan; exit 1 if damaged
 //	cdcinspect salvage [-json] <record-dir>          # recover a crashed run in place
 //	cdcinspect salvage [-json] -o <out> <record-dir> # recover into a copy
-//	cdcinspect stats   [-json] [-decode-workers N] <record-file>...  # callsite/chunk summary
-//	cdcinspect dump    [-json] [-decode-workers N] <record-file>     # per-chunk tables
+//	cdcinspect stats   [-json] <record-file>...      # callsite/chunk summary
+//	cdcinspect dump    [-json] <record-file>         # per-chunk tables
 //	cdcinspect feed    [-rank N] [-rate R | -max] [-http addr] <record-dir>  # live-paced replay
 package main
 
@@ -295,7 +295,6 @@ type fileStats struct {
 	Values        uint64          `json:"cdc_values"`
 	FlushPoints   uint64          `json:"flush_points"`
 	BytesPerEvent float64         `json:"bytes_per_event"`
-	DecodeWorkers int             `json:"decode_workers"`
 	DecodeMs      float64         `json:"decode_ms"`
 	Callsites     []callsiteStats `json:"callsites"`
 }
@@ -326,11 +325,10 @@ type moveDump struct {
 }
 
 // scanFile streams one record file, filling stats and (when dump is
-// non-nil) per-chunk tables. workers > 0 decodes frames through the
-// parallel pipeline; the reported decode time covers the whole scan either
-// way, so the two modes compare directly.
-func scanFile(path string, workers int, dump *[]chunkDump) (st fileStats, err error) {
-	st = fileStats{File: path, DecodeWorkers: workers}
+// non-nil) per-chunk tables. The reported decode time covers the whole
+// scan.
+func scanFile(path string, dump *[]chunkDump) (st fileStats, err error) {
+	st = fileStats{File: path}
 	f, err := os.Open(path)
 	if err != nil {
 		return st, err
@@ -341,7 +339,7 @@ func scanFile(path string, workers int, dump *[]chunkDump) (st fileStats, err er
 	}
 	start := time.Now()
 	defer func() { st.DecodeMs = float64(time.Since(start).Nanoseconds()) / 1e6 }()
-	it, err := core.OpenRecordOptions(f, core.DecoderOptions{DecodeWorkers: workers})
+	it, err := core.OpenRecord(f)
 	if err != nil {
 		return st, err
 	}
@@ -417,7 +415,7 @@ func scanFile(path string, workers int, dump *[]chunkDump) (st fileStats, err er
 func printStats(st fileStats) {
 	fmt.Printf("%s: %d bytes, %d callsites, %d chunks, %d receive events\n",
 		st.File, st.Bytes, len(st.Callsites), st.Chunks, st.Events)
-	fmt.Printf("  decoded in %.2f ms (%d decode workers)\n", st.DecodeMs, st.DecodeWorkers)
+	fmt.Printf("  decoded in %.2f ms\n", st.DecodeMs)
 	if st.Events > 0 {
 		fmt.Printf("  %.3f bytes/event, %.1f%% permuted, %d CDC values (vs %d uncompressed)\n",
 			st.BytesPerEvent, 100*float64(st.Moves)/float64(st.Events),
@@ -435,9 +433,8 @@ func printStats(st fileStats) {
 func cmdStats(args []string) int {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
-	workers := fs.Int("decode-workers", 0, "decode frames on a worker pool (0 = serial)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: cdcinspect stats [-json] [-decode-workers N] <record-file>...")
+		fmt.Fprintln(os.Stderr, "usage: cdcinspect stats [-json] <record-file>...")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -447,7 +444,7 @@ func cmdStats(args []string) int {
 	}
 	var all []fileStats
 	for _, path := range fs.Args() {
-		st, err := scanFile(path, *workers, nil)
+		st, err := scanFile(path, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cdcinspect: %s: %v\n", path, err)
 			return 1
@@ -467,9 +464,8 @@ func cmdStats(args []string) int {
 func cmdDump(args []string) int {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
-	workers := fs.Int("decode-workers", 0, "decode frames on a worker pool (0 = serial)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: cdcinspect dump [-json] [-decode-workers N] <record-file>")
+		fmt.Fprintln(os.Stderr, "usage: cdcinspect dump [-json] <record-file>")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -478,7 +474,7 @@ func cmdDump(args []string) int {
 		return 2
 	}
 	var chunks []chunkDump
-	st, err := scanFile(fs.Arg(0), *workers, &chunks)
+	st, err := scanFile(fs.Arg(0), &chunks)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cdcinspect: %s: %v\n", fs.Arg(0), err)
 		return 1

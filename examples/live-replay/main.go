@@ -177,7 +177,7 @@ func main() {
 	fmt.Printf("subscriber B: %d frames, flush clocks %v\n", b.frames, b.flushes)
 	fmt.Printf("lazy subscriber: %d events taken, %d marked dropped in gaps, %d dropped unannounced\n",
 		lazySeen.frames+len(lazySeen.flushes), lazySeen.gapped, lazy.Dropped())
-	fmt.Printf("feed stats: %d released, %d drops, lead %d\n", s.Released, s.Drops, s.Lead)
+	fmt.Printf("feed stats: %d released, %d drops\n", s.Released, s.Drops)
 
 	// Under the Drop policy the fan-out guarantee is not "lossless" but
 	// "nothing vanishes silently": every release is either accepted,

@@ -2,29 +2,21 @@
 // pipeline.go's encode pool, feeding the replayer instead of the record
 // file.
 //
-// Chunks are independently decodable (DST property P3), so the CPU-bound
-// part of reading a record — CRC verification and chunk-table decoding —
-// fans across a bounded worker pool while an ordered delivery stage hands
-// frames to the consumer in exact stream order. The consumer is typically
-// a replayer; the delivery queue doubles as its prefetch window, holding
-// decoded frames a bounded distance ahead of the consumption frontier so
-// replay becomes I/O-bound. Back-pressure is the queue itself: when the
-// replayer stalls, the dispatcher blocks on a full ring (visible through
-// the decode.prefetch.depth gauge) and decoding pauses.
+// Chunks are independently decodable (DST property P3), and a record
+// written with SeekableCuts starts a fresh gzip member at every committed
+// cut, so the byte range between two cuts inflates and decodes on its own.
+// The pipeline splits a seekable blob at the store's chunk index into such
+// segments, fans them across a bounded worker pool, and hands frames to the
+// consumer in exact stream order through an ordered delivery stage. The
+// consumer is typically a replayer; the delivery queue doubles as its
+// prefetch window, a fixed 2*DecodeWorkers+4 segments ahead of the
+// consumption frontier. Back-pressure is the queue itself: when the
+// replayer stalls, the dispatcher blocks on a full ring and decoding
+// pauses.
 //
-// Two dispatch shapes share the worker/delivery machinery:
-//
-//	stream (any io.Reader)            segments (seekable blobs)
-//	──────────────────────            ─────────────────────────
-//	serial gzip inflate + raw scan    per-epoch byte ranges from the
-//	workers verify CRC + parse        store chunk index; workers inflate
-//	one frame per job                 and decode whole members in parallel
-//
-// The stream shape parallelizes only what sits above the (inherently
-// serial) gzip inflate; the segment shape — available when the record was
-// written with SeekableCuts and the store committed a chunk index — also
-// parallelizes the inflate, which dominates decode time, and is what the
-// BENCH_decode speedup gate measures.
+// Every other read — a plain io.Reader, a blob without a chunk index — is
+// the serial FrameReader: inflate is inherently serial within one gzip
+// member, so a pool over a single stream only adds hand-off cost.
 //
 // Error semantics match the serial FrameReader exactly: frames are
 // delivered in stream order, the first damaged frame latches the source
@@ -48,29 +40,15 @@ import (
 
 // DecoderOptions configure how a RecordIter decodes frames.
 type DecoderOptions struct {
-	// DecodeWorkers fans CRC verification and chunk-table decoding across
-	// a worker pool with ordered delivery. 0 (the default) decodes
-	// serially in-line; n ≥ 1 runs n workers.
+	// DecodeWorkers fans the inflate and decode of a seekable blob's
+	// segments (OpenRecordSegmentsAt) across a worker pool with ordered
+	// delivery. 0 (the default) decodes serially in-line; n ≥ 1 runs n
+	// workers.
 	DecodeWorkers int
-	// Prefetch bounds the ordered delivery window: how many decoded units
-	// (frames on the stream path, epoch segments on the seekable path) may
-	// sit verified ahead of the consumer's frontier. The spsc ring rounds
-	// it up to a power of two. Default 2*DecodeWorkers+4.
-	Prefetch int
 	// Obs, when non-nil, receives the pipeline's instruments
 	// (DESIGN.md §8): decode.workers.busy, decode.prefetch.depth,
 	// decode.stage.ns.
 	Obs *obs.Registry
-}
-
-// fill substitutes defaults for zero fields.
-func (o *DecoderOptions) fill() {
-	if o.DecodeWorkers < 0 {
-		o.DecodeWorkers = 0
-	}
-	if o.Prefetch <= 0 {
-		o.Prefetch = 2*o.DecodeWorkers + 4
-	}
 }
 
 // gzipReaderPool pools *gzip.Reader across decodes: a reader carries the
@@ -104,24 +82,18 @@ func (emptySource) Events() uint64        { return 0 }
 func (emptySource) FlushPoints() uint64   { return 0 }
 func (emptySource) Close() error          { return nil }
 
-// decodeJob kinds.
-const (
-	djRaw = iota // verify + parse one raw frame (stream path)
-	djSeg        // inflate + decode one blob segment (seekable path)
-	djEnd        // terminal marker: err is io.EOF or the raw-scan failure
-)
-
-// decodeJob is one unit of decode work. Jobs are pooled; ownership passes
-// dispatcher → worker → consumer through the channel sends, so no lock
-// guards the fields. ready is a one-token latch the worker fills once the
-// outputs are final (buffered so an abandoned job never blocks a worker).
+// decodeJob is one unit of decode work: one segment to inflate and
+// decode, or (end set) the terminal marker the dispatcher queues after the
+// last segment. Jobs are pooled; ownership passes dispatcher → worker →
+// consumer through the channel sends, so no lock guards the fields. ready
+// is a one-token latch the worker fills once the outputs are final
+// (buffered so an abandoned job never blocks a worker).
 type decodeJob struct {
-	kind   int
-	raw    rawFrame     // djRaw input
-	seg    segmentRange // djSeg input
-	frames []*Frame     // decoded output, in stream order
-	err    error        // decode failure cause after frames, or io.EOF
-	trunc  bool         // err is a truncation cause: wrap with prefix counts
+	end    bool
+	seg    segmentRange
+	frames []*Frame // decoded output, in stream order
+	err    error    // decode failure cause after frames, or io.EOF
+	trunc  bool     // err is a truncation cause: wrap with prefix counts
 	ready  chan struct{}
 }
 
@@ -134,12 +106,12 @@ type segmentRange struct {
 	seg int // segment ordinal, for error text
 }
 
-// parallelSource is the pooled frameSource behind a RecordIter when
-// DecodeWorkers ≥ 1. One dispatcher goroutine scans input in stream order
-// and commits each job to the delivery ring before handing it to the
-// worker stage (commit-before-worker, exactly the encode pipeline's
-// ordering trick), so ring order IS stream order; the consumer waits on
-// each job's ready latch and walks its frames.
+// parallelSource is the pooled frameSource behind a segment-decoded
+// RecordIter when DecodeWorkers ≥ 1. One dispatcher goroutine commits each
+// segment's job to the delivery ring before handing it to the worker stage
+// (commit-before-worker, exactly the encode pipeline's ordering trick), so
+// ring order IS stream order; the consumer waits on each job's ready latch
+// and walks its frames.
 type parallelSource struct {
 	q    *spsc.Queue[*decodeJob]
 	jobs chan *decodeJob
@@ -171,7 +143,10 @@ var errIterClosed = errors.New("core: record iterator closed")
 
 func newParallelSource(o DecoderOptions) *parallelSource {
 	d := &parallelSource{
-		q:    spsc.New[*decodeJob](o.Prefetch),
+		// The delivery window: enough decoded segments for every worker to
+		// have one in flight and one waiting, plus slack for a bursty
+		// consumer. The spsc ring rounds it up to a power of two.
+		q:    spsc.New[*decodeJob](2*o.DecodeWorkers + 4),
 		jobs: make(chan *decodeJob, o.DecodeWorkers),
 	}
 	d.jobPool.New = func() any { return new(decodeJob) }
@@ -187,9 +162,9 @@ func newParallelSource(o DecoderOptions) *parallelSource {
 	return d
 }
 
-func (d *parallelSource) getJob(kind int) *decodeJob {
+func (d *parallelSource) getJob(end bool) *decodeJob {
 	j := d.jobPool.Get().(*decodeJob)
-	j.kind = kind
+	j.end = end
 	if j.ready == nil {
 		j.ready = make(chan struct{}, 1)
 	}
@@ -199,7 +174,6 @@ func (d *parallelSource) getJob(kind int) *decodeJob {
 // recycle returns a delivered job to the pool, keeping its backing arrays
 // and ready latch (the latch is drained: the consumer received its token).
 func (d *parallelSource) recycle(j *decodeJob) {
-	j.raw = rawFrame{}
 	j.seg = segmentRange{}
 	j.frames = j.frames[:0]
 	j.err = nil
@@ -207,46 +181,21 @@ func (d *parallelSource) recycle(j *decodeJob) {
 	d.jobPool.Put(j)
 }
 
-// dispatchFrames is the stream-path dispatcher: it owns the serial gzip
-// inflate and raw frame scan, committing one job per frame. fr's reader
-// must not be touched by anyone else until the pipeline winds down.
-func (d *parallelSource) dispatchFrames(fr *FrameReader) {
-	defer d.wg.Done()
-	defer close(d.jobs)
-	defer fr.Close() //cdc:allow(errsink) read-side close; decode errors ride the terminal job
-	for {
-		raw, err := fr.readRaw()
-		if err != nil {
-			t := d.getJob(djEnd)
-			t.err = err
-			t.trunc = err != io.EOF
-			d.q.Enqueue(t)
-			return
-		}
-		j := d.getJob(djRaw)
-		j.raw = raw
-		if !d.q.Enqueue(j) {
-			return // consumer closed the iterator early
-		}
-		d.jobs <- j
-	}
-}
-
-// dispatchSegments is the seekable-path dispatcher: segments are known up
-// front, so the dispatcher only paces admission against the prefetch
-// window while workers inflate and decode concurrently.
+// dispatchSegments is the dispatcher: segments are known up front, so it
+// only paces admission against the prefetch window while workers inflate
+// and decode concurrently.
 func (d *parallelSource) dispatchSegments(segs []segmentRange) {
 	defer d.wg.Done()
 	defer close(d.jobs)
 	for _, sg := range segs {
-		j := d.getJob(djSeg)
+		j := d.getJob(false)
 		j.seg = sg
 		if !d.q.Enqueue(j) {
 			return // consumer closed the iterator early
 		}
 		d.jobs <- j
 	}
-	t := d.getJob(djEnd)
+	t := d.getJob(true)
 	t.err = io.EOF
 	d.q.Enqueue(t)
 }
@@ -256,17 +205,7 @@ func (d *parallelSource) worker() {
 	for j := range d.jobs {
 		d.mBusy.Add(1)
 		stop := d.mStageNs.StartTimer()
-		switch j.kind {
-		case djRaw:
-			f, err := parseFrame(j.raw)
-			if err != nil {
-				j.err, j.trunc = err, true
-			} else {
-				j.frames = append(j.frames, f)
-			}
-		case djSeg:
-			d.decodeSegment(j)
-		}
+		d.decodeSegment(j)
 		stop()
 		d.mBusy.Add(-1)
 		j.ready <- struct{}{}
@@ -331,7 +270,7 @@ func (d *parallelSource) Next() (*Frame, error) {
 			d.err = errIterClosed
 			return nil, d.err
 		}
-		if j.kind != djEnd {
+		if !j.end {
 			<-j.ready
 		}
 		d.cur, d.curIdx = j, 0
@@ -393,30 +332,6 @@ func (d *parallelSource) Close() error {
 	return nil
 }
 
-// OpenRecordOptions is OpenRecord with a decode policy: DecodeWorkers ≥ 1
-// verifies and parses frames on a worker pool with ordered delivery and a
-// bounded prefetch window; 0 decodes serially, exactly OpenRecord. The
-// frames arrive byte-identical in either mode (pinned by golden tests).
-//
-// With workers, a pipeline goroutine reads rd until the stream ends or the
-// iterator is closed; the caller must not touch rd again until Close
-// returns. For seekable blobs with a chunk index, OpenRecordSegments also
-// parallelizes the gzip inflate.
-func OpenRecordOptions(rd io.Reader, o DecoderOptions) (*RecordIter, error) {
-	o.fill()
-	if o.DecodeWorkers <= 0 {
-		return OpenRecord(rd)
-	}
-	fr, err := NewFrameReader(rd)
-	if err != nil {
-		return nil, err
-	}
-	d := newParallelSource(o)
-	d.wg.Add(1)
-	go d.dispatchFrames(fr)
-	return &RecordIter{src: d, names: make(map[uint64]string)}, nil
-}
-
 // OpenRecordSegments opens a whole seekable record blob for
 // segment-parallel decode. cuts are the committed chunk-index offsets of a
 // record written with EncoderOptions.SeekableCuts — each one a gzip member
@@ -444,11 +359,10 @@ func OpenRecordSegments(ra io.ReaderAt, size int64, cuts []int64, o DecoderOptio
 //
 // With DecodeWorkers == 0 the tail is decoded serially from start.
 func OpenRecordSegmentsAt(ra io.ReaderAt, size, start int64, cuts []int64, o DecoderOptions) (*RecordIter, error) {
-	o.fill()
 	if start < 0 || start > size {
 		return nil, fmt.Errorf("core: seek offset %d outside blob of %d bytes", start, size)
 	}
-	if start == size {
+	if start == size && start > 0 {
 		// A cut at the very end of the blob (final flush at close) has an
 		// empty tail: a valid seek target with nothing left to decode.
 		return &RecordIter{src: emptySource{}, names: make(map[uint64]string)}, nil
@@ -469,6 +383,11 @@ func OpenRecordSegmentsAt(ra io.ReaderAt, size, start int64, cuts []int64, o Dec
 			return nil, fmt.Errorf("core: bad magic %q", magic)
 		}
 		prev = int64(len(Magic))
+		if prev == size {
+			// A record is never the bare magic: the serial reader fails
+			// opening the missing gzip stream, and so must this.
+			return nil, &TruncatedRecordError{Cause: fmt.Errorf("core: opening gzip stream: %w", io.ErrUnexpectedEOF)}
+		}
 	}
 	// Sanitize the cut list into strictly increasing member boundaries
 	// inside (start, size); the tail past the last cut is the final

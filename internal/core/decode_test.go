@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -86,9 +88,15 @@ func drainFlat(t testing.TB, it *RecordIter) (frames []frameFlat, counters [3]ui
 	return frames, counters, names
 }
 
+// openSegments opens data for segment decode split at cuts.
+func openSegments(data []byte, cuts []int64, workers int) (*RecordIter, error) {
+	return OpenRecordSegments(bytes.NewReader(data), int64(len(data)), cuts, DecoderOptions{DecodeWorkers: workers})
+}
+
 // TestParallelDecodeIdentity checks every pool width delivers the exact
-// serial frame sequence, in both stream mode (sequential reader) and
-// segment mode (ReaderAt + cuts).
+// serial frame sequence, both with the record as one uncut segment
+// ("stream": how a record with no committed cut looks to the pipeline) and
+// split at its committed cuts ("segments").
 func TestParallelDecodeIdentity(t *testing.T) {
 	data, cuts := buildSeekableRecord(t, 101, 2000, 8)
 	serialIt, err := OpenRecord(bytes.NewReader(data))
@@ -103,7 +111,7 @@ func TestParallelDecodeIdentity(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		o := DecoderOptions{DecodeWorkers: workers}
 		t.Run(fmt.Sprintf("stream/workers=%d", workers), func(t *testing.T) {
-			it, err := OpenRecordOptions(bytes.NewReader(data), o)
+			it, err := openSegments(data, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,6 +152,17 @@ func compareFlat(t *testing.T, got, want []frameFlat) {
 	}
 }
 
+// openAndDrain opens an iterator and drains it to its terminal error. An
+// open failure counts as a terminal error before frame 0: the serial
+// reader checks the first gzip header at open, the segment decoder when a
+// worker reaches it.
+func openAndDrain(it *RecordIter, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return drainToError(it)
+}
+
 // drainToError consumes an iterator until it fails, returning the error and
 // how many frames were delivered first.
 func drainToError(it *RecordIter) (int, error) {
@@ -158,24 +177,25 @@ func drainToError(it *RecordIter) (int, error) {
 	}
 }
 
-// TestParallelDecodeTruncationParity truncates the record mid-stream and
-// checks every pool width surfaces the same first error as the serial
-// reader: a TruncatedRecordError with identical delivered-prefix counters.
+// TestParallelDecodeTruncationParity truncates the record at a sweep of
+// offsets (the header, mid-member, exactly on committed cuts) and checks
+// every pool width surfaces the same first error as the serial reader: a
+// TruncatedRecordError with identical delivered-prefix counters, or a
+// clean end where the cut leaves whole epochs.
 func TestParallelDecodeTruncationParity(t *testing.T) {
-	data, _ := buildSeekableRecord(t, 102, 1200, 6)
-	for _, cutAt := range []int{len(data) / 3, len(data) / 2, len(data) - 3} {
+	data, cuts := buildSeekableRecord(t, 102, 1200, 6)
+	offsets := append([]int{len(Magic) - 1, len(Magic), len(Magic) + 5, len(data) - 3}, 0)
+	for _, c := range cuts {
+		offsets = append(offsets, int(c)-1, int(c), int(c)+1)
+	}
+	for at := len(Magic); at < len(data); at += 1 + len(data)/200 {
+		offsets = append(offsets, at)
+	}
+	for _, cutAt := range offsets {
 		mut := data[:cutAt]
-		serialIt, err := OpenRecord(bytes.NewReader(mut))
-		if err != nil {
-			continue // truncated inside the header: nothing to compare
-		}
-		wantN, wantErr := drainToError(serialIt)
+		wantN, wantErr := openAndDrain(OpenRecord(bytes.NewReader(mut)))
 		for _, workers := range []int{1, 2, 4, 8} {
-			it, err := OpenRecordOptions(bytes.NewReader(mut), DecoderOptions{DecodeWorkers: workers})
-			if err != nil {
-				t.Fatalf("cut %d workers %d: open: %v", cutAt, workers, err)
-			}
-			gotN, gotErr := drainToError(it)
+			gotN, gotErr := openAndDrain(openSegments(mut, cuts, workers))
 			if gotN != wantN {
 				t.Fatalf("cut %d workers %d: delivered %d frames before failing, serial %d", cutAt, workers, gotN, wantN)
 			}
@@ -198,23 +218,15 @@ func TestParallelDecodeTruncationParity(t *testing.T) {
 // (frames past the damage may have decoded fine on other workers, but the
 // consumer sees errors in stream order).
 func TestParallelDecodeCorruptionFirstErrorWins(t *testing.T) {
-	data, _ := buildSeekableRecord(t, 103, 1200, 6)
+	data, cuts := buildSeekableRecord(t, 103, 1200, 6)
 	rng := rand.New(rand.NewSource(104))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte(nil), data...)
 		i := len(Magic) + rng.Intn(len(mut)-len(Magic))
 		mut[i] ^= byte(1 + rng.Intn(255))
-		serialIt, err := OpenRecord(bytes.NewReader(mut))
-		if err != nil {
-			continue
-		}
-		wantN, wantErr := drainToError(serialIt)
+		wantN, wantErr := openAndDrain(OpenRecord(bytes.NewReader(mut)))
 		for _, workers := range []int{2, 8} {
-			it, err := OpenRecordOptions(bytes.NewReader(mut), DecoderOptions{DecodeWorkers: workers})
-			if err != nil {
-				t.Fatalf("trial %d workers %d: open: %v", trial, workers, err)
-			}
-			gotN, gotErr := drainToError(it)
+			gotN, gotErr := openAndDrain(openSegments(mut, cuts, workers))
 			if gotN != wantN || (gotErr == io.EOF) != (wantErr == io.EOF) {
 				t.Fatalf("trial %d (flip at %d) workers %d: %d frames then %v; serial %d frames then %v",
 					trial, i, workers, gotN, gotErr, wantN, wantErr)
@@ -225,12 +237,17 @@ func TestParallelDecodeCorruptionFirstErrorWins(t *testing.T) {
 
 // TestParallelDecodeEarlyClose abandons iterators at every prefix length:
 // Close must not deadlock against in-flight workers, and a closed iterator
-// must refuse further reads.
+// must refuse further reads. The record has more epochs than the widest
+// prefetch window (2*8+4, rounded up to 32), so the dispatcher is blocked
+// on a full window when Close lands.
 func TestParallelDecodeEarlyClose(t *testing.T) {
-	data, cuts := buildSeekableRecord(t, 105, 800, 6)
+	data, cuts := buildSeekableRecord(t, 105, 1600, 64)
+	if len(cuts) <= 32 {
+		t.Fatalf("record has %d cuts, want more than the widest window", len(cuts))
+	}
 	for _, workers := range []int{1, 4, 8} {
 		for stop := 0; stop < 20; stop++ {
-			it, err := OpenRecordOptions(bytes.NewReader(data), DecoderOptions{DecodeWorkers: workers, Prefetch: 2})
+			it, err := openSegments(data, cuts, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,22 +263,13 @@ func TestParallelDecodeEarlyClose(t *testing.T) {
 				t.Fatalf("workers %d: Next after Close gave %v", workers, err)
 			}
 		}
-		it, err := OpenRecordSegments(bytes.NewReader(data), int64(len(data)), cuts, DecoderOptions{DecodeWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := it.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if err := it.Close(); err != nil {
-			t.Fatalf("segment early close: %v", err)
-		}
 	}
 }
 
 // TestParallelDecodeStress hammers the pipeline with many concurrent
-// iterations; run under -race this exercises the job recycling, the gzip
-// reader pool, and the ordered hand-off.
+// iterations, split at the committed cuts and as one uncut segment; run
+// under -race this exercises the job recycling, the gzip reader pool, and
+// the ordered hand-off.
 func TestParallelDecodeStress(t *testing.T) {
 	data, cuts := buildSeekableRecord(t, 106, 1500, 10)
 	iters := 30
@@ -271,7 +279,7 @@ func TestParallelDecodeStress(t *testing.T) {
 	done := make(chan error, 2*iters)
 	for i := 0; i < iters; i++ {
 		go func(i int) {
-			it, err := OpenRecordOptions(bytes.NewReader(data), DecoderOptions{DecodeWorkers: 1 + i%8})
+			it, err := openSegments(data, nil, 1+i%8)
 			if err != nil {
 				done <- err
 				return
@@ -283,7 +291,7 @@ func TestParallelDecodeStress(t *testing.T) {
 			done <- nil
 		}(i)
 		go func(i int) {
-			it, err := OpenRecordSegments(bytes.NewReader(data), int64(len(data)), cuts, DecoderOptions{DecodeWorkers: 1 + i%8})
+			it, err := openSegments(data, cuts, 1+i%8)
 			if err != nil {
 				done <- err
 				return
@@ -351,63 +359,127 @@ func frameAsRecord(f *testing.F, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// FuzzParallelDecode is the differential oracle for the decode pipeline:
-// whatever the input, the pooled decoder must deliver exactly the serial
-// reader's frame sequence and fail (or finish) exactly where it does. Seeds
-// include valid multi-epoch records, truncations, bit flips, and the
-// cdcformat chunk-decoder corpus framed into records.
+// appendCuts encodes a cut list as the fuzz target's cut bytes: one uvarint
+// per offset.
+func appendCuts(b []byte, cuts ...int64) []byte {
+	for _, c := range cuts {
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	return b
+}
+
+// parseCuts decodes fuzz cut bytes, keeping at most 64 offsets.
+func parseCuts(b []byte) []int64 {
+	var cuts []int64
+	for len(b) > 0 && len(cuts) < 64 {
+		c, n := binary.Uvarint(b)
+		if n <= 0 || c > math.MaxInt64 {
+			break
+		}
+		cuts = append(cuts, int64(c))
+		b = b[n:]
+	}
+	return cuts
+}
+
+// FuzzParallelDecode is the differential oracle for the segment decode
+// pipeline: whatever the bytes and the cut list, it must deliver the serial
+// reader's frames in order and end where the serial reader ends, with the
+// same terminal kind and truncation counters. The one licensed difference
+// is an interior cut that is not a committed epoch boundary: the segment
+// before it cannot end cleanly, so decode may stop there early, with a
+// truncation error carrying the delivered-prefix counts — never a
+// different frame. Seeds include valid multi-epoch records with their real
+// cuts, truncations, bit flips, the cdcformat chunk-decoder corpus framed
+// into records, and hostile cut lists.
 func FuzzParallelDecode(f *testing.F) {
-	valid, _ := buildSeekableRecord(f, 109, 300, 3)
-	f.Add(valid, uint8(2))
-	f.Add(valid[:len(valid)/2], uint8(4))
-	f.Add(valid[:len(Magic)+5], uint8(1))
+	valid, cuts := buildSeekableRecord(f, 109, 300, 3)
+	real := appendCuts(nil, cuts...)
+	f.Add(valid, real, uint8(2))
+	f.Add(valid[:len(valid)/2], real, uint8(4))
+	f.Add(valid[:len(Magic)+5], real, uint8(1))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x20
-	f.Add(flipped, uint8(8))
-	f.Add([]byte(Magic), uint8(3))
+	f.Add(flipped, real, uint8(8))
+	f.Add([]byte(Magic), []byte(nil), uint8(3))
 	for i, payload := range chunkDecodeCorpus(f) {
-		f.Add(frameAsRecord(f, payload), uint8(1+i%8))
+		f.Add(frameAsRecord(f, payload), []byte(nil), uint8(1+i%8))
 	}
+	n := int64(len(valid))
+	f.Add(valid, appendCuts(nil, cuts[0]+3), uint8(2))                 // inside a member
+	f.Add(valid, appendCuts(nil, cuts[1], cuts[0], cuts[1]), uint8(4)) // unsorted, duplicate
+	f.Add(valid, appendCuts(nil, int64(len(Magic)), n, n+100), uint8(1))
+	f.Add(valid, appendCuts(nil, 1<<62, 0), uint8(8))
 
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+	f.Fuzz(func(t *testing.T, data, cutBytes []byte, workers uint8) {
 		w := 1 + int(workers%8)
-		serialIt, serialErr := OpenRecord(bytes.NewReader(data))
-		pooledIt, pooledErr := OpenRecordOptions(bytes.NewReader(data), DecoderOptions{DecodeWorkers: w})
-		if (serialErr == nil) != (pooledErr == nil) {
-			t.Fatalf("open: serial %v, %d workers %v", serialErr, w, pooledErr)
+		cuts := parseCuts(cutBytes)
+		interior := false
+		for _, c := range cuts {
+			interior = interior || (c > int64(len(Magic)) && c < int64(len(data)))
 		}
+		serialIt, serialErr := OpenRecord(bytes.NewReader(data))
+		segIt, segErr := openSegments(data, cuts, w)
 		if serialErr != nil {
+			if segErr == nil {
+				// The serial reader checks the first gzip header at open;
+				// the segment decoder must fail on it before any frame.
+				n, err := drainToError(segIt)
+				var tr *TruncatedRecordError
+				if n != 0 || !errors.As(err, &tr) || !errors.As(serialErr, new(*TruncatedRecordError)) {
+					t.Fatalf("open: serial %v; %d workers delivered %d frames then %v", serialErr, w, n, err)
+				}
+			}
 			return
 		}
 		defer serialIt.Close()
+		if segErr != nil {
+			t.Fatalf("open: serial ok, %d workers %v", w, segErr)
+		}
 		var n int
 		for {
+			pf, perr := segIt.Next()
 			sf, serr := serialIt.Next()
-			pf, perr := pooledIt.Next()
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("frame %d: serial err %v, %d workers err %v", n, serr, w, perr)
+			if perr == nil && serr == nil {
+				if sf.Kind != pf.Kind || !bytes.Equal(sf.Payload, pf.Payload) {
+					t.Fatalf("frame %d diverges: serial kind %d/%dB, %d workers kind %d/%dB",
+						n, sf.Kind, len(sf.Payload), w, pf.Kind, len(pf.Payload))
+				}
+				n++
+				continue
 			}
-			if serr != nil {
-				if (serr == io.EOF) != (perr == io.EOF) {
-					t.Fatalf("terminal: serial %v, %d workers %v", serr, w, perr)
+			if perr == nil {
+				t.Fatalf("frame %d: serial ended with %v, %d workers delivered a frame", n, serr, w)
+			}
+			var st, pt *TruncatedRecordError
+			errors.As(serr, &st)
+			errors.As(perr, &pt)
+			if (serr == nil || serr == io.EOF) && pt != nil && interior {
+				// Segment decode stopped where the serial reader went on
+				// or ended cleanly: licensed by a non-boundary cut, and
+				// reported at the delivered frontier.
+				events, flushPoints := serialIt.Events(), serialIt.FlushPoints()
+				if serr == nil && sf.Chunk != nil {
+					events -= sf.Chunk.NumMatched
 				}
-				var st, pt *TruncatedRecordError
-				if errors.As(serr, &st) != errors.As(perr, &pt) {
-					t.Fatalf("terminal kind: serial %v, %d workers %v", serr, w, perr)
+				if serr == nil && sf.Flush {
+					flushPoints--
 				}
-				if st != nil && (st.Frames != pt.Frames || st.Events != pt.Events || st.FlushPoints != pt.FlushPoints) {
-					t.Fatalf("truncation counters: serial %+v, %d workers %+v", st, w, pt)
+				if pt.Frames != uint64(n) || pt.Events != events || pt.FlushPoints != flushPoints {
+					t.Fatalf("early stop after %d frames (%d events, %d flush points): counters %+v", n, events, flushPoints, pt)
 				}
 				break
 			}
-			if sf.Kind != pf.Kind || !bytes.Equal(sf.Payload, pf.Payload) {
-				t.Fatalf("frame %d diverges: serial kind %d/%dB, %d workers kind %d/%dB",
-					n, sf.Kind, len(sf.Payload), w, pf.Kind, len(pf.Payload))
+			if serr == nil || (serr == io.EOF) != (perr == io.EOF) || (st == nil) != (pt == nil) {
+				t.Fatalf("terminal at frame %d: serial %v, %d workers %v (cuts %v)", n, serr, w, perr, cuts)
 			}
-			n++
+			if st != nil && (st.Frames != pt.Frames || st.Events != pt.Events || st.FlushPoints != pt.FlushPoints) {
+				t.Fatalf("truncation counters: serial %+v, %d workers %+v", st, w, pt)
+			}
+			break
 		}
-		if err := pooledIt.Close(); err != nil {
-			t.Fatalf("pooled Close: %v", err)
+		if err := segIt.Close(); err != nil {
+			t.Fatalf("segment Close: %v", err)
 		}
 	})
 }
@@ -430,7 +502,7 @@ func TestOpenRecordSegmentsBadCuts(t *testing.T) {
 		{7, 7, 7},
 		{int64(len(data) / 2), int64(len(data) / 4)},
 	} {
-		it, err := OpenRecordSegments(bytes.NewReader(data), int64(len(data)), cuts, DecoderOptions{DecodeWorkers: 2})
+		it, err := openSegments(data, cuts, 2)
 		if err != nil {
 			continue
 		}

@@ -159,65 +159,64 @@ func (fr *FrameReader) readUvarint() (uint64, []byte, error) {
 	}
 }
 
-// rawFrame is one frame's undecoded wire form: the framing fields a serial
-// scan must read in stream order, with CRC verification and payload parsing
-// deferred — possibly to a decode worker (decode.go).
-type rawFrame struct {
-	kind     byte
-	lenBytes []byte
-	payload  []byte
-	trailer  [4]byte
+// Next returns the next verified frame, io.EOF at a clean end of stream, or
+// a *TruncatedRecordError where the intact prefix ends.
+func (fr *FrameReader) Next() (*Frame, error) {
+	if fr.err != nil {
+		return nil, fr.err
+	}
+	f, err := fr.readFrame()
+	if err == io.EOF {
+		fr.err = io.EOF
+		return nil, io.EOF
+	}
+	if err != nil {
+		return nil, fr.fail(err)
+	}
+	fr.count(f)
+	return f, nil
 }
 
-// readRaw scans one frame's wire fields off the stream without verifying or
-// parsing them. It returns io.EOF at a clean end of stream; any other error
-// is the undecorated truncation cause (the caller wraps it into a
-// *TruncatedRecordError with its own prefix counts).
-func (fr *FrameReader) readRaw() (rawFrame, error) {
-	var raw rawFrame
+// readFrame reads one frame off the stream, verifies its CRC trailer and
+// decodes its payload. It returns io.EOF at a clean end of stream; any
+// other error is the undecorated truncation cause (Next wraps it into a
+// *TruncatedRecordError with the prefix counts).
+func (fr *FrameReader) readFrame() (*Frame, error) {
 	kind, err := fr.br.ReadByte()
 	if err == io.EOF {
-		return raw, io.EOF
+		return nil, io.EOF
 	}
 	if err != nil {
-		return raw, fmt.Errorf("core: frame kind: %w", err)
+		return nil, fmt.Errorf("core: frame kind: %w", err)
 	}
-	raw.kind = kind
 	n, lenBytes, err := fr.readUvarint()
 	if err != nil {
-		return raw, fmt.Errorf("core: frame length: %w", noEOF(err))
+		return nil, fmt.Errorf("core: frame length: %w", noEOF(err))
 	}
-	raw.lenBytes = lenBytes
 	if n > maxFrameLen {
-		return raw, fmt.Errorf("core: frame too large: %d", n)
+		return nil, fmt.Errorf("core: frame too large: %d", n)
 	}
 	// Stream the payload instead of trusting n with one up-front allocation:
 	// a corrupt length field on a short stream then costs only the bytes
 	// actually present, not a maxFrameLen-sized zeroed buffer.
 	var pbuf bytes.Buffer
 	if _, err := io.CopyN(&pbuf, fr.br, int64(n)); err != nil {
-		return raw, fmt.Errorf("core: frame payload: %w", noEOF(err))
+		return nil, fmt.Errorf("core: frame payload: %w", noEOF(err))
 	}
-	raw.payload = pbuf.Bytes()
-	if _, err := io.ReadFull(fr.br, raw.trailer[:]); err != nil {
-		return raw, fmt.Errorf("core: frame CRC trailer: %w", noEOF(err))
+	payload := pbuf.Bytes()
+	var trailer [4]byte
+	if _, err := io.ReadFull(fr.br, trailer[:]); err != nil {
+		return nil, fmt.Errorf("core: frame CRC trailer: %w", noEOF(err))
 	}
-	return raw, nil
-}
-
-// parseFrame verifies raw's CRC trailer and decodes its payload into a
-// Frame. It reads no shared state, so decode workers call it concurrently
-// on raw frames the serial scan produced.
-func parseFrame(raw rawFrame) (*Frame, error) {
-	crc := crc32.ChecksumIEEE([]byte{raw.kind})
-	crc = crc32.Update(crc, crc32.IEEETable, raw.lenBytes)
-	crc = crc32.Update(crc, crc32.IEEETable, raw.payload)
-	if want := binary.LittleEndian.Uint32(raw.trailer[:]); crc != want {
+	crc := crc32.ChecksumIEEE([]byte{kind})
+	crc = crc32.Update(crc, crc32.IEEETable, lenBytes)
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	if want := binary.LittleEndian.Uint32(trailer[:]); crc != want {
 		return nil, fmt.Errorf("core: frame CRC mismatch: computed %08x, stored %08x", crc, want)
 	}
-	f := &Frame{Kind: raw.kind, Payload: raw.payload}
-	pr := varint.NewReader(raw.payload)
-	switch raw.kind {
+	f := &Frame{Kind: kind, Payload: payload}
+	pr := varint.NewReader(payload)
+	switch kind {
 	case frameChunk:
 		chunk, err := cdcformat.Unmarshal(pr)
 		if err != nil {
@@ -253,30 +252,8 @@ func parseFrame(raw rawFrame) (*Frame, error) {
 		f.Flush = true
 		f.FlushClock = clock
 	default:
-		return nil, fmt.Errorf("core: unknown frame kind %d", raw.kind)
+		return nil, fmt.Errorf("core: unknown frame kind %d", kind)
 	}
-	return f, nil
-}
-
-// Next returns the next verified frame, io.EOF at a clean end of stream, or
-// a *TruncatedRecordError where the intact prefix ends.
-func (fr *FrameReader) Next() (*Frame, error) {
-	if fr.err != nil {
-		return nil, fr.err
-	}
-	raw, err := fr.readRaw()
-	if err == io.EOF {
-		fr.err = io.EOF
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, fr.fail(err)
-	}
-	f, err := parseFrame(raw)
-	if err != nil {
-		return nil, fr.fail(err)
-	}
-	fr.count(f)
 	return f, nil
 }
 
@@ -295,10 +272,10 @@ func (fr *FrameReader) count(f *Frame) {
 func (fr *FrameReader) Close() error { return fr.zr.Close() }
 
 // frameSource is the decode engine behind a RecordIter: the serial
-// FrameReader, or one of the parallel pipelines in decode.go. Whatever the
-// engine, frames arrive in stream order and the counters report the
-// delivered frontier, so a *TruncatedRecordError carries the same
-// intact-prefix counts however many workers ran.
+// FrameReader, or the segment pipeline in decode.go. Whatever the engine,
+// frames arrive in stream order and the counters report the delivered
+// frontier, so a *TruncatedRecordError carries the same intact-prefix
+// counts however many workers ran.
 type frameSource interface {
 	Next() (*Frame, error)
 	Frames() uint64
@@ -313,10 +290,10 @@ var _ frameSource = (*FrameReader)(nil)
 // verified frame at a time, accumulating callsite names as they stream
 // past, so tooling and replay walk records of any size in bounded memory
 // instead of materializing the record. Every reader in the repo — the
-// replay engine's streaming source, store.OpenRankReader, the cdc facade's
-// RecordReader and Replay, cdcinspect — goes through it, and
-// DecoderOptions decides whether the frames behind it are decoded serially
-// or by a worker pool (see OpenRecordOptions).
+// replay engine's streaming source, store.OpenRankIter, the cdc facade's
+// RecordReader and Replay, cdcinspect — goes through it. OpenRecord and
+// OpenRecordAt decode serially; OpenRecordSegmentsAt decodes a seekable
+// blob's epochs on a worker pool when DecoderOptions asks for one.
 //
 // A RecordIter is not safe for concurrent use. Close releases the
 // decompressor but, like FrameReader, does not close the underlying reader.
@@ -326,8 +303,8 @@ type RecordIter struct {
 }
 
 // OpenRecord validates the record magic and returns a streaming iterator
-// over its frames, decoded serially. For a pooled decode, pass
-// DecoderOptions to OpenRecordOptions instead.
+// over its frames, decoded serially. A pooled decode needs a seekable blob
+// and its cut offsets: see OpenRecordSegments.
 func OpenRecord(rd io.Reader) (*RecordIter, error) {
 	fr, err := NewFrameReader(rd)
 	if err != nil {

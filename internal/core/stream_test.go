@@ -36,10 +36,11 @@ func buildRecordBytes(t testing.TB) []byte {
 }
 
 // TestFrameReaderMatchesRecordIter checks the bare frame layer against a
-// pooled RecordIter over the same bytes: same chunks, events and names.
+// pooled RecordIter over the same bytes (one uncut segment on two workers):
+// same chunks, events and names.
 func TestFrameReaderMatchesRecordIter(t *testing.T) {
 	data := buildRecordBytes(t)
-	it, err := OpenRecordOptions(bytes.NewReader(data), DecoderOptions{DecodeWorkers: 2})
+	it, err := openSegments(data, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,10 +188,6 @@ func (fh *frameHasher) sum() string { return hex.EncodeToString(fh.h.Sum(nil)) }
 // feedSeekDigest opens an unpaced feed at epoch start, seeks to target,
 // and digests every frame released after the seek marker.
 func feedSeekDigest(st store.Store, rank, width, start, target int) (string, error) {
-	pf := 0
-	if width > 0 {
-		pf = 2 * width
-	}
 	f, err := feed.Open(st, feed.Options{
 		Rank:             rank,
 		Rate:             feed.RateMax,
@@ -199,7 +195,6 @@ func feedSeekDigest(st store.Store, rank, width, start, target int) (string, err
 		Paused:           true,
 		StartEpoch:       start,
 		DecodeWorkers:    width,
-		Prefetch:         pf,
 		SubscriberBuffer: 256,
 	})
 	if err != nil {

@@ -190,21 +190,6 @@ func deriveSeed(seed int64, k uint64) int64 {
 	return int64(mix64(mix64(uint64(seed)^0x6a09e667f3bcc909) + k))
 }
 
-// decodeWorkersFor varies the decode-worker count deterministically per
-// schedule, so the property sweep exercises the serial decoder and several
-// pool widths of the parallel one (frame delivery is pinned identical
-// whatever the width, so properties must hold unchanged).
-func decodeWorkersFor(seed int64, k uint64) int {
-	widths := [...]int{0, 1, 2, 4, 8}
-	return widths[uint64(deriveSeed(seed, k))%uint64(len(widths))]
-}
-
-// openRecord streams one rank's in-memory record through the decode
-// pipeline at the given pool width.
-func openRecord(buf []byte, workers int) (*core.RecordIter, error) {
-	return core.OpenRecordOptions(bytes.NewReader(buf), core.DecoderOptions{DecodeWorkers: workers})
-}
-
 // openReplay builds a rank's Replayer the way cdc.Replay does — a prescan
 // pass, then a chunk feed pulled lazily from the (possibly pooled) decoder
 // — so the properties run against exactly the production replay path.
@@ -212,10 +197,12 @@ func openReplay(mpi simmpi.MPI, open func() (*core.RecordIter, io.Closer, error)
 	return replay.Open(lamport.WrapManual(mpi), open, opts)
 }
 
-// openBuf is an openReplay source over an in-memory record.
-func openBuf(buf []byte, workers int) func() (*core.RecordIter, io.Closer, error) {
+// openBuf is an openReplay source over an in-memory record. An in-memory
+// buffer has no chunk index, so it decodes serially; P6 sweeps the
+// parallel decoder over seekable store backends.
+func openBuf(buf []byte) func() (*core.RecordIter, io.Closer, error) {
 	return func() (*core.RecordIter, io.Closer, error) {
-		it, err := openRecord(buf, workers)
+		it, err := core.OpenRecord(bytes.NewReader(buf))
 		return it, nil, err
 	}
 }
@@ -301,7 +288,7 @@ func checkReplayOrder(p expParams, app appFunc, bufs []*bytes.Buffer, taps [][]r
 	w := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seq, Delivery: deliveryFor("", 0, 0)})
 	reps := make([][]rcv, p.ranks)
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes(), decodeWorkersFor(p.seed, 11)), replay.Options{
+		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes()), replay.Options{
 			OnRelease: func(st simmpi.Status) {
 				reps[rank] = append(reps[rank], rcv{st.Source, st.Tag, st.Clock})
 			},
@@ -341,7 +328,7 @@ func checkReRecord(p expParams, app appFunc, bufs []*bytes.Buffer) error {
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
 		// CallsiteSkip hops over the interposed recorder frame so the
 		// replayer resolves the application's call sites, as the record did.
-		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes(), decodeWorkersFor(p.seed, 12)),
+		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes()),
 			replay.Options{CallsiteSkip: 1})
 		if err != nil {
 			return err
@@ -376,12 +363,9 @@ func checkReRecord(p expParams, app appFunc, bufs []*bytes.Buffer) error {
 func checkDecode(p expParams, bufs []*bytes.Buffer, rows [][]teeRow) error {
 	corpus := p.corpus
 	for rank := range bufs {
-		// Each rank decodes at a different seed-derived pool width, so P3
-		// holds across the serial and parallel decoders in one sweep.
-		workers := decodeWorkersFor(p.seed, 13+uint64(rank))
-		it, err := openRecord(bufs[rank].Bytes(), workers)
+		it, err := core.OpenRecord(bytes.NewReader(bufs[rank].Bytes()))
 		if err != nil {
-			return fmt.Errorf("P3 decode: rank %d (decode workers %d): %w", rank, workers, err)
+			return fmt.Errorf("P3 decode: rank %d: %w", rank, err)
 		}
 		want := map[uint64][]tables.Event{}
 		matched := map[uint64][]tables.MatchedEntry{}
@@ -427,7 +411,7 @@ func checkDecode(p expParams, bufs []*bytes.Buffer, rows [][]teeRow) error {
 		}
 		it.Close() //cdc:allow(errsink) in-memory source; decode errors surface from Next
 		if err != io.EOF {
-			return fmt.Errorf("P3 decode: rank %d (decode workers %d): %w", rank, workers, err)
+			return fmt.Errorf("P3 decode: rank %d: %w", rank, err)
 		}
 		for _, cs := range order {
 			wantRows := want[cs]

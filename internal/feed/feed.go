@@ -21,13 +21,9 @@
 // # Read-ahead
 //
 // The feed owns no buffer of its own. Its read-ahead is the decode
-// pipeline's bounded prefetch window (core.DecoderOptions.Prefetch): while
-// the pacer waits on a deadline, decode workers fill the window behind it.
-// The feed tunes the window's size as a lead target — back-pressure from a
-// blocking subscriber halves it, starvation (an empty window when the pacer
-// wants a frame) doubles it, within [4, 1024] — and applies the adapted
-// value whenever the pipeline reopens (every seek). The feed.lead gauge
-// tracks the current target.
+// pipeline's fixed prefetch window (DESIGN.md §14): with DecodeWorkers ≥ 1
+// on a seekable store, decode workers fill up to 2*DecodeWorkers+4 epoch
+// segments behind the pacer while it waits on a deadline.
 package feed
 
 import (
@@ -47,12 +43,6 @@ import (
 // feed streams as fast as subscribers accept — batch replay with the feed's
 // fan-out and seek surface.
 var RateMax = math.Inf(1)
-
-// Lead-target bounds (prefetch-window sizes the adaptation moves between).
-const (
-	minLead = 4
-	maxLead = 1024
-)
 
 // EventKind classifies one feed release.
 type EventKind uint8
@@ -128,10 +118,9 @@ type Options struct {
 	// Clock paces releases: Wall() (the default) in production, a
 	// VirtualClock in tests.
 	Clock Clock
-	// DecodeWorkers and Prefetch configure the decode pipeline exactly as
-	// core.DecoderOptions do; Prefetch seeds the adaptive lead target.
+	// DecodeWorkers configures the decode pipeline exactly as
+	// core.DecoderOptions.DecodeWorkers does.
 	DecodeWorkers int
-	Prefetch      int
 	// SubscriberBuffer bounds each subscription's queue (default 64).
 	SubscriberBuffer int
 	// Policy picks the slow-consumer behaviour (default Block).
@@ -142,9 +131,9 @@ type Options struct {
 	// Paused opens the feed frozen, releasing nothing until Resume — the
 	// way to attach subscribers before the first event goes out.
 	Paused bool
-	// Obs receives the feed's instruments (feed.* — see DESIGN.md §16 —
-	// plus the decode pipeline's decode.*). A private registry is used
-	// when nil, so the gauges the feed itself steers by always exist.
+	// Obs receives the feed's instruments (feed.* — see DESIGN.md §8 —
+	// plus the decode pipeline's decode.*) for export. Nil means no
+	// instruments; Stats counts per feed either way.
 	Obs *obs.Registry
 }
 
@@ -172,9 +161,6 @@ func (o *Options) fill() error {
 	}
 	if o.DecodeWorkers < 0 {
 		o.DecodeWorkers = 0
-	}
-	if o.Prefetch <= 0 {
-		o.Prefetch = 2*o.DecodeWorkers + 4
 	}
 	if o.StartEpoch < 0 {
 		return fmt.Errorf("feed: negative start epoch %d", o.StartEpoch)
@@ -233,20 +219,19 @@ type Feed struct {
 	closing sync.Once
 
 	// Pump-owned state mirrored for Stats.
-	aRate   atomic.Uint64 // math.Float64bits
-	aPaused atomic.Bool
-	aEpoch  atomic.Int64
-	aLead   atomic.Int64
+	aRate     atomic.Uint64 // math.Float64bits
+	aPaused   atomic.Bool
+	aEpoch    atomic.Int64
+	aReleased atomic.Uint64
 
 	errMu sync.Mutex
 	err   error
 
-	mLead     *obs.Gauge
+	// Export-only instruments (nil without a registry); Stats reads the
+	// feed's own counts, never these, since a shared registry sums feeds.
 	mRate     *obs.Gauge
-	mDepth    *obs.Gauge
 	mReleased *obs.Counter
 	mSeeks    *obs.Counter
-	mStarve   *obs.Counter
 	mJitter   *obs.Histogram
 }
 
@@ -263,35 +248,25 @@ func Open(st store.Store, o Options) (*Feed, error) {
 	if o.Rank < 0 || o.Rank >= m.Ranks {
 		return nil, fmt.Errorf("feed: rank %d outside run of %d rank(s)", o.Rank, m.Ranks)
 	}
-	reg := o.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	f := &Feed{
 		st:       st,
 		rank:     o.Rank,
 		workers:  o.DecodeWorkers,
 		interval: o.Interval,
 		clock:    o.Clock,
-		hub:      newHub(o.SubscriberBuffer, o.Policy, reg),
-		reg:      reg,
+		hub:      newHub(o.SubscriberBuffer, o.Policy, o.Obs),
+		reg:      o.Obs,
 		idx:      m.RankIndex(o.Rank),
 		complete: m.Complete,
 		ctrl:     make(chan ctrlMsg),
 		closeCh:  make(chan struct{}),
 		done:     make(chan struct{}),
 
-		mLead:     reg.Gauge("feed.lead"),
-		mRate:     reg.Gauge("feed.rate.milli"),
-		mDepth:    reg.Gauge("decode.prefetch.depth"),
-		mReleased: reg.Counter("feed.released"),
-		mSeeks:    reg.Counter("feed.seeks"),
-		mStarve:   reg.Counter("feed.starvation"),
-		mJitter:   reg.Histogram("feed.release.jitter.ns", obs.LatencyBounds()),
+		mRate:     o.Obs.Gauge("feed.rate.milli"),
+		mReleased: o.Obs.Counter("feed.released"),
+		mSeeks:    o.Obs.Counter("feed.seeks"),
+		mJitter:   o.Obs.Histogram("feed.release.jitter.ns", obs.LatencyBounds()),
 	}
-	lead := clampLead(o.Prefetch)
-	f.aLead.Store(int64(lead))
-	f.mLead.Set(int64(lead))
 	f.setRateStat(o.Rate)
 	f.aEpoch.Store(int64(o.StartEpoch))
 	f.aPaused.Store(o.Paused)
@@ -304,24 +279,9 @@ func Open(st store.Store, o Options) (*Feed, error) {
 	return f, nil
 }
 
-func clampLead(n int) int {
-	if n < minLead {
-		return minLead
-	}
-	if n > maxLead {
-		return maxLead
-	}
-	return n
-}
-
-// openAt opens the decode pipeline positioned at an epoch boundary, sized
-// by the current lead target.
+// openAt opens the decode pipeline positioned at an epoch boundary.
 func (f *Feed) openAt(epoch int) (iterHandle, error) {
-	o := core.DecoderOptions{
-		DecodeWorkers: f.workers,
-		Prefetch:      int(f.aLead.Load()),
-		Obs:           f.reg,
-	}
+	o := core.DecoderOptions{DecodeWorkers: f.workers, Obs: f.reg}
 	it, blob, err := store.SeekRankIter(f.st, f.rank, epoch, o)
 	if err != nil {
 		return iterHandle{}, err
@@ -430,28 +390,25 @@ type Stats struct {
 	Paused       bool
 	Epoch        int // epoch currently playing (or last seek target)
 	Epochs       int // committed epoch boundaries in the record
-	Lead         int // current prefetch lead target
 	Released     uint64
 	Subscribers  int64
 	Drops        uint64
-	Starvations  uint64
 	Backpressure uint64
 }
 
-// Stats returns the current snapshot.
+// Stats returns the current snapshot of this feed's own counts.
 func (f *Feed) Stats() Stats {
+	subs, drops, blocked := f.hub.stats()
 	return Stats{
 		Rank:         f.rank,
 		Rate:         math.Float64frombits(f.aRate.Load()),
 		Paused:       f.aPaused.Load(),
 		Epoch:        int(f.aEpoch.Load()),
 		Epochs:       len(f.idx),
-		Lead:         int(f.aLead.Load()),
-		Released:     f.mReleased.Value(),
-		Subscribers:  f.hub.mSubs.Value(),
-		Drops:        f.hub.mDrops.Value(),
-		Starvations:  f.mStarve.Value(),
-		Backpressure: f.hub.mBlocked.Value(),
+		Released:     f.aReleased.Load(),
+		Subscribers:  subs,
+		Drops:        drops,
+		Backpressure: blocked,
 	}
 }
 
@@ -462,23 +419,6 @@ func (f *Feed) setRateStat(r float64) {
 		milli = int64(r * 1000)
 	}
 	f.mRate.Set(milli)
-}
-
-// growLead doubles the lead target (starvation: the pacer wanted a frame
-// and the prefetch window was empty).
-func (f *Feed) growLead() {
-	f.mStarve.Inc()
-	l := clampLead(int(f.aLead.Load()) * 2)
-	f.aLead.Store(int64(l))
-	f.mLead.Set(int64(l))
-}
-
-// shrinkLead halves the lead target (back-pressure: a subscriber made the
-// pump wait, so decoded frames were piling up unread).
-func (f *Feed) shrinkLead() {
-	l := clampLead(int(f.aLead.Load()) / 2)
-	f.aLead.Store(int64(l))
-	f.mLead.Set(int64(l))
 }
 
 // pacer maps recorded clock ticks onto the feed clock. played is the
@@ -588,9 +528,6 @@ func (f *Feed) pump(cur iterHandle, o Options) {
 			continue
 		}
 
-		if f.workers > 0 && seq > 0 && f.mDepth.Value() == 0 {
-			f.growLead()
-		}
 		fr, err := cur.it.Next()
 		if err != nil {
 			msg := ""
@@ -630,14 +567,12 @@ func (f *Feed) pump(cur iterHandle, o Options) {
 	}
 }
 
-// publish stamps the sequence number and fans the event out, feeding the
-// back-pressure signal into the lead target.
+// publish stamps the sequence number and fans the event out.
 func (f *Feed) publish(seq *uint64, ev Event) {
 	ev.Seq = *seq
 	*seq++
-	if f.hub.publish(ev) {
-		f.shrinkLead()
-	}
+	f.hub.publish(ev)
+	f.aReleased.Add(1)
 	f.mReleased.Inc()
 }
 

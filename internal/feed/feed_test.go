@@ -10,6 +10,7 @@ import (
 
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/feed"
+	"cdcreplay/internal/obs"
 	"cdcreplay/internal/store"
 	"cdcreplay/internal/store/shardstore"
 	"cdcreplay/internal/workload"
@@ -235,6 +236,59 @@ func TestRateMaxReleasesWithoutWaits(t *testing.T) {
 	}
 	if s := f.Stats(); !math.IsInf(s.Rate, 1) {
 		t.Fatalf("Stats.Rate = %v, want +Inf", s.Rate)
+	}
+}
+
+// TestStatsPerFeedUnderSharedRegistry opens two feeds over the same record
+// on one registry: each feed's Stats must count its own releases, drops and
+// subscribers, while the registry's exported counters sum both.
+func TestStatsPerFeedUnderSharedRegistry(t *testing.T) {
+	st := buildFeedStore(t)
+	reg := obs.NewRegistry()
+	a, subA, vcA := openPaused(t, st, feed.Options{Rate: feed.RateMax, Obs: reg})
+	b, lagB, _ := openPaused(t, st, feed.Options{Rate: feed.RateMax, Obs: reg, Policy: feed.Drop, SubscriberBuffer: 2})
+
+	if err := a.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	var got []feed.Event
+	drive(t, vcA, subA, &got, isEnd)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	// lagB never drains, so wait on b's own count for its end event.
+	for i := 0; b.Stats().Released < uint64(len(got)); i++ {
+		runtime.Gosched()
+		if i > 5_000_000 {
+			t.Fatalf("feed B stalled at %d releases, want %d", b.Stats().Released, len(got))
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sa, sb := a.Stats(), b.Stats()
+	if sa.Released != uint64(len(got)) {
+		t.Fatalf("feed A Stats.Released = %d, its subscriber received %d", sa.Released, len(got))
+	}
+	if sb.Released != sa.Released {
+		t.Fatalf("feed B Stats.Released = %d, want %d (same record, unpaced to the end)", sb.Released, sa.Released)
+	}
+	if sa.Drops != 0 || sb.Drops == 0 || sb.Drops != lagB.Dropped() {
+		t.Fatalf("drops: feed A %d (want 0), feed B %d (want its lagging subscriber's %d)", sa.Drops, sb.Drops, lagB.Dropped())
+	}
+	if sa.Subscribers != 1 || sb.Subscribers != 1 {
+		t.Fatalf("subscribers: feed A %d, feed B %d, want 1 each", sa.Subscribers, sb.Subscribers)
+	}
+	snap := reg.Snapshot()
+	if got, want := snap.Counter("feed.released"), sa.Released+sb.Released; got != want {
+		t.Fatalf("registry feed.released = %d, want the sum %d", got, want)
+	}
+	if got := snap.Counter("feed.drops"); got != sb.Drops {
+		t.Fatalf("registry feed.drops = %d, want %d", got, sb.Drops)
 	}
 }
 

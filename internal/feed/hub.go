@@ -15,7 +15,7 @@ type Policy uint8
 const (
 	// Block stalls the pacer until every subscriber has queue space: one
 	// slow consumer throttles the whole feed (and, through the pump, the
-	// decode pipeline's read-ahead — the lead gauge shrinks). The default.
+	// decode pipeline's read-ahead). The default.
 	Block Policy = iota
 	// Drop discards releases a full subscriber cannot take and delivers a
 	// gap-marker event (Dropped = how many) before its next accepted
@@ -36,17 +36,20 @@ func (p Policy) String() string {
 var ErrFeedClosed = errors.New("feed: closed")
 
 // hub fans the pump's release stream out to subscribers, each with its own
-// bounded queue. One mutex/cond pair guards all queues: publishes and
-// receives are short critical sections, and a shared broadcast keeps the
-// block policy's "space anywhere" wakeup simple.
+// bounded queue. One mutex/cond pair guards all queues and the hub's own
+// counts: publishes and receives are short critical sections, and a shared
+// broadcast keeps the block policy's "space anywhere" wakeup simple.
 type hub struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	subs   map[*Subscription]struct{}
-	cap    int
-	policy Policy
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	subs    map[*Subscription]struct{}
+	cap     int
+	policy  Policy
+	closed  bool
+	drops   uint64 // releases discarded under Drop, all subscribers
+	blocked uint64 // publishes the Block policy made wait
 
+	// Export-only instruments (nil without a registry).
 	mSubs    *obs.Gauge
 	mDrops   *obs.Counter
 	mBlocked *obs.Counter
@@ -96,13 +99,13 @@ func (s *Subscription) push(ev Event) {
 	s.n++
 }
 
-// publish delivers ev to every live subscriber under the hub's policy and
-// reports whether the block policy made the pump wait — the pacer's
-// backpressure signal.
-func (h *hub) publish(ev Event) (blocked bool) {
+// publish delivers ev to every live subscriber under the hub's policy,
+// counting one backpressure stall when the block policy makes it wait.
+func (h *hub) publish(ev Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.policy == Block {
+		blocked := false
 		for !h.closed {
 			fits := true
 			for s := range h.subs {
@@ -116,12 +119,13 @@ func (h *hub) publish(ev Event) (blocked bool) {
 			}
 			if !blocked {
 				blocked = true
+				h.blocked++
 				h.mBlocked.Inc()
 			}
 			h.cond.Wait()
 		}
 		if h.closed {
-			return blocked
+			return
 		}
 	}
 	for s := range h.subs {
@@ -143,11 +147,19 @@ func (h *hub) publish(ev Event) (blocked bool) {
 			// joins the dropped run. Only reachable under the Drop policy —
 			// Block waited for space above.
 			s.dropped++
+			h.drops++
 			h.mDrops.Inc()
 		}
 	}
 	h.cond.Broadcast()
-	return blocked
+}
+
+// stats reports the live subscriber count and the hub's drop and
+// backpressure counts.
+func (h *hub) stats() (subs int64, drops, blocked uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return int64(len(h.subs)), h.drops, h.blocked
 }
 
 // close ends the stream: Recv drains buffered events then reports done,

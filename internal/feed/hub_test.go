@@ -72,8 +72,8 @@ func TestHubBlockPolicyWaitsForSpace(t *testing.T) {
 	h.publish(ev(1))
 	h.publish(ev(2))
 
-	released := make(chan bool, 1)
-	go func() { released <- h.publish(ev(3)) }()
+	released := make(chan struct{})
+	go func() { h.publish(ev(3)); close(released) }()
 	// Wait for the publisher to actually stall before draining: mBlocked
 	// is bumped under the hub mutex right before cond.Wait, so once it
 	// reads 1 the publisher cannot complete until a slot frees. No sleeps
@@ -89,11 +89,12 @@ func TestHubBlockPolicyWaitsForSpace(t *testing.T) {
 	if got, ok := s.Recv(); !ok || got.Seq != 1 {
 		t.Fatalf("recv = %+v, want seq 1", got)
 	}
-	if blocked := <-released; !blocked {
-		t.Fatal("publish did not report it was blocked")
-	}
+	<-released
 	if h.mBlocked.Value() != 1 {
 		t.Fatalf("feed.backpressure = %d, want 1", h.mBlocked.Value())
+	}
+	if _, _, blocked := h.stats(); blocked != 1 {
+		t.Fatalf("hub backpressure count = %d, want 1", blocked)
 	}
 	if got := s.Dropped(); got != 0 {
 		t.Fatalf("block policy dropped %d events", got)

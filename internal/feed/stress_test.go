@@ -27,14 +27,13 @@ func recvAll(sub *feed.Subscription) []feed.Event {
 }
 
 // TestFanOutBlockPolicyStress checks that one stalled subscriber throttles
-// the whole feed (backpressure recorded, lead target shrunk) and that once
-// it drains, every subscriber has seen the identical release sequence.
+// the whole feed (backpressure recorded) and that once it drains, every
+// subscriber has seen the identical release sequence.
 func TestFanOutBlockPolicyStress(t *testing.T) {
 	st := buildFeedStore(t)
 	f, helperSub, _ := openPaused(t, st, feed.Options{
 		Rate:             feed.RateMax,
 		SubscriberBuffer: 4,
-		Prefetch:         64, // headroom above the lead floor so shrink is visible
 		Policy:           feed.Block,
 	})
 	helperSub.Close() // undrained, would wedge the pump under Block
@@ -85,9 +84,6 @@ func TestFanOutBlockPolicyStress(t *testing.T) {
 	}
 	if s.Drops != 0 {
 		t.Fatalf("block policy dropped %d releases", s.Drops)
-	}
-	if s.Lead >= 64 {
-		t.Fatalf("lead target = %d, want shrunk below the initial 64", s.Lead)
 	}
 	for i := 1; i < len(got); i++ {
 		if len(got[i]) != len(got[0]) {

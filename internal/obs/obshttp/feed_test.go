@@ -146,8 +146,8 @@ func TestFeedEndpointStreamsNDJSON(t *testing.T) {
 	if snap.Counter("feed.released") == 0 {
 		t.Error("feed.released = 0 on /metrics after a full stream")
 	}
-	if snap.Gauge("feed.lead").Value == 0 {
-		t.Error("feed.lead gauge missing from /metrics")
+	if snap.Gauge("feed.rate.milli").Value == 0 {
+		t.Error("feed.rate.milli gauge missing from /metrics")
 	}
 
 	// After the stream ended, a new subscriber is refused cleanly.

@@ -350,11 +350,11 @@ func (s iterSource) Close() error {
 
 // NewStream creates a Replayer that pulls chunks from src as replay
 // progresses instead of materializing the record: with a pooled decode
-// behind src (core.OpenRecordOptions / OpenRecordSegments), decoded chunks
-// arrive a bounded prefetch window ahead of the consumption frontier and
-// the whole record is never resident at once. meta comes from a ScanRecord
-// prescan of the same record (the prescan pass may — and with a store,
-// should — run through the parallel decoder too).
+// behind src (core.OpenRecordSegments), decoded chunks arrive a bounded
+// prefetch window ahead of the consumption frontier and the whole record
+// is never resident at once. meta comes from a ScanRecord prescan of the
+// same record (the prescan pass may — and with a store, should — run
+// through the parallel decoder too).
 //
 // The replayer owns src and closes it in Close. Chunks for a callsite that
 // outpace that callsite's consumption are buffered pending; lockstep

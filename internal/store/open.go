@@ -50,46 +50,18 @@ func TolerableAtPin(err error) bool {
 	return errors.As(err, &te) && errors.Is(te.Cause, io.ErrUnexpectedEOF)
 }
 
-// OpenRankIter opens one rank's record as a streaming iterator through a
-// decode policy, picking the widest decode parallelism the backend
-// supports: on a seekable store with a committed chunk index and
-// DecodeWorkers ≥ 1, the committed epochs become independently inflated
-// segments (core.OpenRecordSegments); otherwise the stream-mode pipeline
-// (or a plain serial decode) reads the blob front to back. On incomplete
-// runs the blob arrives pinned (see TolerableAtPin).
+// OpenRankIter opens one rank's record as a streaming iterator: exactly
+// SeekRankIter at epoch 0. On a seekable store with a committed chunk index
+// and DecodeWorkers ≥ 1 the committed epochs decode as independently
+// inflated segments on a worker pool (core.OpenRecordSegments); every
+// other read is a serial decode front to back, so on a non-seekable store
+// DecodeWorkers changes nothing. On incomplete runs the blob arrives
+// pinned (see TolerableAtPin).
 //
 // The returned closer is the underlying blob: close the iterator first,
 // then the blob (cdc.RecordReader-style errors.Join works).
 func OpenRankIter(st Store, rank int, o core.DecoderOptions) (*core.RecordIter, io.Closer, error) {
-	r, err := st.OpenRank(rank)
-	if err != nil {
-		return nil, nil, err
-	}
-	if o.DecodeWorkers > 0 && st.Seekable() {
-		m, err := st.Manifest()
-		if err != nil {
-			r.Close() //cdc:allow(errsink) open failed; the open error is the one to report
-			return nil, nil, err
-		}
-		if idx := m.RankIndex(rank); len(idx) > 0 {
-			cuts := make([]int64, 0, len(idx))
-			for _, e := range idx {
-				cuts = append(cuts, e.Offset)
-			}
-			it, err := core.OpenRecordSegments(r, r.Size(), cuts, o)
-			if err != nil {
-				r.Close() //cdc:allow(errsink) open failed; the open error is the one to report
-				return nil, nil, err
-			}
-			return it, r, nil
-		}
-	}
-	it, err := core.OpenRecordOptions(r, o)
-	if err != nil {
-		r.Close() //cdc:allow(errsink) open failed; the open error is the one to report
-		return nil, nil, err
-	}
-	return it, r, nil
+	return SeekRankIter(st, rank, 0, o)
 }
 
 // SeekRankIter opens one rank's record positioned at the start of epoch —
@@ -101,45 +73,52 @@ func OpenRankIter(st Store, rank int, o core.DecoderOptions) (*core.RecordIter, 
 //   - a seekable store jumps straight to the cut's blob offset, and with
 //     DecodeWorkers ≥ 1 the remaining epochs decode segment-parallel
 //     (core.OpenRecordSegmentsAt);
-//   - a non-seekable store decodes from byte zero and discards frames until
-//     epoch flush marks have passed — same frame stream, linear cost.
+//   - a non-seekable store decodes serially from byte zero and discards
+//     frames until epoch flush marks have passed — same frame stream,
+//     linear cost.
 //
 // Callsite-name frames before the seek point are replayed only on the skip
-// path, so names resolve best-effort after a seek. Seeking to epoch 0 is
-// exactly OpenRankIter. On incomplete runs the blob arrives pinned, so a
-// seek target can only name committed epochs.
+// path, so names resolve best-effort after a seek. On incomplete runs the
+// blob arrives pinned, so a seek target can only name committed epochs.
 func SeekRankIter(st Store, rank, epoch int, o core.DecoderOptions) (*core.RecordIter, io.Closer, error) {
-	if epoch <= 0 {
-		if epoch < 0 {
-			return nil, nil, fmt.Errorf("store: negative seek epoch %d", epoch)
+	if epoch < 0 {
+		return nil, nil, fmt.Errorf("store: negative seek epoch %d", epoch)
+	}
+	// The chunk index locates a seek target and splits a seekable blob into
+	// segments. A serial read from the head needs neither, so it skips the
+	// manifest read.
+	var idx []IndexEntry
+	if epoch > 0 || (o.DecodeWorkers > 0 && st.Seekable()) {
+		m, err := st.Manifest()
+		if err != nil {
+			return nil, nil, err
 		}
-		return OpenRankIter(st, rank, o)
-	}
-	m, err := st.Manifest()
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := m.RankIndex(rank)
-	if epoch > len(idx) {
-		return nil, nil, fmt.Errorf("store: rank %d has %d committed epoch(s), cannot seek to epoch %d", rank, len(idx), epoch)
+		idx = m.RankIndex(rank)
+		if epoch > len(idx) {
+			return nil, nil, fmt.Errorf("store: rank %d has %d committed epoch(s), cannot seek to epoch %d", rank, len(idx), epoch)
+		}
 	}
 	r, err := st.OpenRank(rank)
 	if err != nil {
 		return nil, nil, err
 	}
-	if st.Seekable() {
+	if st.Seekable() && len(idx) > 0 {
+		var start int64
+		if epoch > 0 {
+			start = idx[epoch-1].Offset
+		}
 		cuts := make([]int64, 0, len(idx)-epoch)
 		for _, e := range idx[epoch:] {
 			cuts = append(cuts, e.Offset)
 		}
-		it, err := core.OpenRecordSegmentsAt(r, r.Size(), idx[epoch-1].Offset, cuts, o)
+		it, err := core.OpenRecordSegmentsAt(r, r.Size(), start, cuts, o)
 		if err != nil {
 			r.Close() //cdc:allow(errsink) open failed; the open error is the one to report
 			return nil, nil, err
 		}
 		return it, r, nil
 	}
-	it, err := core.OpenRecordOptions(r, o)
+	it, err := core.OpenRecord(r)
 	if err != nil {
 		r.Close() //cdc:allow(errsink) open failed; the open error is the one to report
 		return nil, nil, err

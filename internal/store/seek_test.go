@@ -80,12 +80,20 @@ func drainKinds(t *testing.T, it *core.RecordIter) []string {
 // countingStore hands out rank readers that count how many bytes are read
 // below floor, through ReadAt and through Read alike: a seek to an epoch on
 // a seekable backend must start decoding at the epoch's index offset, not
-// at byte 0.
+// at byte 0. It also counts manifest reads.
 type countingStore struct {
 	store.Store
-	mu    sync.Mutex // parallel decode reads segments concurrently
-	floor int64
-	below int64
+	mu        sync.Mutex // parallel decode reads segments concurrently
+	floor     int64
+	below     int64
+	manifests int
+}
+
+func (s *countingStore) Manifest() (store.Manifest, error) {
+	s.mu.Lock()
+	s.manifests++
+	s.mu.Unlock()
+	return s.Store.Manifest()
 }
 
 func (s *countingStore) reset(floor int64) {
@@ -230,6 +238,40 @@ func TestSeekRankIterEpochBoundaries(t *testing.T) {
 			}
 			if _, _, err := store.SeekRankIter(st, 0, -1, core.DecoderOptions{}); err == nil {
 				t.Fatal("negative epoch: want error")
+			}
+		})
+	}
+}
+
+// TestOpenRankIterManifestReads pins which opens pay for a manifest read:
+// only a pooled open of a seekable store needs the chunk index, so a
+// serial open, or any open of a non-seekable store (the dir layout every
+// mcb replay reads), opens the blob alone.
+func TestOpenRankIterManifestReads(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mk      func(dir string) store.Store
+		workers int
+		want    int
+	}{
+		{"dir/workers=0", func(d string) store.Store { return dirstore.New(d) }, 0, 0},
+		{"dir/workers=4", func(d string) store.Store { return dirstore.New(d) }, 4, 0},
+		{"sharded/workers=0", func(d string) store.Store { return shardstore.New(d) }, 0, 0},
+		{"sharded/workers=2", func(d string) store.Store { return shardstore.New(d) }, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &countingStore{Store: tc.mk(t.TempDir())}
+			recordEpochs(t, st, 300, 3)
+			st.manifests = 0
+			it, blob, err := store.OpenRankIter(st, 0, core.DecoderOptions{DecodeWorkers: tc.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainKinds(t, it)
+			it.Close()
+			blob.Close()
+			if st.manifests != tc.want {
+				t.Fatalf("OpenRankIter read the manifest %d time(s), want %d", st.manifests, tc.want)
 			}
 		})
 	}
