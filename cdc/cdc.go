@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/record"
@@ -211,8 +210,7 @@ func Record(world *simmpi.World, app App, opts ...Option) (*RecordReport, error)
 			w.Close()
 			return fmt.Errorf("rank %d: %w", rank, err)
 		}
-		method := baseline.NewCDC(enc)
-		rec := record.New(lamport.Wrap(mpi), method, record.Options{
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{
 			FlushInterval:  cfg.flushInterval,
 			FlushEveryRows: cfg.flushEveryRows,
 			Obs:            cfg.obs,
@@ -224,8 +222,8 @@ func Record(world *simmpi.World, app App, opts ...Option) (*RecordReport, error)
 		report.Ranks[rank] = RankRecord{
 			Rank:    rank,
 			Queue:   rec.Stats(),
-			Encoder: method.Stats(),
-			Bytes:   method.BytesWritten(),
+			Encoder: enc.Stats(),
+			Bytes:   enc.BytesWritten(),
 		}
 		if err := errors.Join(appErr, closeErr, blobErr); err != nil {
 			return fmt.Errorf("rank %d: %w", rank, err)

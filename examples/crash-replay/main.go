@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"cdcreplay/cdc"
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/mcb"
@@ -70,7 +69,7 @@ func main() {
 			bw.Close()
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{FlushEveryRows: 24})
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{FlushEveryRows: 24})
 		_, rerr := mcb.Run(rec, params)
 		if rerr == nil {
 			rerr = rec.Close()

@@ -70,7 +70,7 @@ func main() {
 		}
 		gz := baseline.NewGzip()
 		// A tee backend: every observed event goes to both methods.
-		tee := teeMethod{a: baseline.NewCDC(enc), b: gz}
+		tee := teeMethod{a: enc, b: gz}
 		rec := record.New(lamport.Wrap(mpi), tee, record.Options{})
 		res, rerr := jacobi.Run(rec, params)
 		if cerr := rec.Close(); rerr == nil {
@@ -127,8 +127,6 @@ type teeMethod struct {
 	a, b baseline.Method
 }
 
-func (t teeMethod) Name() string { return "tee" }
-
 func (t teeMethod) Observe(cs uint64, ev tables.Event) error {
 	if err := t.a.Observe(cs, ev); err != nil {
 		return err
@@ -137,17 +135,22 @@ func (t teeMethod) Observe(cs uint64, ev tables.Event) error {
 }
 
 func (t teeMethod) RegisterCallsite(id uint64, name string) error {
-	type registrar interface {
-		RegisterCallsite(uint64, string) error
+	if err := t.a.RegisterCallsite(id, name); err != nil {
+		return err
 	}
-	for _, m := range []baseline.Method{t.a, t.b} {
-		if r, ok := m.(registrar); ok {
-			if err := r.RegisterCallsite(id, name); err != nil {
-				return err
-			}
-		}
+	return t.b.RegisterCallsite(id, name)
+}
+
+func (t teeMethod) FlushAll(clock uint64) error {
+	if err := t.a.FlushAll(clock); err != nil {
+		return err
 	}
-	return nil
+	return t.b.FlushAll(clock)
+}
+
+func (t teeMethod) NoteCollective(clock uint64) {
+	t.a.NoteCollective(clock)
+	t.b.NoteCollective(clock)
 }
 
 func (t teeMethod) Close() error {
@@ -156,5 +159,3 @@ func (t teeMethod) Close() error {
 	}
 	return t.b.Close()
 }
-
-func (t teeMethod) BytesWritten() int64 { return t.a.BytesWritten() }

@@ -51,13 +51,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cdc := baseline.NewCDC(enc)
 		for _, ev := range events {
-			if err := cdc.Observe(0, ev); err != nil {
+			if err := enc.Observe(0, ev); err != nil {
 				log.Fatal(err)
 			}
 		}
-		if err := cdc.Close(); err != nil {
+		if err := enc.Close(); err != nil {
 			log.Fatal(err)
 		}
 
@@ -70,7 +69,7 @@ func main() {
 		for _, m := range []struct {
 			name  string
 			bytes int64
-		}{{"gzip", gz.BytesWritten()}, {"CDC", cdc.BytesWritten()}} {
+		}{{"gzip", gz.BytesWritten()}, {"CDC", enc.BytesWritten()}} {
 			bpe := float64(m.bytes) / float64(matched)
 			ratePerNode := bpe * eventsPerSec * intensity * procsPerNode // B/s
 			hours := budgetMB * 1e6 / ratePerNode / 3600

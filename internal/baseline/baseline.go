@@ -2,16 +2,16 @@
 // evaluation (§6.1, Fig. 13):
 //
 //   - Raw: the traditional order-replay format of Fig. 4, bit-packed at
-//     162 bits per row (count 64, flag 1, with_next 1, rank 32, clock 64),
-//     with no compression;
+//     tables.BitsPerRow (162) bits per row, with no compression;
 //   - Gzip: the same packed rows passed through gzip;
 //   - RE: CDC's redundancy elimination only (Fig. 6 tables, plain varints)
 //     followed by gzip — the paper's "CDC (RE)" bar.
 //
-// The full "CDC (RE+PE+LPE)" and "CDC" methods come from internal/core; the
-// former is the core encoder with all callsites merged (no MF
-// identification), the latter with per-callsite streams (§4.4). The Method
-// interface lets the harness drive all five over an identical event stream.
+// The full "CDC (RE+PE+LPE)" and "CDC" methods are core.Encoder itself,
+// which satisfies Method unchanged: the former fed with every callsite
+// merged into 0 (no MF identification), the latter with per-callsite
+// streams (§4.4). The Method interface lets the harness drive all five over
+// an identical event stream, and lets a recorder drive any of them.
 package baseline
 
 import (
@@ -20,25 +20,43 @@ import (
 	"encoding/binary"
 	"io"
 
-	"cdcreplay/internal/core"
 	"cdcreplay/internal/tables"
 	"cdcreplay/internal/varint"
 )
 
-// BitsPerEvent is the paper's accounting for one uncompressed record row.
-const BitsPerEvent = 162
-
 // Method is a recording backend fed with the per-callsite event stream.
+// Its method set is a superset of record.Sink, so a recorder can drive any
+// Method.
 type Method interface {
-	// Name identifies the method in reports.
-	Name() string
 	// Observe feeds one record-table row.
 	Observe(callsite uint64, ev tables.Event) error
+	// RegisterCallsite names an MF callsite before its first row.
+	RegisterCallsite(id uint64, name string) error
+	// FlushAll flushes every pending chunk, stamping clock into the
+	// flush-point mark (§3.5).
+	FlushAll(clock uint64) error
+	// NoteCollective hands over the clock the rank left its newest
+	// collective with, for later flush-point marks.
+	NoteCollective(clock uint64)
 	// Close flushes buffered state.
 	Close() error
 	// BytesWritten reports the total encoded size (exact after Close).
 	BytesWritten() int64
 }
+
+// noControls gives the comparison methods the control calls as no-ops:
+// their formats have no callsite names, flush-point marks or collective
+// clocks.
+type noControls struct{}
+
+// RegisterCallsite implements Method; the name is dropped.
+func (noControls) RegisterCallsite(uint64, string) error { return nil }
+
+// FlushAll implements Method; rows stay buffered until Close.
+func (noControls) FlushAll(uint64) error { return nil }
+
+// NoteCollective implements Method; the clock is dropped.
+func (noControls) NoteCollective(uint64) {}
 
 type countingWriter struct {
 	n int64
@@ -100,6 +118,7 @@ func packEvent(b *bitWriter, ev tables.Event) {
 
 // Raw is the uncompressed traditional recorder.
 type Raw struct {
+	noControls
 	cw countingWriter
 	bw bitWriter
 }
@@ -110,9 +129,6 @@ func NewRaw() *Raw {
 	r.bw.w = &r.cw
 	return r
 }
-
-// Name implements Method.
-func (r *Raw) Name() string { return "w/o compression" }
 
 // Observe implements Method.
 func (r *Raw) Observe(_ uint64, ev tables.Event) error {
@@ -131,6 +147,7 @@ func (r *Raw) BytesWritten() int64 { return r.cw.n }
 // writes — without it the per-call overhead would dominate the recording
 // cost and distort the Fig. 16 comparison.
 type Gzip struct {
+	noControls
 	cw countingWriter
 	zw *gzip.Writer
 	bf *bufio.Writer
@@ -145,9 +162,6 @@ func NewGzip() *Gzip {
 	g.bw.w = g.bf
 	return g
 }
-
-// Name implements Method.
-func (g *Gzip) Name() string { return "gzip" }
 
 // Observe implements Method.
 func (g *Gzip) Observe(_ uint64, ev tables.Event) error {
@@ -172,6 +186,7 @@ func (g *Gzip) BytesWritten() int64 { return g.cw.n }
 // RE applies redundancy elimination only, serializing the Fig. 6 tables as
 // plain varints (no permutation or LP encoding), then gzip.
 type RE struct {
+	noControls
 	cw          countingWriter
 	zw          *gzip.Writer
 	chunkEvents int
@@ -189,9 +204,6 @@ func NewRE(chunkEvents int) *RE {
 	re.zw = gzip.NewWriter(&re.cw)
 	return re
 }
-
-// Name implements Method.
-func (re *RE) Name() string { return "CDC (RE)" }
 
 // Observe implements Method.
 func (re *RE) Observe(_ uint64, ev tables.Event) error {
@@ -248,59 +260,3 @@ func (re *RE) Close() error {
 
 // BytesWritten implements Method.
 func (re *RE) BytesWritten() int64 { return re.cw.n }
-
-// CDCMethod adapts a core.Encoder to Method. With MergeCallsites set, all
-// events funnel into callsite 0, disabling MF identification — the paper's
-// "CDC (RE + PE + LPE)" variant; otherwise it is the complete "CDC".
-type CDCMethod struct {
-	name           string
-	enc            *core.Encoder
-	mergeCallsites bool
-}
-
-// NewCDC wraps enc as the full CDC method.
-func NewCDC(enc *core.Encoder) *CDCMethod {
-	return &CDCMethod{name: "CDC", enc: enc}
-}
-
-// NewCDCNoMFID wraps enc as the CDC variant without MF identification.
-func NewCDCNoMFID(enc *core.Encoder) *CDCMethod {
-	return &CDCMethod{name: "CDC (RE + PE + LPE)", enc: enc, mergeCallsites: true}
-}
-
-// Name implements Method.
-func (m *CDCMethod) Name() string { return m.name }
-
-// RegisterCallsite forwards MF callsite names into the record stream.
-// With MF identification disabled the merged stream needs no names.
-func (m *CDCMethod) RegisterCallsite(id uint64, name string) error {
-	if m.mergeCallsites {
-		return nil
-	}
-	return m.enc.RegisterCallsite(id, name)
-}
-
-// Observe implements Method.
-func (m *CDCMethod) Observe(callsite uint64, ev tables.Event) error {
-	if m.mergeCallsites {
-		callsite = 0
-	}
-	return m.enc.Observe(callsite, ev)
-}
-
-// Close implements Method.
-func (m *CDCMethod) Close() error { return m.enc.Close() }
-
-// BytesWritten implements Method.
-func (m *CDCMethod) BytesWritten() int64 { return m.enc.BytesWritten() }
-
-// Stats exposes the wrapped encoder's statistics.
-func (m *CDCMethod) Stats() core.Stats { return m.enc.Stats() }
-
-// FlushAll forwards the periodic memory-bound flush (§3.5), stamping the
-// rank's sampled Lamport clock into the flush-point mark.
-func (m *CDCMethod) FlushAll(clock uint64) error { return m.enc.FlushAll(clock) }
-
-// NoteCollective forwards the rank's collective clock to the encoder, whose
-// later flush-point marks carry it.
-func (m *CDCMethod) NoteCollective(clock uint64) { m.enc.NoteCollective(clock) }

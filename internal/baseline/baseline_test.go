@@ -20,9 +20,9 @@ func TestRawSizeIs162BitsPerEvent(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := int64((n*BitsPerEvent + 7) / 8)
+	want := int64((n*tables.BitsPerRow + 7) / 8)
 	if r.BytesWritten() != want {
-		t.Fatalf("raw size = %d bytes, want %d (%d bits/event)", r.BytesWritten(), want, BitsPerEvent)
+		t.Fatalf("raw size = %d bytes, want %d (%d bits/event)", r.BytesWritten(), want, tables.BitsPerRow)
 	}
 }
 
@@ -122,7 +122,6 @@ func TestREFlushesOnChunkBoundary(t *testing.T) {
 func TestFig13ShapeOnSyntheticStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 
-	methods := []Method{NewRaw(), NewGzip(), NewRE(0)}
 	cdcEnc, err := core.NewEncoder(&bytes.Buffer{}, core.EncoderOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +130,26 @@ func TestFig13ShapeOnSyntheticStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	methods = append(methods, NewCDCNoMFID(noMFEnc), NewCDC(cdcEnc))
+	methods := []struct {
+		name string
+		m    Method
+		// merge folds every callsite into 0: CDC without MF identification.
+		merge bool
+	}{
+		{"w/o compression", NewRaw(), false},
+		{"gzip", NewGzip(), false},
+		{"CDC (RE)", NewRE(0), false},
+		{"CDC (RE + PE + LPE)", noMFEnc, true},
+		{"CDC", cdcEnc, false},
+	}
+	observe := func(merge bool, m Method, cs uint64, ev tables.Event) {
+		if merge {
+			cs = 0
+		}
+		if err := m.Observe(cs, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Two callsites with different regularity, near-ordered clocks.
 	clocks := map[int32]uint64{}
@@ -142,24 +160,20 @@ func TestFig13ShapeOnSyntheticStream(t *testing.T) {
 		ev := tables.Matched(r, clocks[r], false)
 		if rng.Intn(10) == 0 {
 			for _, m := range methods {
-				if err := m.Observe(cs, tables.Unmatched(uint64(1+rng.Intn(4)))); err != nil {
-					t.Fatal(err)
-				}
+				observe(m.merge, m.m, cs, tables.Unmatched(uint64(1+rng.Intn(4))))
 			}
 		}
 		for _, m := range methods {
-			if err := m.Observe(cs, ev); err != nil {
-				t.Fatal(err)
-			}
+			observe(m.merge, m.m, cs, ev)
 		}
 	}
 	sizes := map[string]int64{}
 	for _, m := range methods {
-		if err := m.Close(); err != nil {
+		if err := m.m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sizes[m.Name()] = m.BytesWritten()
-		t.Logf("%-22s %8d bytes", m.Name(), m.BytesWritten())
+		sizes[m.name] = m.m.BytesWritten()
+		t.Logf("%-22s %8d bytes", m.name, m.m.BytesWritten())
 	}
 	if sizes["gzip"] >= sizes["w/o compression"] {
 		t.Error("gzip did not beat raw")

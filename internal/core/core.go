@@ -396,10 +396,6 @@ type Encoder struct {
 	gzipReported int64
 }
 
-// rawBitsPerRow is the paper's uncompressed record-row accounting
-// (baseline.BitsPerEvent; duplicated here because baseline imports core).
-const rawBitsPerRow = 162
-
 type pendingStream struct {
 	events  []tables.Event
 	matched int

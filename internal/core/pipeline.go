@@ -110,7 +110,7 @@ func (e *Encoder) build(b *cdcformat.Builder, j *encodeJob) {
 		span := e.obsReg.StartSpan("encode.chunk")
 		re, pe, lp := cdcformat.StageSizes(j.events, chunk)
 		e.mChunks.Inc()
-		e.mRaw.Add(uint64(len(j.events)) * rawBitsPerRow / 8)
+		e.mRaw.Add(uint64(len(j.events)) * tables.BitsPerRow / 8)
 		e.mRE.Add(uint64(re))
 		e.mPE.Add(uint64(pe))
 		e.mLPE.Add(uint64(lp))

@@ -28,6 +28,10 @@ import (
 // maxCorpusChunks bounds Report.Corpus so corpus collection cannot balloon.
 const maxCorpusChunks = 256
 
+// maxFailures caps how many failures are captured and shrunk; later
+// failures are still counted and digested.
+const maxFailures = 4
+
 // Config parameterizes one exploration run.
 type Config struct {
 	// Policy is the exploration policy: "random", "pct", "reorder", or
@@ -57,9 +61,6 @@ type Config struct {
 	// ShrinkBudget bounds re-executions per failure during shrinking.
 	// Default 200.
 	ShrinkBudget int
-	// MaxFailures caps how many failures are captured and shrunk (later
-	// failures are still counted and digested). Default 4.
-	MaxFailures int
 	// CollectCorpus gathers canonical marshaled chunk bytes from decoded
 	// records into Report.Corpus (fuzz-corpus seeding). Requires P3.
 	CollectCorpus bool
@@ -100,9 +101,6 @@ func (c *Config) fill() error {
 	}
 	if c.ShrinkBudget <= 0 {
 		c.ShrinkBudget = 200
-	}
-	if c.MaxFailures <= 0 {
-		c.MaxFailures = 4
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -167,7 +165,7 @@ type Report struct {
 	// Digest fingerprints every schedule's (kind, decisions, verdict).
 	Digest uint64
 	// TotalFailures counts all failing schedules; Failures holds the first
-	// MaxFailures of them, shrunk.
+	// maxFailures of them, shrunk.
 	TotalFailures int
 	Failures      []Failure
 	// Corpus holds deduplicated canonical chunk encodings observed during
@@ -229,7 +227,7 @@ func Explore(cfg Config) (*Report, error) {
 
 	capture := func(check string, seed int64, decisions []int, verdict error) {
 		rep.TotalFailures++
-		if len(rep.Failures) >= cfg.MaxFailures {
+		if len(rep.Failures) >= maxFailures {
 			return
 		}
 		tr := &Trace{

@@ -38,12 +38,6 @@ type FeedConfig struct {
 	Workload string
 	// Seed drives the record phase and the start-epoch randomization.
 	Seed int64
-	// Widths are the decode-worker counts to sweep. Default {0, 2, 4}
-	// ({0, 2} in Short).
-	Widths []int
-	// Backends are the storage layouts to sweep, a subset of
-	// {"dir", "sharded"}. Default both.
-	Backends []string
 	// Short reduces sizes, mirroring go test -short.
 	Short bool
 }
@@ -52,15 +46,18 @@ func (c *FeedConfig) fill() {
 	if c.Workload == "" {
 		c.Workload = "exchange"
 	}
-	if len(c.Widths) == 0 {
-		c.Widths = []int{0, 2, 4}
-		if c.Short {
-			c.Widths = []int{0, 2}
-		}
+}
+
+// feedBackends are the storage layouts P6 sweeps.
+var feedBackends = []string{"dir", "sharded"}
+
+// widths are the decode-worker counts P6 sweeps: serial and two parallel
+// widths, one in Short.
+func (c FeedConfig) widths() []int {
+	if c.Short {
+		return []int{0, 2}
 	}
-	if len(c.Backends) == 0 {
-		c.Backends = []string{"dir", "sharded"}
-	}
+	return []int{0, 2, 4}
 }
 
 // FeedReport summarizes a P6 exploration.
@@ -76,9 +73,6 @@ type FeedReport struct {
 // feedStore builds a fresh store for the named backend; the returned
 // cleanup releases any on-disk state.
 func feedStore(name string) (store.Store, func(), error) {
-	if name != "dir" && name != "sharded" {
-		return nil, nil, fmt.Errorf("dst: unknown feed backend %q", name)
-	}
 	root, err := os.MkdirTemp("", "dst-feed-*")
 	if err != nil {
 		return nil, nil, err
@@ -100,7 +94,7 @@ func CheckFeed(cfg FeedConfig) (*FeedReport, error) {
 	}
 	rep := &FeedReport{}
 	rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, 0x9e6)))
-	for _, backend := range cfg.Backends {
+	for _, backend := range feedBackends {
 		st, cleanup, err := feedStore(backend)
 		if err != nil {
 			return nil, err
@@ -131,7 +125,7 @@ func checkFeedBackend(cfg FeedConfig, backend string, ranks int, st store.Store,
 	if err != nil {
 		return fmt.Errorf("%s: manifest: %w", backend, err)
 	}
-	for _, width := range cfg.Widths {
+	for _, width := range cfg.widths() {
 		for rank := 0; rank < ranks; rank++ {
 			epochs := len(m.RankIndex(rank))
 			if epochs == 0 {

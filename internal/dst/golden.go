@@ -3,7 +3,6 @@ package dst
 import (
 	"bytes"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/record"
@@ -33,7 +32,7 @@ func DeterministicRecord(workloadName string, seed int64, short bool, opts core.
 		if err != nil {
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), recOpts())
+		rec := record.New(lamport.Wrap(mpi), enc, recOpts())
 		aerr := app(rec)
 		cerr := rec.Close()
 		if aerr != nil {
@@ -96,7 +95,7 @@ func DeterministicRecordToOpts(workloadName string, seed int64, short bool, opts
 			bw.Close()
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), ropts)
+		rec := record.New(lamport.Wrap(mpi), enc, ropts)
 		aerr := app(rec)
 		cerr := rec.Close()
 		werr := bw.Close()

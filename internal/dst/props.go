@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/cdcformat"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
@@ -131,17 +130,16 @@ func (t *tapLayer) Waitall(reqs []*simmpi.Request) ([]simmpi.Status, error) {
 	return sts, err
 }
 
-// teeMethod tees every backend row into a log while forwarding to the real
-// CDC encoder, including the flush and callsite-registration side channels —
-// forwarding those faithfully is what makes a tee'd record byte-identical to
-// an unteed one (property P2 compares the two). Rows are appended from the
-// recorder's CDC goroutine; reading them is safe after Recorder.Close.
+// teeMethod tees every sink row into a log while forwarding every call to
+// the real CDC encoder, the flush, callsite and collective control calls
+// included — forwarding those faithfully is what makes a tee'd record
+// byte-identical to an unteed one (property P2 compares the two). Rows are
+// appended from the recorder's CDC goroutine; reading them is safe after
+// Recorder.Close.
 type teeMethod struct {
-	cdc  *baseline.CDCMethod
+	cdc  *core.Encoder
 	rows *[]teeRow
 }
-
-func (t *teeMethod) Name() string { return "dst-tee" }
 
 func (t *teeMethod) Observe(cs uint64, ev tables.Event) error {
 	*t.rows = append(*t.rows, teeRow{cs: cs, ev: ev})
@@ -156,8 +154,6 @@ func (t *teeMethod) FlushAll(clock uint64) error { return t.cdc.FlushAll(clock) 
 func (t *teeMethod) NoteCollective(clock uint64) { t.cdc.NoteCollective(clock) }
 
 func (t *teeMethod) Close() error { return t.cdc.Close() }
-
-func (t *teeMethod) BytesWritten() int64 { return t.cdc.BytesWritten() }
 
 // expParams is everything one schedule execution needs.
 type expParams struct {
@@ -195,16 +191,6 @@ func deriveSeed(seed int64, k uint64) int64 {
 // — so the properties run against exactly the production replay path.
 func openReplay(mpi simmpi.MPI, open func() (*core.RecordIter, io.Closer, error), opts replay.Options) (*replay.Replayer, error) {
 	return replay.Open(lamport.WrapManual(mpi), open, opts)
-}
-
-// openBuf is an openReplay source over an in-memory record. An in-memory
-// buffer has no chunk index, so it decodes serially; P6 sweeps the
-// parallel decoder over seekable store backends.
-func openBuf(buf []byte) func() (*core.RecordIter, io.Closer, error) {
-	return func() (*core.RecordIter, io.Closer, error) {
-		it, err := core.OpenRecord(bytes.NewReader(buf))
-		return it, nil, err
-	}
 }
 
 // runReplay drives app on rp, verifies the rank and closes the replayer,
@@ -245,7 +231,7 @@ func runOrder(p expParams) (decisions, counts []int, verdict error) {
 		if err != nil {
 			return err
 		}
-		tee := &teeMethod{cdc: baseline.NewCDC(enc), rows: &rows[rank]}
+		tee := &teeMethod{cdc: enc, rows: &rows[rank]}
 		tap := &tapLayer{Layer: lamport.Wrap(mpi), log: &taps[rank]}
 		rec := record.New(tap, tee, recOpts())
 		aerr := app(rec)
@@ -288,7 +274,7 @@ func checkReplayOrder(p expParams, app appFunc, bufs []*bytes.Buffer, taps [][]r
 	w := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seq, Delivery: deliveryFor("", 0, 0)})
 	reps := make([][]rcv, p.ranks)
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes()), replay.Options{
+		rp, err := openReplay(mpi, replay.RecordBytes(bufs[rank].Bytes()), replay.Options{
 			OnRelease: func(st simmpi.Status) {
 				reps[rank] = append(reps[rank], rcv{st.Source, st.Tag, st.Clock})
 			},
@@ -328,7 +314,7 @@ func checkReRecord(p expParams, app appFunc, bufs []*bytes.Buffer) error {
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
 		// CallsiteSkip hops over the interposed recorder frame so the
 		// replayer resolves the application's call sites, as the record did.
-		rp, err := openReplay(mpi, openBuf(bufs[rank].Bytes()),
+		rp, err := openReplay(mpi, replay.RecordBytes(bufs[rank].Bytes()),
 			replay.Options{CallsiteSkip: 1})
 		if err != nil {
 			return err
@@ -339,7 +325,7 @@ func checkReRecord(p expParams, app appFunc, bufs []*bytes.Buffer) error {
 			rp.Close() //cdc:allow(errsink) best-effort cleanup; the encoder error is already propagating
 			return err
 		}
-		rerec := record.New(rp, baseline.NewCDC(enc), recOpts())
+		rerec := record.New(rp, enc, recOpts())
 		return runReplay(rp, func(mpi simmpi.MPI) error {
 			return errors.Join(app(rerec), rerec.Close())
 		})
@@ -519,7 +505,7 @@ func crashRecord(p expParams, app appFunc, st store.Store) (taps [][]rcv, aborte
 			return err
 		}
 		tap := &tapLayer{Layer: lamport.Wrap(mpi), log: &taps[rank]}
-		rec := record.New(tap, baseline.NewCDC(enc), recOpts())
+		rec := record.New(tap, enc, recOpts())
 		aerr := app(rec)
 		if aerr == nil {
 			if cerr := rec.Close(); cerr != nil {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/mcb"
@@ -90,16 +89,15 @@ func encodeWith(rows [][]tables.Event, opts core.EncoderOptions) (AblationRow, e
 		if err != nil {
 			return row, err
 		}
-		m := baseline.NewCDC(enc)
 		for _, ev := range evs {
-			if err := m.Observe(0, ev); err != nil {
+			if err := enc.Observe(0, ev); err != nil {
 				return row, err
 			}
 		}
-		if err := m.Close(); err != nil {
+		if err := enc.Close(); err != nil {
 			return row, err
 		}
-		bytesTotal += m.BytesWritten()
+		bytesTotal += enc.BytesWritten()
 		permuted += enc.Stats().PermutedMessages
 		matched += enc.Stats().MatchedEvents
 	}

@@ -59,27 +59,26 @@ func Fig13(cfg Config) (*Fig13Result, error) {
 }
 
 func fig13FromRun(cfg *Config, run *MCBRun) (*Fig13Result, error) {
-	makeCDC := func(omitMFID, senderColumn bool) func() baseline.Method {
+	makeCDC := func(senderColumn bool) func() baseline.Method {
 		return func() baseline.Method {
 			enc, _ := core.NewEncoder(io.Discard, core.EncoderOptions{
 				OmitSenderColumn: !senderColumn,
 			})
-			if omitMFID {
-				return baseline.NewCDCNoMFID(enc)
-			}
-			return baseline.NewCDC(enc)
+			return enc
 		}
 	}
 	methods := []struct {
 		name string
 		make func() baseline.Method
+		// merge feeds the stream with every callsite folded into one.
+		merge bool
 	}{
-		{"w/o compression", func() baseline.Method { return baseline.NewRaw() }},
-		{"gzip", func() baseline.Method { return baseline.NewGzip() }},
-		{"CDC (RE)", func() baseline.Method { return baseline.NewRE(0) }},
-		{"CDC (RE + PE + LPE)", makeCDC(true, false)},
-		{"CDC", makeCDC(false, false)},
-		{"CDC (+sender column)", makeCDC(false, true)},
+		{"w/o compression", func() baseline.Method { return baseline.NewRaw() }, false},
+		{"gzip", func() baseline.Method { return baseline.NewGzip() }, false},
+		{"CDC (RE)", func() baseline.Method { return baseline.NewRE(0) }, false},
+		{"CDC (RE + PE + LPE)", makeCDC(false), true},
+		{"CDC", makeCDC(false), false},
+		{"CDC (+sender column)", makeCDC(true), false},
 	}
 
 	res := &Fig13Result{Ranks: run.Ranks, MatchedEvents: run.MatchedEvents()}
@@ -87,6 +86,9 @@ func fig13FromRun(cfg *Config, run *MCBRun) (*Fig13Result, error) {
 		var total int64
 		// One method instance per rank: each rank records independently.
 		for _, rows := range run.Rows {
+			if m.merge {
+				rows = merged(rows)
+			}
 			n, err := feed(m.make(), rows)
 			if err != nil {
 				return nil, err

@@ -40,7 +40,7 @@ func fig16Stack(mode string, mpi simmpi.MPI) (simmpi.MPI, func() error) {
 		return rec, rec.Close
 	case "CDC":
 		enc, _ := core.NewEncoder(io.Discard, core.EncoderOptions{OmitSenderColumn: true})
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{})
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{})
 		return rec, rec.Close
 	default:
 		return mpi, func() error { return nil }

@@ -71,7 +71,7 @@ func Fig17(cfg Config) (*Fig17Result, error) {
 		}
 		res.GzipBytes += gz
 		enc, _ := core.NewEncoder(io.Discard, core.EncoderOptions{OmitSenderColumn: true})
-		cd, err := feed(baseline.NewCDC(enc), rankRows)
+		cd, err := feed(enc, rankRows)
 		if err != nil {
 			return nil, err
 		}

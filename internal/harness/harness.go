@@ -54,18 +54,14 @@ type Row struct {
 	Ev       tables.Event
 }
 
-// capture is a baseline.Method that retains the raw event stream so several
+// capture is a record sink that retains the raw event stream so several
 // compression methods can be compared over identical input.
 type capture struct {
 	rows  []Row
 	names map[uint64]string
 }
 
-var _ baseline.Method = (*capture)(nil)
-
 func newCapture() *capture { return &capture{names: map[uint64]string{}} }
-
-func (c *capture) Name() string { return "capture" }
 
 func (c *capture) Observe(cs uint64, ev tables.Event) error {
 	c.rows = append(c.rows, Row{Callsite: cs, Name: c.names[cs], Ev: ev})
@@ -77,9 +73,11 @@ func (c *capture) RegisterCallsite(id uint64, name string) error {
 	return nil
 }
 
-func (c *capture) Close() error { return nil }
+func (c *capture) FlushAll(uint64) error { return nil }
 
-func (c *capture) BytesWritten() int64 { return 0 }
+func (c *capture) NoteCollective(uint64) {}
+
+func (c *capture) Close() error { return nil }
 
 // MCBRun holds everything a captured MCB run yields.
 type MCBRun struct {
@@ -140,10 +138,8 @@ func captureMCB(cfg *Config, ranks int, params mcb.Params) (*MCBRun, error) {
 // feed replays a captured row stream into a method and returns its size.
 func feed(m baseline.Method, rows []Row) (int64, error) {
 	for _, row := range rows {
-		if reg, ok := m.(interface {
-			RegisterCallsite(uint64, string) error
-		}); ok && row.Name != "" {
-			if err := reg.RegisterCallsite(row.Callsite, row.Name); err != nil {
+		if row.Name != "" {
+			if err := m.RegisterCallsite(row.Callsite, row.Name); err != nil {
 				return 0, err
 			}
 		}
@@ -155,6 +151,17 @@ func feed(m baseline.Method, rows []Row) (int64, error) {
 		return 0, err
 	}
 	return m.BytesWritten(), nil
+}
+
+// merged returns rows with every callsite folded into 0 and no names: the
+// stream a recorder without MF identification (§4.4) produces, which the
+// "CDC (RE + PE + LPE)" bar encodes.
+func merged(rows []Row) []Row {
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		out[i] = Row{Ev: r.Ev}
+	}
+	return out
 }
 
 // human formats a byte count.

@@ -4,7 +4,6 @@ import (
 	"io"
 	"testing"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/tables"
 )
@@ -34,13 +33,11 @@ func TestMFIDSeparatesMixedStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m baseline.Method
+		in := rows
 		if merge {
-			m = baseline.NewCDCNoMFID(enc)
-		} else {
-			m = baseline.NewCDC(enc)
+			in = merged(rows)
 		}
-		n, err := feed(m, rows)
+		n, err := feed(enc, in)
 		if err != nil {
 			t.Fatal(err)
 		}

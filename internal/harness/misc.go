@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/mcb"
@@ -37,7 +36,7 @@ func QueueRates(cfg Config) (*QueueResult, error) {
 	var appTime, drainTime time.Duration
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
 		enc, _ := core.NewEncoder(&bytes.Buffer{}, core.EncoderOptions{OmitSenderColumn: true})
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{})
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{})
 		start := time.Now()
 		_, rerr := mcb.Run(rec, params)
 		elapsed := time.Since(start)
@@ -172,7 +171,7 @@ func ReplayValidation(cfg Config) (*ReplayResult, error) {
 		if err != nil {
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{})
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{})
 		r, rerr := mcb.Run(rec, params)
 		if cerr := rec.Close(); rerr == nil {
 			rerr = cerr

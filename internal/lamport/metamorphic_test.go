@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/record"
@@ -18,11 +17,10 @@ import (
 // clockTee forwards rows to the CDC encoder while retaining the
 // matched-event clock stream in observed order.
 type clockTee struct {
-	cdc    *baseline.CDCMethod
+	cdc    *core.Encoder
 	clocks []uint64
 }
 
-func (c *clockTee) Name() string { return "clock-tee" }
 func (c *clockTee) Observe(cs uint64, ev tables.Event) error {
 	if ev.Flag {
 		c.clocks = append(c.clocks, ev.Clock)
@@ -33,8 +31,8 @@ func (c *clockTee) RegisterCallsite(id uint64, name string) error {
 	return c.cdc.RegisterCallsite(id, name)
 }
 func (c *clockTee) FlushAll(clock uint64) error { return c.cdc.FlushAll(clock) }
+func (c *clockTee) NoteCollective(clock uint64) { c.cdc.NoteCollective(clock) }
 func (c *clockTee) Close() error                { return c.cdc.Close() }
-func (c *clockTee) BytesWritten() int64         { return c.cdc.BytesWritten() }
 
 // TestMetamorphicDeliveryPermutation is the metamorphic replay theorem at
 // the clock layer (paper Theorem 2): the replayed Lamport clock stream is a
@@ -61,7 +59,7 @@ func TestMetamorphicDeliveryPermutation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		tee := &clockTee{cdc: baseline.NewCDC(enc)}
+		tee := &clockTee{cdc: enc}
 		rec := record.New(lamport.Wrap(mpi), tee, record.Options{})
 		aerr := app(rec)
 		cerr := rec.Close()

@@ -17,7 +17,6 @@ type failingBackend struct {
 	err    error
 }
 
-func (b *failingBackend) Name() string { return "failing" }
 func (b *failingBackend) Observe(cs uint64, ev tables.Event) error {
 	b.seen++
 	if b.seen >= b.failAt {
@@ -25,8 +24,10 @@ func (b *failingBackend) Observe(cs uint64, ev tables.Event) error {
 	}
 	return nil
 }
-func (b *failingBackend) Close() error        { return nil }
-func (b *failingBackend) BytesWritten() int64 { return 0 }
+func (b *failingBackend) RegisterCallsite(uint64, string) error { return nil }
+func (b *failingBackend) FlushAll(uint64) error                 { return nil }
+func (b *failingBackend) NoteCollective(uint64)                 {}
+func (b *failingBackend) Close() error                          { return nil }
 
 // TestBackendErrorSurfacesWithinOneMFCall drives a recorder whose backend
 // fails on the first row and asserts the application thread sees the error

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/obs"
@@ -40,7 +39,7 @@ func TestRecorderObsMetrics(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := New(lamport.Wrap(mpi), baseline.NewCDC(enc), Options{Obs: reg, FlushEveryRows: 8})
+		rec := New(lamport.Wrap(mpi), enc, Options{Obs: reg, FlushEveryRows: 8})
 		for i := 0; i < msgs; i++ {
 			req, _ := rec.Irecv(1, 1)
 			if _, err := rec.Wait(req); err != nil {
@@ -107,7 +106,7 @@ func TestRecorderNilObsIsNoop(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := New(lamport.Wrap(mpi), baseline.NewCDC(enc), Options{FlushEveryRows: 1})
+		rec := New(lamport.Wrap(mpi), enc, Options{FlushEveryRows: 1})
 		req, _ := rec.Irecv(1, 1)
 		if _, err := rec.Wait(req); err != nil {
 			return err
@@ -159,7 +158,7 @@ func TestObsDisabledOverheadWithinNoise(t *testing.T) {
 		for i := 0; i < reps; i++ {
 			w := simmpi.NewWorld(1, simmpi.Options{})
 			enc, _ := core.NewEncoder(io.Discard, core.EncoderOptions{OmitSenderColumn: true, Obs: reg})
-			rec := New(lamport.Wrap(w.Comm(0)), baseline.NewCDC(enc), Options{Obs: reg})
+			rec := New(lamport.Wrap(w.Comm(0)), enc, Options{Obs: reg})
 			for _, ev := range events {
 				rec.enqueue(0, "benchmark", ev)
 			}

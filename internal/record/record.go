@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/callsite"
 	"cdcreplay/internal/obs"
 	"cdcreplay/internal/simmpi"
@@ -28,16 +27,26 @@ import (
 	"cdcreplay/internal/tables"
 )
 
-// registrar is implemented by backends that want callsite names
-// (core.Encoder via baseline.CDCMethod).
-type registrar interface {
+// Sink consumes what the CDC goroutine drains from the observe queue.
+// *core.Encoder is the production sink; the paper's comparison methods
+// (baseline.Method) and test tees are sinks too. Every call is required, so
+// a wrapper that forgets to forward one fails to compile instead of
+// dropping it.
+type Sink interface {
+	// Observe feeds one record-table row of MF callsite callsite.
+	Observe(callsite uint64, ev tables.Event) error
+	// RegisterCallsite names callsite id; the recorder calls it once,
+	// before the callsite's first row.
 	RegisterCallsite(id uint64, name string) error
-}
-
-// collectiveNoter is implemented by backends whose flush-point marks carry
-// the rank's collective clock (core.Encoder via baseline.CDCMethod).
-type collectiveNoter interface {
+	// FlushAll flushes every pending chunk to storage (§3.5). clock is the
+	// rank's Lamport clock at the newest flushed row, stamped into the
+	// flush-point mark.
+	FlushAll(clock uint64) error
+	// NoteCollective hands over the clock the rank left its newest
+	// collective with; later flush-point marks carry it.
 	NoteCollective(clock uint64)
+	// Close flushes what is left and finalizes the record.
+	Close() error
 }
 
 // Options configure a Recorder.
@@ -85,7 +94,7 @@ type queueItem struct {
 	clock uint64
 	// coll is the rank's Lamport clock when it last left a collective
 	// before this row's MF call (zero before the first). The CDC goroutine
-	// hands the newest to the backend, whose marks carry it so salvage
+	// hands the newest to the sink, whose marks carry it so salvage
 	// keeps a cut past a collective only if every rank's cut reaches it.
 	coll uint64
 }
@@ -105,9 +114,9 @@ type RateStats struct {
 
 // Recorder is the record-mode layer for one rank.
 type Recorder struct {
-	next    simmpi.MPI
-	backend baseline.Method
-	opts    Options
+	next simmpi.MPI
+	sink Sink
+	opts Options
 
 	q    *spsc.Queue[queueItem]
 	done chan error
@@ -126,7 +135,7 @@ type Recorder struct {
 	// collective; rows enqueued after it carry it.
 	coll uint64
 
-	// firstErr latches the first backend/IO failure the CDC goroutine
+	// firstErr latches the first sink/IO failure the CDC goroutine
 	// hits, so the application thread observes it from its next MF call
 	// instead of discovering garbage at Close.
 	firstErr  atomic.Pointer[error]
@@ -145,13 +154,13 @@ type Recorder struct {
 
 var _ simmpi.MPI = (*Recorder)(nil)
 
-// New creates a Recorder for one rank writing through backend, and starts
-// its CDC goroutine. Close must be called to flush and stop it.
-func New(next simmpi.MPI, backend baseline.Method, opts Options) *Recorder {
+// New creates a Recorder for one rank writing to sink, and starts its CDC
+// goroutine. Close must be called to flush and stop it.
+func New(next simmpi.MPI, sink Sink, opts Options) *Recorder {
 	opts.fill()
 	r := &Recorder{
 		next:         next,
-		backend:      backend,
+		sink:         sink,
 		opts:         opts,
 		q:            spsc.New[queueItem](opts.QueueCapacity),
 		done:         make(chan error, 1),
@@ -176,12 +185,6 @@ func New(next simmpi.MPI, backend baseline.Method, opts Options) *Recorder {
 	return r
 }
 
-// flusher is implemented by backends supporting periodic flushing; the
-// argument is the producing rank's Lamport clock at the newest flushed row.
-type flusher interface {
-	FlushAll(clock uint64) error
-}
-
 // cdcThread is the dedicated encoder goroutine (paper Fig. 11). It owns the
 // consecutive-failed-test aggregation (the count column of §3.1): producers
 // enqueue one row per failed test, and the aggregate row is materialized
@@ -193,10 +196,8 @@ func (r *Recorder) cdcThread() {
 	var busy time.Duration
 	var burst time.Time
 	var err error
-	fl, canFlush := r.backend.(flusher)
-	noter, _ := r.backend.(collectiveNoter)
 	var lastColl uint64
-	timedFlush := canFlush && r.opts.FlushInterval > 0
+	timedFlush := r.opts.FlushInterval > 0
 	lastFlush := time.Now() //cdc:allow(nodetermflow) wall clock only paces background flushes; row order is fixed before rows reach the flusher
 	rowsSinceFlush := 0
 	var lastClock uint64
@@ -226,7 +227,7 @@ func (r *Recorder) cdcThread() {
 		if err != nil {
 			return
 		}
-		latch(r.backend.Observe(cs, ev))
+		latch(r.sink.Observe(cs, ev))
 	}
 	flushPendingUnmatched := func(only uint64, all bool) {
 		if all {
@@ -245,7 +246,7 @@ func (r *Recorder) cdcThread() {
 		}
 	}
 	flushAll := func() {
-		if err != nil || !canFlush {
+		if err != nil {
 			return
 		}
 		start := time.Now() //cdc:allow(nodetermflow) flush span timing is observability metadata only
@@ -255,7 +256,7 @@ func (r *Recorder) cdcThread() {
 		span := r.obsReg.StartSpan("record.flush")
 		flushPendingUnmatched(0, true)
 		if err == nil {
-			latch(fl.FlushAll(lastClock))
+			latch(r.sink.FlushAll(lastClock))
 		}
 		span.End()
 		lastFlush = time.Now() //cdc:allow(nodetermflow) wall clock only paces background flushes
@@ -303,14 +304,10 @@ func (r *Recorder) cdcThread() {
 		}
 		if item.coll > lastColl {
 			lastColl = item.coll
-			if noter != nil {
-				noter.NoteCollective(lastColl)
-			}
+			r.sink.NoteCollective(lastColl)
 		}
 		if err == nil && item.first {
-			if reg, ok := r.backend.(registrar); ok {
-				latch(reg.RegisterCallsite(item.callsite, r.takeName(item.callsite)))
-			}
+			latch(r.sink.RegisterCallsite(item.callsite, r.takeName(item.callsite)))
 		}
 		if !item.ev.Flag {
 			// A failed test: fold into the callsite's pending run.
@@ -340,7 +337,7 @@ func (r *Recorder) cdcThread() {
 		return
 	}
 	flushPendingUnmatched(0, true)
-	if cerr := r.backend.Close(); cerr != nil {
+	if cerr := r.sink.Close(); cerr != nil {
 		latch(cerr)
 	}
 	r.stats.DrainDuration = busy
@@ -360,7 +357,7 @@ func (r *Recorder) Close() error {
 }
 
 // Abandon simulates the rank dying mid-run: the CDC goroutine drains what
-// was already enqueued but the backend is never flushed or closed, so the
+// was already enqueued but the sink is never flushed or closed, so the
 // record ends at its last storage flush — exactly the state a real crash
 // leaves behind for salvage. Safe to call from any goroutine; returns after
 // the CDC goroutine has exited.
@@ -374,7 +371,7 @@ func (r *Recorder) Abandon() {
 	<-r.done
 }
 
-// Err returns the first backend/IO error the CDC goroutine hit, or nil.
+// Err returns the first sink/IO error the CDC goroutine hit, or nil.
 // After a failure every subsequent MF call also returns it.
 func (r *Recorder) Err() error {
 	if p := r.firstErr.Load(); p != nil {
@@ -392,7 +389,7 @@ func (r *Recorder) Stats() RateStats {
 
 func (r *Recorder) enqueue(cs uint64, name string, ev tables.Event) {
 	if r.Err() != nil {
-		// The backend already failed; producing more rows would only be
+		// The sink already failed; producing more rows would only be
 		// encoded into garbage, so stop at the latched prefix.
 		return
 	}

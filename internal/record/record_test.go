@@ -10,14 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/simmpi"
 	"cdcreplay/internal/tables"
 )
 
-// collector is a Method capturing the raw event stream.
+// collector is a Sink capturing the raw event stream.
 type collector struct {
 	mu     sync.Mutex
 	events []struct {
@@ -29,8 +28,6 @@ type collector struct {
 }
 
 func newCollector() *collector { return &collector{names: map[uint64]string{}} }
-
-func (c *collector) Name() string { return "collector" }
 
 func (c *collector) Observe(cs uint64, ev tables.Event) error {
 	c.mu.Lock()
@@ -56,7 +53,9 @@ func (c *collector) Close() error {
 	return nil
 }
 
-func (c *collector) BytesWritten() int64 { return 0 }
+func (c *collector) FlushAll(uint64) error { return nil }
+
+func (c *collector) NoteCollective(uint64) {}
 
 func TestRecorderCapturesQuintuple(t *testing.T) {
 	w := simmpi.NewWorld(2, simmpi.Options{Seed: 1, MaxJitter: 0})
@@ -286,7 +285,7 @@ func TestRecorderStats(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := New(lamport.Wrap(mpi), baseline.NewCDC(enc), Options{})
+		rec := New(lamport.Wrap(mpi), enc, Options{})
 		req, _ := rec.Irecv(1, 1)
 		if _, err := rec.Wait(req); err != nil {
 			return err
@@ -446,7 +445,7 @@ func TestPeriodicFlush(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := New(lamport.Wrap(mpi), baseline.NewCDC(enc), Options{
+		rec := New(lamport.Wrap(mpi), enc, Options{
 			FlushInterval: 5 * time.Millisecond,
 		})
 		req, _ := rec.Irecv(1, 1)
@@ -521,7 +520,7 @@ func TestCollectiveClockReachesMarks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := New(lam, baseline.NewCDC(enc), Options{FlushEveryRows: 1})
+		rec := New(lam, enc, Options{FlushEveryRows: 1})
 		for i := 0; i < 2; i++ {
 			if i == 1 {
 				if _, err := rec.Allreduce(1, simmpi.OpSum); err != nil {

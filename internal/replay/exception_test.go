@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/record"
@@ -56,7 +55,7 @@ func TestBoundaryInversionException(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{})
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{})
 		got, aerr := theApp(rec)
 		if cerr := rec.Close(); aerr == nil {
 			aerr = cerr

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/cdcformat"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
@@ -70,7 +69,7 @@ func runRecordOpts(t *testing.T, n int, seed int64, a app, paperFormat bool) ([]
 		if err != nil {
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{})
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{})
 		got, aerr := a(rec)
 		if cerr := rec.Close(); aerr == nil {
 			aerr = cerr
@@ -630,7 +629,7 @@ func TestReplayReceiveMaxPolicy(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := record.New(lamport.WrapPolicy(mpi, lamport.ReceiveMax), baseline.NewCDC(enc), record.Options{})
+		rec := record.New(lamport.WrapPolicy(mpi, lamport.ReceiveMax), enc, record.Options{})
 		got, aerr := a(rec)
 		if cerr := rec.Close(); aerr == nil {
 			aerr = cerr
@@ -686,7 +685,7 @@ func TestReplayWithPeriodicFlush(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{
 			FlushInterval: time.Millisecond,
 		})
 		got, aerr := a(&pausingSender{MPI: rec, after: 5, pause: 10 * time.Millisecond})

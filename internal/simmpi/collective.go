@@ -91,7 +91,6 @@ func (c *collectives) gather(cm *Comm, v float64) ([]float64, error) {
 
 func (c *collectives) sync(cm *Comm, v float64, op ReduceOp, reduce bool) (float64, error) {
 	seq := cm.world.opts.Sequencer
-	wallClock := seq == nil && !cm.world.opts.VirtualTime
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -122,11 +121,11 @@ func (c *collectives) sync(cm *Comm, v float64, op ReduceOp, reduce bool) (float
 		}
 		return c.result, nil
 	}
-	// This rank blocks. Under wall-clock time, arm the endpoint's one
+	// This rank blocks. Without a sequencer, arm the endpoint's one
 	// liveness timer (the last arriver above never waits, so it never arms
 	// one).
 	var start time.Time
-	if wallClock {
+	if seq == nil {
 		start = time.Now() //cdc:allow(nodetermflow) wall clock bounds the collective wait for liveness; delivery order comes from the mailbox tick
 		cm.armCollTimer(c)
 		defer cm.collTimer.Stop()
@@ -148,7 +147,7 @@ func (c *collectives) sync(cm *Comm, v float64, op ReduceOp, reduce bool) (float
 			}
 			continue
 		}
-		if wallClock && time.Since(start) > cm.deadline { //cdc:allow(nodetermflow) deadline check for liveness; the collective's delivery order is tick-driven
+		if time.Since(start) > cm.deadline { //cdc:allow(nodetermflow) deadline check for liveness; the collective's delivery order is tick-driven
 			return 0, ErrTimeout
 		}
 		c.cond.Wait()

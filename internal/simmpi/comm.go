@@ -266,7 +266,7 @@ func (c *Comm) spinWait(cond func() bool) error {
 		if spins%64 == 0 {
 			runtime.Gosched()
 		}
-		if !c.world.opts.VirtualTime && spins%4096 == 0 && time.Since(start) > c.deadline { //cdc:allow(nodetermflow) deadline check for liveness, disabled under virtual time; match order is sequenced
+		if spins%4096 == 0 && time.Since(start) > c.deadline { //cdc:allow(nodetermflow) deadline check for liveness, never reached under a sequencer; match order is sequenced
 			return fmt.Errorf("%w: rank %d, %d message(s) in flight",
 				ErrTimeout, c.rank, c.world.boxes[c.rank].pending())
 		}

@@ -214,7 +214,10 @@ type Options struct {
 	// in-flight depth. Shared across all ranks' mailboxes.
 	Obs *obs.Registry
 	// Sequencer, when non-nil, hands rank scheduling to a deterministic
-	// controller (see the Sequencer interface). Implies VirtualTime.
+	// controller (see the Sequencer interface). It also disables the
+	// wall-clock deadlines in blocking calls: a stuck world is reported by
+	// the Sequencer's deadlock detection instead of tripping ErrTimeout on
+	// slow machines.
 	Sequencer Sequencer
 	// Delivery, when non-nil, replaces the mailbox jitter RNG: it returns
 	// the delivery delay in receiver poll ticks for the message identified
@@ -223,11 +226,6 @@ type Options struct {
 	// deterministic function of the deposit order, which a Sequencer in
 	// turn makes a deterministic function of its decisions.
 	Delivery func(dst, src, tag int, seq uint64) uint64
-	// VirtualTime disables wall-clock deadlines in blocking calls: a stuck
-	// world is reported by the Sequencer's deadlock detection (or hangs,
-	// if there is none) instead of tripping ErrTimeout on slow machines.
-	// Forced on when Sequencer is set.
-	VirtualTime bool
 }
 
 func (o *Options) fill() {
@@ -236,9 +234,6 @@ func (o *Options) fill() {
 	}
 	if o.WaitTimeout == 0 {
 		o.WaitTimeout = 30 * time.Second
-	}
-	if o.Sequencer != nil {
-		o.VirtualTime = true
 	}
 }
 

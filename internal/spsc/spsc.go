@@ -85,8 +85,9 @@ type Instruments struct {
 	// Stalls counts blocking Enqueue episodes and failed TryEnqueue calls
 	// that found the queue full (the count Queue.Stalls reports).
 	Stalls *obs.Counter
-	// Depth samples the buffered item count at each enqueue; its
-	// high-water mark is the peak backlog the consumer let build up.
+	// Depth samples the buffered item count at each enqueue and dequeue,
+	// so its value is the current backlog; its high-water mark is the
+	// peak backlog the consumer let build up.
 	Depth *obs.Gauge
 }
 
@@ -261,6 +262,9 @@ func (q *Queue[T]) TryDequeue() (T, bool) {
 	v := seg.buf[off]
 	seg.buf[off] = zero // release references for GC
 	q.head.Store(h + 1)
+	if q.ins.Depth != nil {
+		q.ins.Depth.Set(int64(q.tail.Load() - h - 1))
+	}
 	return v, true
 }
 

@@ -334,6 +334,26 @@ func TestSegmentedFIFOStress(t *testing.T) {
 	}
 }
 
+// TestDepthGaugeFollowsBacklog checks the Depth gauge reports the current
+// backlog, falling as the consumer drains, while its high-water mark keeps
+// the peak.
+func TestDepthGaugeFollowsBacklog(t *testing.T) {
+	depth := obs.NewRegistry().Gauge("depth")
+	q := New[int](8)
+	q.Instrument(Instruments{Depth: depth})
+	for i := 0; i < 3; i++ {
+		q.Enqueue(i)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := q.TryDequeue(); !ok {
+			t.Fatalf("dequeue %d found the queue empty", i)
+		}
+	}
+	if v, m := depth.Value(), depth.Max(); v != 0 || m != 3 {
+		t.Fatalf("depth gauge = %d (max %d), want 0 (max 3)", v, m)
+	}
+}
+
 func BenchmarkEnqueueDequeue(b *testing.B) {
 	q := New[int](1024)
 	for i := 0; i < b.N; i++ {

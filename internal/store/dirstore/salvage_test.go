@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/mcb"
@@ -71,7 +70,7 @@ func recordCrashedRun(t *testing.T, dir string, params mcb.Params, seed int64, k
 			return err
 		}
 		tap := &tapLayer{Layer: lamport.Wrap(mpi), log: &recLogs[rank]}
-		rec := record.New(tap, baseline.NewCDC(enc), record.Options{FlushEveryRows: 16})
+		rec := record.New(tap, enc, record.Options{FlushEveryRows: 16})
 		_, rerr := mcb.Run(rec, params)
 		if rerr == nil {
 			// This rank outran the fault; close cleanly (the directory as a

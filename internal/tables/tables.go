@@ -34,6 +34,11 @@ type Event struct {
 	Tag int32
 }
 
+// BitsPerRow is the paper's accounting for one uncompressed Fig. 4 row, the
+// quintuple bit-packed: count 64, flag 1, with_next 1, rank 32, clock 64.
+// Tag is not counted.
+const BitsPerRow = 64 + 1 + 1 + 32 + 64
+
 // Matched constructs a matched-event row.
 func Matched(rank int32, clock uint64, withNext bool) Event {
 	return Event{Count: 1, Flag: true, WithNext: withNext, Rank: rank, Clock: clock}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"cdcreplay/internal/baseline"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/lamport"
 	"cdcreplay/internal/record"
@@ -119,7 +118,7 @@ func TestRecordReplayReproducesAssignment(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec := record.New(lamport.Wrap(mpi), baseline.NewCDC(enc), record.Options{})
+		rec := record.New(lamport.Wrap(mpi), enc, record.Options{})
 		r, rerr := Run(rec, params)
 		if cerr := rec.Close(); rerr == nil {
 			rerr = cerr
