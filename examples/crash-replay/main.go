@@ -120,6 +120,11 @@ func main() {
 		fmt.Printf("  rank %d: kept %d/%d segments, %d/%d events, frontier %s (%s)\n",
 			rs.Rank, rs.SegmentsKept, rs.SegmentsTotal, rs.EventsKept, rs.EventsTotal, front, state)
 	}
+	if kept == 0 {
+		// The cut is the minimum over ranks: one rank with no usable flush
+		// point leaves every rank at frontier zero.
+		fmt.Println("  no rank kept a flush point the cut could use; the replay runs live from the start")
+	}
 	fmt.Println()
 
 	// ---- Replay the salvaged record to the crash point, then continue. ----
@@ -155,6 +160,10 @@ func main() {
 		for _, n := range notes {
 			fmt.Printf("  %s\n", n)
 		}
+	}
+	if kept == 0 {
+		fmt.Printf("final tally %.17g — nothing was salvaged, so the whole run executed live\n", tally)
+		return
 	}
 	fmt.Printf("final tally %.17g — the crashed run's prefix was reproduced exactly, then execution ran on\n", tally)
 }

@@ -159,8 +159,10 @@ func TestFig13ShapeOnSyntheticStream(t *testing.T) {
 		clocks[r] += uint64(1 + rng.Intn(2))
 		ev := tables.Matched(r, clocks[r], false)
 		if rng.Intn(10) == 0 {
+			// One draw per row: every method compresses the same stream.
+			un := tables.Unmatched(uint64(1 + rng.Intn(4)))
 			for _, m := range methods {
-				observe(m.merge, m.m, cs, tables.Unmatched(uint64(1+rng.Intn(4))))
+				observe(m.merge, m.m, cs, un)
 			}
 		}
 		for _, m := range methods {

@@ -1,6 +1,7 @@
 package cdcformat
 
 import (
+	"cmp"
 	"slices"
 
 	"cdcreplay/internal/lpe"
@@ -8,12 +9,6 @@ import (
 	"cdcreplay/internal/tables"
 	"cdcreplay/internal/varint"
 )
-
-// maxDenseRank bounds the sender-rank range served by the Builder's dense
-// epoch-line scratch; chunks with ranks outside [0, maxDenseRank) fall back
-// to a map. simmpi worlds number ranks 0..size−1, so real records always
-// take the dense path.
-const maxDenseRank = 1 << 12
 
 // refKey is one matched event expressed for Definition 6 reference
 // ranking: the Builder sorts these concrete keys once instead of calling
@@ -52,11 +47,8 @@ type Builder struct {
 	tags      []int32
 	chunk     Chunk
 
-	// rankClock is the dense per-sender frontier, all-zero between builds
-	// (a zero clock never enters the epoch line, mirroring the map path's
-	// zero default); overflow serves out-of-range ranks.
-	rankClock []uint64
-	overflow  map[int32]uint64
+	// frontier accumulates the epoch line, empty between builds.
+	frontier tables.RankClocks
 
 	// colA/colB stage index columns and their LP residuals in AppendMarshal.
 	colA, colB []int64
@@ -95,24 +87,7 @@ func (b *Builder) Build(callsite uint64, events []tables.Event, senders bool) *C
 
 	// Reference ranking: sort by (clock, rank) — tables.Less — with the
 	// observed index as the final tie-break, replicating the stable sort.
-	slices.SortFunc(keys, func(x, y refKey) int {
-		if x.clock != y.clock {
-			if x.clock < y.clock {
-				return -1
-			}
-			return 1
-		}
-		if x.rank != y.rank {
-			if x.rank < y.rank {
-				return -1
-			}
-			return 1
-		}
-		if x.idx < y.idx {
-			return -1
-		}
-		return 1
-	})
+	sortRefKeys(keys)
 	b.keys = keys
 	if cap(b.obs) < len(keys) {
 		b.obs = make([]int, len(keys))
@@ -124,54 +99,13 @@ func (b *Builder) Build(callsite uint64, events []tables.Event, senders bool) *C
 
 	// Epoch line: per-sender maximum piggybacked clock, sorted by rank.
 	// A zero clock never raises a frontier (matching the map-based path).
-	epoch := b.epoch[:0]
-	dense := true
-	maxRank := int32(-1)
 	for _, m := range matched {
-		if m.Rank < 0 || m.Rank >= maxDenseRank {
-			dense = false
-			break
-		}
-		if m.Rank > maxRank {
-			maxRank = m.Rank
-		}
+		b.frontier.Raise(m.Rank, m.Clock)
 	}
-	if dense {
-		if int(maxRank) >= len(b.rankClock) {
-			b.rankClock = make([]uint64, maxRank+1)
-		}
-		for _, m := range matched {
-			if m.Clock > b.rankClock[m.Rank] {
-				b.rankClock[m.Rank] = m.Clock
-			}
-		}
-		for r := int32(0); r <= maxRank; r++ {
-			if b.rankClock[r] > 0 {
-				epoch = append(epoch, EpochEntry{Rank: r, Clock: b.rankClock[r]})
-				b.rankClock[r] = 0
-			}
-		}
-	} else {
-		if b.overflow == nil {
-			b.overflow = make(map[int32]uint64)
-		} else {
-			clear(b.overflow)
-		}
-		for _, m := range matched {
-			if m.Clock > b.overflow[m.Rank] {
-				b.overflow[m.Rank] = m.Clock
-			}
-		}
-		for r, clk := range b.overflow { //cdc:allow(maporder) entries are sorted by rank immediately below
-			epoch = append(epoch, EpochEntry{Rank: r, Clock: clk})
-		}
-		slices.SortFunc(epoch, func(x, y EpochEntry) int {
-			if x.Rank < y.Rank {
-				return -1
-			}
-			return 1
-		})
-	}
+	epoch := b.epoch[:0]
+	b.frontier.Drain(func(rank int32, clock uint64) {
+		epoch = append(epoch, EpochEntry{Rank: rank, Clock: clock})
+	})
 	b.epoch = epoch
 
 	// Tied clocks: equal clocks are adjacent in the sorted keys, so the
@@ -212,6 +146,47 @@ func (b *Builder) Build(callsite uint64, events []tables.Event, senders bool) *C
 		c.Senders, c.Tags = sn, tg
 	}
 	return c
+}
+
+// sortShiftBudget is the insertion-sort work sortRefKeys allows per key, in
+// element shifts, before it hands the rest of the sort to pdqsort.
+const sortShiftBudget = 8
+
+// sortRefKeys sorts keys into reference order. Keys arrive in observed
+// order, which the paper's premise (§4.1) puts close to reference order:
+// most keys are in place and the rest sit a few slots late, so an insertion
+// sort finishes in near-linear time. Its shifts are capped at
+// sortShiftBudget per key; once they are spent, slices.SortFunc sorts the
+// partly sorted keys, so a far-from-sorted chunk costs at most about
+// (sortShiftBudget+1)·n moves more than pdqsort alone. Keys are unique (the
+// observed index breaks every tie), so both sorts give the same order.
+func sortRefKeys(keys []refKey) {
+	budget := sortShiftBudget * len(keys)
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		// Keys enter in ascending observed index and the insertion is
+		// stable, so (clock, rank) alone decides where k goes.
+		for j > 0 && (k.clock < keys[j-1].clock || k.clock == keys[j-1].clock && k.rank < keys[j-1].rank) {
+			keys[j] = keys[j-1]
+			j--
+		}
+		keys[j] = k
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(keys, compareRefKeys)
+			return
+		}
+	}
+}
+
+func compareRefKeys(x, y refKey) int {
+	if c := cmp.Compare(x.clock, y.clock); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.rank, y.rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.idx, y.idx)
 }
 
 // AppendMarshal appends the chunk's serialization to dst, producing bytes

@@ -3,10 +3,15 @@ package cdcformat
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cdcreplay/internal/tables"
 )
+
+// maxDenseRank is the top of tables.RankClocks' dense range; ranks from it
+// up take the overflow map.
+const maxDenseRank = 1 << 12
 
 // randomTaggedEvents is randomEvents plus nonzero tags and occasional
 // cross-sender clock ties, exercising every chunk table.
@@ -100,15 +105,145 @@ func TestBuilderAllocs(t *testing.T) {
 	}
 }
 
+// nearSortedTaggedEvents is an observed stream close to reference order,
+// like workload.Stream's: globally advancing clocks over six senders,
+// shuffled within a window of 5 with each sender's clocks kept ascending,
+// plus tags, with_next groups and unmatched runs.
+func nearSortedTaggedEvents(rng *rand.Rand, n int) []tables.Event {
+	const senders, window = 6, 5
+	ranks := make([]int32, n)
+	clocks := make([]uint64, n)
+	var global uint64
+	for i := range ranks {
+		ranks[i] = int32(rng.Intn(senders))
+		global += uint64(1 + rng.Intn(3))
+		clocks[i] = global
+	}
+	for i := 0; i+1 < n; i++ {
+		j := min(i+rng.Intn(window+1), n-1)
+		ranks[i], ranks[j] = ranks[j], ranks[i]
+		clocks[i], clocks[j] = clocks[j], clocks[i]
+	}
+	// Reassign each sender's clocks ascending over its positions.
+	var perRank [senders][]uint64
+	for i, r := range ranks {
+		perRank[r] = append(perRank[r], clocks[i])
+	}
+	for _, cs := range perRank {
+		slices.Sort(cs)
+	}
+	var next [senders]int
+	events := make([]tables.Event, 0, n+n/4)
+	for i, r := range ranks {
+		if rng.Intn(5) == 0 {
+			events = append(events, tables.Unmatched(uint64(1+rng.Intn(6))))
+		}
+		clk := perRank[r][next[r]]
+		next[r]++
+		events = append(events, tables.MatchedTagged(r, int32(rng.Intn(3)), clk, i+1 < n && rng.Intn(7) == 0))
+	}
+	return events
+}
+
+// refKeysOf returns the reference sort keys of events' matched rows, in
+// observed order, as Build makes them.
+func refKeysOf(events []tables.Event) []refKey {
+	var keys []refKey
+	for _, ev := range events {
+		if ev.Flag {
+			keys = append(keys, refKey{clock: ev.Clock, rank: ev.Rank, idx: int32(len(keys))})
+		}
+	}
+	return keys
+}
+
+// TestSortRefKeysMatchesSortFunc checks the budgeted insertion sort against
+// slices.SortFunc on the inputs it meets: random per-sender clocks (the
+// budget runs out), near-sorted streams (it does not), reversed keys (it
+// runs out early), and heavy clock and (clock, rank) ties, which only the
+// observed index separates.
+func TestSortRefKeysMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	reversed := func(n int) []refKey {
+		keys := make([]refKey, n)
+		for i := range keys {
+			keys[i] = refKey{clock: uint64(n - i), rank: int32(i % 3), idx: int32(i)}
+		}
+		return keys
+	}
+	ties := func(n int) []refKey {
+		keys := make([]refKey, n)
+		for i := range keys {
+			keys[i] = refKey{clock: uint64(rng.Intn(4)), rank: int32(rng.Intn(2)), idx: int32(i)}
+		}
+		return keys
+	}
+	cases := map[string]func(n int) []refKey{
+		"random":      func(n int) []refKey { return refKeysOf(randomTaggedEvents(rng, n)) },
+		"near-sorted": func(n int) []refKey { return refKeysOf(nearSortedTaggedEvents(rng, n)) },
+		"reversed":    reversed,
+		"ties":        ties,
+	}
+	for _, name := range []string{"random", "near-sorted", "reversed", "ties"} {
+		for trial := 0; trial < 200; trial++ {
+			keys := cases[name](rng.Intn(600))
+			want := slices.Clone(keys)
+			slices.SortFunc(want, compareRefKeys)
+			got := slices.Clone(keys)
+			sortRefKeys(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s trial %d (%d keys): sortRefKeys differs from slices.SortFunc", name, trial, len(keys))
+			}
+		}
+	}
+}
+
+// TestSortRefKeysBudgetRunsOutMidSort feeds a sorted first half and a
+// reversed second half. The insertion sort walks the sorted half for free,
+// spends its budget a little way into the reversed half, and leaves
+// slices.SortFunc a slice whose prefix is sorted and whose tail is not.
+func TestSortRefKeysBudgetRunsOutMidSort(t *testing.T) {
+	const n = 1000
+	keys := make([]refKey, n)
+	for i := range keys {
+		clock := uint64(i)
+		if i >= n/2 {
+			clock = uint64(3*n/2 - i) // n down to n/2+1
+		}
+		keys[i] = refKey{clock: clock, rank: int32(i % 3), idx: int32(i)}
+	}
+	// Insertion sort shifts once per inversion; the reversed half alone has
+	// (n/2)(n/2−1)/2 of them, far past the budget.
+	if inv := (n / 2) * (n/2 - 1) / 2; inv <= sortShiftBudget*n {
+		t.Fatalf("input has %d inversions, within the budget of %d: the fallback is not exercised", inv, sortShiftBudget*n)
+	}
+	want := slices.Clone(keys)
+	slices.SortFunc(want, compareRefKeys)
+	sortRefKeys(keys)
+	if !slices.Equal(keys, want) {
+		t.Fatal("sortRefKeys differs from slices.SortFunc after the budget ran out")
+	}
+}
+
 func BenchmarkBuilderBuildMarshal(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	events := randomTaggedEvents(rng, 4096)
-	var bld Builder
-	var buf []byte
-	b.SetBytes(int64(len(events)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := bld.Build(0, events, true)
-		buf = bld.AppendMarshal(buf[:0], c)
+	for _, bc := range []struct {
+		name string
+		gen  func(*rand.Rand, int) []tables.Event
+	}{
+		{"near-sorted", nearSortedTaggedEvents},
+		// Independent per-sender clocks are the sort budget's worst case.
+		{"random", randomTaggedEvents},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			events := bc.gen(rand.New(rand.NewSource(2)), 4096)
+			var bld Builder
+			var buf []byte
+			b.SetBytes(int64(len(events)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := bld.Build(0, events, true)
+				buf = bld.AppendMarshal(buf[:0], c)
+			}
+		})
 	}
 }

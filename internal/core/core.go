@@ -401,7 +401,7 @@ type pendingStream struct {
 	matched int
 	// frontier is the cumulative per-sender epoch frontier across all
 	// flushed chunks, used to pin boundary-inversion exceptions.
-	frontier map[int32]uint64
+	frontier tables.RankClocks
 }
 
 // NewEncoder creates an Encoder writing to w.
@@ -498,9 +498,6 @@ func (e *Encoder) flush(callsite uint64, ps *pendingStream) error {
 	if len(ps.events) == 0 {
 		return e.firstErr()
 	}
-	if ps.frontier == nil {
-		ps.frontier = make(map[int32]uint64)
-	}
 	j := e.getJob(jobChunk)
 	j.callsite = callsite
 	// Pin messages that an application-level same-sender inversion pushed
@@ -510,14 +507,14 @@ func (e *Encoder) flush(callsite uint64, ps *pendingStream) error {
 	// exception tests against the frontier as of the previous chunk, and a
 	// same-rank event earlier in this chunk must not hide a later inversion.
 	for _, ev := range ps.events {
-		if ev.Flag && ev.Clock <= ps.frontier[ev.Rank] {
+		if ev.Flag && ev.Clock <= ps.frontier.Get(ev.Rank) {
 			j.exceptions = append(j.exceptions,
 				tables.MatchedEntry{Rank: ev.Rank, Clock: ev.Clock})
 		}
 	}
 	for _, ev := range ps.events {
-		if ev.Flag && ev.Clock > ps.frontier[ev.Rank] {
-			ps.frontier[ev.Rank] = ev.Clock
+		if ev.Flag {
+			ps.frontier.Raise(ev.Rank, ev.Clock)
 		}
 	}
 	j.events, ps.events = ps.events, j.events[:0]

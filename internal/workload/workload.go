@@ -19,15 +19,11 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cdcreplay/internal/simmpi"
 	"cdcreplay/internal/tables"
 )
-
-func sortUint64(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
 
 // StreamParams shape a synthetic observed-event stream.
 type StreamParams struct {
@@ -99,18 +95,18 @@ func Stream(p StreamParams) []tables.Event {
 			}
 			msgs[i], msgs[j] = msgs[j], msgs[i]
 		}
-		positions := make(map[int32][]int, p.Senders)
-		clocksOf := make(map[int32][]uint64, p.Senders)
-		for i, m := range msgs {
-			positions[m.rank] = append(positions[m.rank], i)
+		clocksOf := make([][]uint64, p.Senders)
+		for _, m := range msgs {
 			clocksOf[m.rank] = append(clocksOf[m.rank], m.clock)
 		}
-		for r, pos := range positions {
-			cs := clocksOf[r]
-			sortUint64(cs)
-			for k, i := range pos {
-				msgs[i].clock = cs[k]
-			}
+		for _, cs := range clocksOf {
+			slices.Sort(cs)
+		}
+		next := make([]int, p.Senders)
+		for i := range msgs {
+			r := msgs[i].rank
+			msgs[i].clock = clocksOf[r][next[r]]
+			next[r]++
 		}
 	}
 
