@@ -170,7 +170,7 @@ func TestFinishedRankCountsAfterRestart(t *testing.T) {
 
 // TestTrimmedRankStaysOpenAcrossTwoCrashes: a rank that salvage trimmed
 // must not count as finished after a later crash, although the first
-// salvage rewrote its blob cleanly closed, so that a second salvage reads
+// salvage rewrote its blob cleanly closed; nor may the second salvage read
 // it whole. Rank 1 finishes with a receive of rank 0's clock 20 while
 // rank 0 has sealed only to clock 10, and the daemon is killed: salvage
 // trims rank 1. Rank 0 reattaches, and the daemon is killed again before
@@ -213,8 +213,8 @@ func TestTrimmedRankStaysOpenAcrossTwoCrashes(t *testing.T) {
 
 	srv, r = restart()
 	defer srv.Kill()
-	if f := srv.Salvaged()[0].Report.Ranks[1].Frontier; f != math.MaxUint64 {
-		t.Fatalf("the second salvage gives rank 1 frontier %d; the test needs it read whole", f)
+	if f := srv.Salvaged()[0].Report.Ranks[1].Frontier; f == math.MaxUint64 {
+		t.Fatal("the second salvage reads trimmed rank 1 whole from its cleanly closed rewritten blob")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

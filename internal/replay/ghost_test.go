@@ -120,8 +120,8 @@ func TestOutstandingBoundedByAppReceives(t *testing.T) {
 }
 
 // ghostRig is rank 0's replayer over prebuilt chunks (callsite 0, MF
-// identification off) in a 3-rank world whose messages reach rank 0 at its
-// next poll. The test goroutine sends as ranks 1 and 2.
+// identification off) in a 4-rank world whose messages reach rank 0 at its
+// next poll. The test goroutine sends as ranks 1 to 3.
 type ghostRig struct {
 	rp      *Replayer
 	senders []*lamport.Layer
@@ -137,7 +137,7 @@ func newGhostRig(t *testing.T, opts Options, events ...[]tables.Event) *ghostRig
 		cm.Chunks++
 		cm.Events += c.NumMatched
 	}
-	w := simmpi.NewWorld(3, simmpi.Options{
+	w := simmpi.NewWorld(4, simmpi.Options{
 		Delivery:    func(dst, src, tag int, seq uint64) uint64 { return 0 },
 		WaitTimeout: 5 * time.Second,
 	})
@@ -148,7 +148,7 @@ func newGhostRig(t *testing.T, opts Options, events ...[]tables.Event) *ghostRig
 	rp := NewStream(lamport.WrapManual(w.Comm(0)),
 		&RecordMeta{Callsites: map[uint64]*CallsiteMeta{0: cm}}, &chunks, opts)
 	t.Cleanup(func() { rp.Close() })
-	return &ghostRig{rp: rp, senders: []*lamport.Layer{nil, lamport.Wrap(w.Comm(1)), lamport.Wrap(w.Comm(2))}}
+	return &ghostRig{rp: rp, senders: []*lamport.Layer{nil, lamport.Wrap(w.Comm(1)), lamport.Wrap(w.Comm(2)), lamport.Wrap(w.Comm(3))}}
 }
 
 func (g *ghostRig) irecv(t *testing.T, src, tag int) *simmpi.Request {

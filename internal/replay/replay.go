@@ -142,9 +142,10 @@ type pooled struct {
 	req *simmpi.Request
 	// seq numbers harvests in order; the pool ascends in it.
 	seq uint64
-	// taken marks a stream.collected slot whose message was released. The
-	// slot keeps its (source, clock) key so the collection stays sorted
-	// until the next compaction.
+	// taken marks a message staged for release. A stream.collected slot
+	// keeps its (source, clock) key so the collection stays sorted until
+	// the next compaction; a live call drops taken messages from the pool
+	// as soon as it has staged its group.
 	taken bool
 }
 
@@ -161,7 +162,7 @@ type Replayer struct {
 
 	streams map[uint64]*stream
 	// pool holds harvested completions no stream has collected and no
-	// live call delivered yet, in harvest order (ascending pooled.seq);
+	// live call staged yet, in harvest order (ascending pooled.seq);
 	// harvested is the next sequence number.
 	pool      []pooled
 	harvested uint64
@@ -971,7 +972,7 @@ func (rp *Replayer) Send(dst, tag int, data []byte) error {
 // message it binds to is harvested into the pool like any other, and
 // receives with identical specs are indistinguishable to the application
 // (simmpi.Request.Spec). What the application observes comes
-// from the record and assignSlot, never from which request a message
+// from the record and slotFor, never from which request a message
 // bound to below. The returned request may therefore be one this method
 // returned before, once it completed for the application; as in MPI, a
 // completed request must not be used again.
@@ -1169,19 +1170,16 @@ func (rp *Replayer) goLive(s *stream, why string) {
 
 // ensureOrLive advances the stream cursor, converting exhaustion into live
 // mode when the option allows it.
-func (rp *Replayer) ensureOrLive(s *stream) (bool, error) {
+func (rp *Replayer) ensureOrLive(s *stream) error {
 	if s.live {
-		return true, nil
+		return nil
 	}
 	err := s.ensure()
-	if err == nil {
-		return false, nil
-	}
 	if rp.opts.LiveAfterExhausted && errors.Is(err, ErrExhausted) {
 		rp.goLive(s, "exhausted its recorded stream")
-		return true, nil
+		return nil
 	}
-	return false, err
+	return err
 }
 
 // Live reports whether the replayer crossed the crash frontier into live
@@ -1193,174 +1191,50 @@ func (rp *Replayer) Live() (bool, string) {
 	return true, strings.Join(rp.liveNotes, "; ")
 }
 
-// liveDeliver hands pooled messages to the application in harvest order —
-// the live phase has no record to consult, so natural arrival order is the
-// execution. Up to limit messages (limit < 0: no bound) are assigned to
-// compatible unused slots of reqs; the lamport clock ticks per delivery so
-// piggybacked clocks stay meaningful for any rank still replaying.
-func (rp *Replayer) liveDeliver(reqs []*simmpi.Request, limit int) ([]int, []simmpi.Status) {
-	used, idxs, sts := rp.usedSlots(len(reqs)), rp.idxs[:0], rp.sts[:0]
-	kept := rp.pool[:0]
-	for _, p := range rp.pool {
-		if limit >= 0 && len(idxs) >= limit {
-			kept = append(kept, p)
-			continue
-		}
-		slot := -1
-		for i, r := range reqs { // own binding first
-			if r == p.req && !used[i] && !rp.appDone[r] {
-				slot = i
-				break
-			}
-		}
-		if slot < 0 {
-			for i, r := range reqs {
-				if r == nil || used[i] || rp.appDone[r] {
-					continue
-				}
-				if r.Accepts(p.st.Source, p.st.Tag) {
-					slot = i
-					break
-				}
-			}
-		}
-		if slot < 0 {
-			kept = append(kept, p)
-			continue
-		}
-		used[slot] = true
-		idxs = append(idxs, slot)
-		sts = append(sts, p.st)
-		rp.finishSlot(reqs[slot])
-		rp.next.TickReceive(p.st.Clock)
-		if rp.opts.OnRelease != nil {
-			rp.opts.OnRelease(p.st)
-		}
+// awaitGroup stages the group an MF call completes, polling below, and
+// returns it for release. It stages from one of two sources:
+//
+//   - a replayed stream: the record's with_next group at the cursor. Each
+//     member is staged once Axiom 1 identifies it (identification is never
+//     invalidated by later arrivals, so there is no rollback), and the call
+//     blocks until the group is whole. A test call first consumes a
+//     recorded failed test, returning an empty group.
+//   - a live stream (past the record's end): pooled messages in harvest
+//     order, as stageLive picks them. The live phase has no record to
+//     consult, so natural arrival order is the execution. A test call
+//     (wait false) makes one pass and returns an empty group when nothing
+//     fits; a wait call blocks until something does.
+//
+// limit bounds a live group (Test/Testany/Wait/Waitany 1, -1 for no
+// bound); ordered (Waitall/Testall) makes the group one message per slot,
+// in request order.
+func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request, limit int, ordered, wait bool) ([]pooled, error) {
+	if err := rp.ensureOrLive(s); err != nil {
+		return nil, err
 	}
-	rp.pool = kept
-	rp.idxs, rp.sts = idxs, sts
-	rp.mPool.Add(-int64(len(idxs)))
-	rp.stats.LiveReleases += uint64(len(idxs))
-	rp.mLive.Add(uint64(len(idxs)))
-	return idxs, sts
-}
-
-// liveTestall is the all-or-nothing live Testall: every slot must be
-// satisfiable by a distinct pooled message before anything is delivered.
-func (rp *Replayer) liveTestall(reqs []*simmpi.Request) (bool, []simmpi.Status, error) {
-	claimed := make([]int, len(reqs))
-	usedPool := make([]bool, len(rp.pool))
-	for i, r := range reqs {
-		if r == nil || rp.appDone[r] {
-			return false, nil, fmt.Errorf("replay: live Testall slot %d already consumed", i)
-		}
-		found := -1
-		for pi, p := range rp.pool { // own binding first
-			if !usedPool[pi] && p.req == r {
-				found = pi
-				break
+	g := 0
+	if !s.live {
+		s.learnSpecs(reqs)
+		if !wait {
+			if _, err := rp.poll(s); err != nil {
+				return nil, err
 			}
-		}
-		if found < 0 {
-			for pi, p := range rp.pool {
-				if !usedPool[pi] && r.Accepts(p.st.Source, p.st.Tag) {
-					found = pi
-					break
-				}
+			if s.consumeUnmatched() {
+				rp.stats.UnmatchedConsumed++
+				return nil, nil
 			}
+		} else if s.unmatchedPending() {
+			return nil, fmt.Errorf("%w: unmatched tests recorded at a wait call at callsite %s", ErrDiverged, s.name)
 		}
-		if found < 0 {
-			return false, nil, nil
+		g = s.groupLen()
+		if s.t+g > s.n {
+			return nil, fmt.Errorf("%w: with_next group at %s[%d] exceeds chunk", ErrDiverged, s.name, s.t)
 		}
-		usedPool[found] = true
-		claimed[i] = found
-	}
-	msgs := make([]pooled, len(claimed))
-	for i, pi := range claimed {
-		msgs[i] = rp.pool[pi]
-	}
-	kept := rp.pool[:0]
-	for pi, p := range rp.pool {
-		if !usedPool[pi] {
-			kept = append(kept, p)
-		}
-	}
-	rp.pool = kept
-	rp.mPool.Add(-int64(len(reqs)))
-	sts := rp.sts[:0]
-	for i, m := range msgs { // deliver in request order
-		sts = append(sts, m.st)
-		rp.finishSlot(reqs[i])
-		rp.next.TickReceive(m.st.Clock)
-		if rp.opts.OnRelease != nil {
-			rp.opts.OnRelease(m.st)
-		}
-	}
-	rp.sts = sts
-	rp.stats.LiveReleases += uint64(len(reqs))
-	rp.mLive.Add(uint64(len(reqs)))
-	return true, sts, nil
-}
-
-// liveWait blocks in live mode until limit deliveries (all=false) or every
-// slot (all=true, statuses in request order, no indices) completes, polling
-// below. Like awaitGroup it keeps one receive outstanding per spec of reqs:
-// ghost reuse can leave a slot with no receive of its own below (its
-// message was reported through another slot, whose ghost Irecv then handed
-// back), also across the handback.
-func (rp *Replayer) liveWait(reqs []*simmpi.Request, limit int, all bool, what string) ([]int, []simmpi.Status, error) {
-	deadline := time.Now().Add(rp.opts.Timeout) //cdc:allow(nodetermflow) live-wait deadline is a hang guard; grant order is driven by the recorded clocks
-	spins := 0
-	probesDue := true
-	for {
-		arrived, err := rp.pollBelow()
-		if err != nil {
-			return nil, nil, err
-		}
-		probesDue = probesDue || arrived > 0
-		if all {
-			ok, sts, err := rp.liveTestall(reqs)
-			if err != nil {
-				return nil, nil, err
+		for off := 1; off < g; off++ {
+			if s.unmatched[int64(s.t+off)] > 0 {
+				return nil, fmt.Errorf("%w: unmatched tests recorded inside a with_next group at %s[%d]",
+					ErrDiverged, s.name, s.t+off)
 			}
-			if ok {
-				return nil, sts, nil
-			}
-		} else {
-			idxs, sts := rp.liveDeliver(reqs, limit)
-			if len(sts) > 0 {
-				return idxs, sts, nil
-			}
-		}
-		if probesDue {
-			if err := rp.ensureProbes(reqs); err != nil {
-				return nil, nil, err
-			}
-			probesDue = false
-		}
-		spins++
-		if spins%64 == 0 {
-			runtime.Gosched()
-		}
-		if spins%1024 == 0 && time.Now().After(deadline) { //cdc:allow(nodetermflow) stall detection deadline; grant order is driven by the recorded clocks
-			return nil, nil, fmt.Errorf("%w: live-phase %s past the record's end (pool %d)", ErrStalled, what, len(rp.pool))
-		}
-	}
-}
-
-// awaitGroup blocks until the whole with_next group at the stream cursor is
-// identified and releasable, polling below. Identified members are staged
-// incrementally: a member's identification can never be invalidated by
-// later arrivals, so there is no rollback.
-func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, error) {
-	g := s.groupLen()
-	if s.t+g > s.n {
-		return nil, fmt.Errorf("%w: with_next group at %s[%d] exceeds chunk", ErrDiverged, s.name, s.t)
-	}
-	for off := 1; off < g; off++ {
-		if s.unmatched[int64(s.t+off)] > 0 {
-			return nil, fmt.Errorf("%w: unmatched tests recorded inside a with_next group at %s[%d]",
-				ErrDiverged, s.name, s.t+off)
 		}
 	}
 	staged := rp.staged[:0]
@@ -1388,13 +1262,19 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 		}
 		progressed := arrived > 0
 		probesDue = probesDue || progressed
-		for len(staged) < g {
-			k := s.candidateAt(rp, s.t+len(staged))
-			if k < 0 {
-				break
+		if s.live {
+			// A live group is whatever fits the call, once anything does.
+			staged = rp.stageLive(reqs, limit, ordered)
+			g = max(len(staged), 1)
+		} else {
+			for len(staged) < g {
+				k := s.candidateAt(rp, s.t+len(staged))
+				if k < 0 {
+					break
+				}
+				staged = append(staged, s.takeAt(k, s.t+len(staged)))
+				progressed = true
 			}
-			staged = append(staged, s.takeAt(k, s.t+len(staged)))
-			progressed = true
 		}
 		if len(staged) == g {
 			rp.staged = staged
@@ -1426,7 +1306,7 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 					deadline = stalledSince.Add(rp.opts.Timeout)
 				}
 			}
-			if len(s.senders) == 0 && time.Since(stalledSince) > optimisticDelay { //cdc:allow(nodetermflow) optimistic-delay heuristic for live mode; recorded-order grants are unaffected
+			if !s.live && len(s.senders) == 0 && time.Since(stalledSince) > optimisticDelay { //cdc:allow(nodetermflow) optimistic-delay heuristic for live mode; recorded-order grants are unaffected
 				// Strict Axiom 1 cannot certify a candidate; release the
 				// best guess to keep the system live. The end-of-chunk
 				// verification in verifyChunk rejects a wrong guess. A
@@ -1450,6 +1330,9 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 			}
 			probesDue = false
 		}
+		if s.live && !wait {
+			return nil, nil
+		}
 		spins++
 		if spins%64 == 0 {
 			runtime.Gosched()
@@ -1460,7 +1343,61 @@ func (rp *Replayer) awaitGroup(s *stream, reqs []*simmpi.Request) ([]pooled, err
 	}
 }
 
+// stageLive picks, in harvest order, the pooled messages a live call
+// completes: each one some free slot of reqs accepts (slotFor), up to limit
+// (-1: no bound); for an ordered call, one per slot in request order, the
+// slot's own binding first, else the first message it accepts, or nothing
+// at all. The picked messages leave the pool.
+func (rp *Replayer) stageLive(reqs []*simmpi.Request, limit int, ordered bool) []pooled {
+	staged := rp.staged[:0]
+	if ordered {
+		for _, r := range reqs {
+			k := -1
+			for i := range rp.pool {
+				p := &rp.pool[i]
+				if p.taken {
+					continue
+				}
+				if p.req == r {
+					k = i
+					break
+				}
+				if k < 0 && r != nil && r.Accepts(p.st.Source, p.st.Tag) {
+					k = i
+				}
+			}
+			if k < 0 {
+				for i := range rp.pool {
+					rp.pool[i].taken = false
+				}
+				return staged[:0]
+			}
+			rp.pool[k].taken = true
+			staged = append(staged, rp.pool[k])
+		}
+	} else {
+		used := rp.usedSlots(len(reqs))
+		for i := range rp.pool {
+			if len(staged) == limit {
+				break
+			}
+			p := &rp.pool[i]
+			if slot := rp.slotFor(reqs, used, p, 0, false); slot >= 0 {
+				used[slot], p.taken = true, true
+				staged = append(staged, *p)
+			}
+		}
+	}
+	rp.pool = slices.DeleteFunc(rp.pool, func(p pooled) bool { return p.taken })
+	rp.mPool.Add(-int64(len(staged)))
+	return staged
+}
+
 func (rp *Replayer) stallError(s *stream, staged, g int) error {
+	if s.live {
+		return fmt.Errorf("%w: callsite %s past the record's end: no pooled message fits the call (pool %d)",
+			ErrStalled, s.name, len(rp.pool))
+	}
 	base := fmt.Errorf("%w: callsite %s chunk %d: observed event %d/%d (group %d/%d staged, %d collected, lmc %d, pool %d)",
 		ErrStalled, s.name, s.ci-1, s.t, s.n, staged, g, s.held(), s.lmc(rp), len(rp.pool))
 	tt := s.t + staged
@@ -1499,34 +1436,35 @@ func cappedList[T any](xs []T, item func(T) string) string {
 	return b.String()
 }
 
-// assignSlot picks the request slot to report a released message through:
-// the message's own binding if the app still owns it, otherwise any
-// app-owned request with a compatible spec.
-func (rp *Replayer) assignSlot(reqs []*simmpi.Request, used []bool, m pooled) (int, error) {
+// free reports whether slot r of an MF call can still report a message:
+// the application owns it and no other message of this call used it.
+func (rp *Replayer) free(r *simmpi.Request, used bool) bool {
+	return r != nil && !used && !rp.appDone[r]
+}
+
+// slotFor picks the slot of reqs that reports group member gi, m: slot gi
+// for an ordered call (Waitall and Testall: the record's group rows are in
+// request order), otherwise m's own binding if the application still owns
+// it, otherwise any free slot whose spec accepts m. It returns -1 when no
+// free slot accepts m.
+func (rp *Replayer) slotFor(reqs []*simmpi.Request, used []bool, m *pooled, gi int, ordered bool) int {
+	if ordered {
+		if gi < len(reqs) && rp.free(reqs[gi], used[gi]) && reqs[gi].Accepts(m.st.Source, m.st.Tag) {
+			return gi
+		}
+		return -1
+	}
 	for i, r := range reqs {
-		if r == m.req && !used[i] && !rp.appDone[r] {
-			return i, nil
+		if r == m.req && rp.free(r, used[i]) {
+			return i
 		}
 	}
 	for i, r := range reqs {
-		if r == nil || used[i] || rp.appDone[r] {
-			continue
-		}
-		if r.Accepts(m.st.Source, m.st.Tag) {
-			return i, nil
+		if rp.free(r, used[i]) && r.Accepts(m.st.Source, m.st.Tag) {
+			return i
 		}
 	}
-	var slots []string
-	for i, r := range reqs {
-		if r == nil {
-			slots = append(slots, "nil")
-			continue
-		}
-		src, tag := r.Spec()
-		slots = append(slots, fmt.Sprintf("%d:(%d,%d,used=%v,done=%v)", i, src, tag, used[i], rp.appDone[r]))
-	}
-	return -1, fmt.Errorf("%w: no request slot accepts replayed message from rank %d tag %d clock %d (slots %v)",
-		ErrDiverged, m.st.Source, m.st.Tag, m.st.Clock, slots)
+	return -1
 }
 
 // usedSlots returns the reused per-slot flags for n requests, all false.
@@ -1550,30 +1488,18 @@ func (rp *Replayer) finishSlot(r *simmpi.Request) {
 	rp.ghosts[sp] = append(rp.dropHarvestedGhosts(sp), r)
 }
 
-// release hands the group's messages to the app through slots of reqs,
-// ticking the lamport clock per event in observed order. If ordered is
-// true, group member i is assigned to reqs[i] (Waitall semantics: the
-// record's rows are in request order); otherwise slots are chosen by
-// binding or spec.
+// release hands a staged group to the app through slots of reqs chosen by
+// slotFor, ticking the lamport clock per event in group order, so
+// piggybacked clocks stay meaningful past the record's end too. A replayed
+// group advances the stream cursor and counts in Released, a live one in
+// LiveReleases.
 func (rp *Replayer) release(s *stream, reqs []*simmpi.Request, group []pooled, ordered bool) ([]int, []simmpi.Status, error) {
 	used, idxs, sts := rp.usedSlots(len(reqs)), rp.idxs[:0], rp.sts[:0]
-	for gi, m := range group {
-		var slot int
-		if ordered {
-			slot = gi
-			if reqs[slot] == nil || rp.appDone[reqs[slot]] {
-				return nil, nil, fmt.Errorf("%w: Waitall slot %d already completed", ErrDiverged, slot)
-			}
-			if !reqs[slot].Accepts(m.st.Source, m.st.Tag) {
-				return nil, nil, fmt.Errorf("%w: Waitall slot %d does not accept replayed message from rank %d tag %d",
-					ErrDiverged, slot, m.st.Source, m.st.Tag)
-			}
-		} else {
-			var err error
-			slot, err = rp.assignSlot(reqs, used, m)
-			if err != nil {
-				return nil, nil, err
-			}
+	for gi := range group {
+		m := &group[gi]
+		slot := rp.slotFor(reqs, used, m, gi, ordered)
+		if slot < 0 {
+			return nil, nil, rp.slotError(reqs, used, m)
 		}
 		used[slot] = true
 		idxs = append(idxs, slot)
@@ -1585,6 +1511,11 @@ func (rp *Replayer) release(s *stream, reqs []*simmpi.Request, group []pooled, o
 		}
 	}
 	rp.idxs, rp.sts = idxs, sts
+	if s.live {
+		rp.stats.LiveReleases += uint64(len(group))
+		rp.mLive.Add(uint64(len(group)))
+		return idxs, sts, nil
+	}
 	rp.stats.Released += uint64(len(group))
 	rp.mReleases.Add(uint64(len(group)))
 	s.t += len(group)
@@ -1597,63 +1528,37 @@ func (rp *Replayer) release(s *stream, reqs []*simmpi.Request, group []pooled, o
 	return idxs, sts, nil
 }
 
-// matchedCall releases the group at the cursor through reqs.
-func (rp *Replayer) matchedCall(s *stream, reqs []*simmpi.Request, ordered bool) ([]int, []simmpi.Status, error) {
-	group, err := rp.awaitGroup(s, reqs)
-	if err != nil {
+// slotError reports a group member no slot of the call can report.
+func (rp *Replayer) slotError(reqs []*simmpi.Request, used []bool, m *pooled) error {
+	var slots []string
+	for i, r := range reqs {
+		if r == nil {
+			slots = append(slots, "nil")
+			continue
+		}
+		src, tag := r.Spec()
+		slots = append(slots, fmt.Sprintf("%d:(%d,%d,used=%v,done=%v)", i, src, tag, used[i], rp.appDone[r]))
+	}
+	return fmt.Errorf("%w: no request slot accepts the message from rank %d tag %d clock %d (slots %v)",
+		ErrDiverged, m.st.Source, m.st.Tag, m.st.Clock, slots)
+}
+
+// matchedCall stages the group the call completes (awaitGroup) and
+// releases it through reqs. An empty group, a failed test, releases
+// nothing.
+func (rp *Replayer) matchedCall(s *stream, reqs []*simmpi.Request, limit int, ordered, wait bool) ([]int, []simmpi.Status, error) {
+	group, err := rp.awaitGroup(s, reqs, limit, ordered, wait)
+	if err != nil || len(group) == 0 {
 		return nil, nil, err
 	}
 	return rp.release(s, reqs, group, ordered)
 }
 
-// testFamily is the shared body of Test/Testany/Testsome. liveLimit bounds
-// how many events a live-phase call may deliver (Test/Testany complete at
-// most one; Testsome passes -1).
-func (rp *Replayer) testFamily(s *stream, reqs []*simmpi.Request, liveLimit int) (bool, []int, []simmpi.Status, error) {
-	live, err := rp.ensureOrLive(s)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	if live {
-		if _, err := rp.pollBelow(); err != nil {
-			return false, nil, nil, err
-		}
-		idxs, sts := rp.liveDeliver(reqs, liveLimit)
-		if len(sts) == 0 {
-			// As in liveWait: a failed live test must leave a receive
-			// outstanding for every spec it polls.
-			return false, nil, nil, rp.ensureProbes(reqs)
-		}
-		return true, idxs, sts, nil
-	}
-	s.learnSpecs(reqs)
-	if _, err := rp.poll(s); err != nil {
-		return false, nil, nil, err
-	}
-	if s.consumeUnmatched() {
-		rp.stats.UnmatchedConsumed++
-		return false, nil, nil, nil
-	}
-	idxs, sts, err := rp.matchedCall(s, reqs, false)
-	return err == nil, idxs, sts, err
-}
-
-// waitFamily is the shared body of Wait/Waitany/Waitsome/Waitall. liveLimit
-// bounds a live-phase call's deliveries (Wait/Waitany 1, Waitsome -1);
-// ordered (Waitall) makes the live phase all-or-nothing too.
-func (rp *Replayer) waitFamily(s *stream, reqs []*simmpi.Request, ordered bool, what string, liveLimit int) ([]int, []simmpi.Status, error) {
-	live, err := rp.ensureOrLive(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if live {
-		return rp.liveWait(reqs, liveLimit, ordered, what)
-	}
-	s.learnSpecs(reqs)
-	if s.unmatchedPending() {
-		return nil, nil, fmt.Errorf("%w: unmatched tests recorded at %s callsite %s", ErrDiverged, what, s.name)
-	}
-	return rp.matchedCall(s, reqs, ordered)
+// testFamily is the shared body of Test/Testany/Testsome/Testall: a
+// matched call that reports whether anything completed.
+func (rp *Replayer) testFamily(s *stream, reqs []*simmpi.Request, limit int, ordered bool) (bool, []int, []simmpi.Status, error) {
+	idxs, sts, err := rp.matchedCall(s, reqs, limit, ordered, false)
+	return err == nil && len(sts) > 0, idxs, sts, err
 }
 
 // Test replays a single-request test.
@@ -1662,7 +1567,7 @@ func (rp *Replayer) Test(req *simmpi.Request) (bool, simmpi.Status, error) {
 	if err != nil {
 		return false, simmpi.Status{}, err
 	}
-	ok, _, sts, err := rp.testFamily(s, []*simmpi.Request{req}, 1)
+	ok, _, sts, err := rp.testFamily(s, []*simmpi.Request{req}, 1, false)
 	if err != nil || !ok {
 		return false, simmpi.Status{}, err
 	}
@@ -1678,7 +1583,7 @@ func (rp *Replayer) Testany(reqs []*simmpi.Request) (int, bool, simmpi.Status, e
 	if err != nil {
 		return -1, false, simmpi.Status{}, err
 	}
-	ok, idxs, sts, err := rp.testFamily(s, reqs, 1)
+	ok, idxs, sts, err := rp.testFamily(s, reqs, 1, false)
 	if err != nil || !ok {
 		return -1, false, simmpi.Status{}, err
 	}
@@ -1694,11 +1599,8 @@ func (rp *Replayer) Testsome(reqs []*simmpi.Request) ([]int, []simmpi.Status, er
 	if err != nil {
 		return nil, nil, err
 	}
-	ok, idxs, sts, err := rp.testFamily(s, reqs, -1)
-	if err != nil || !ok {
-		return nil, nil, err
-	}
-	return idxs, sts, nil
+	_, idxs, sts, err := rp.testFamily(s, reqs, -1, false)
+	return idxs, sts, err
 }
 
 // Testall replays an all-or-nothing test: a recorded failed test returns
@@ -1711,29 +1613,8 @@ func (rp *Replayer) Testall(reqs []*simmpi.Request) (bool, []simmpi.Status, erro
 	if err != nil {
 		return false, nil, err
 	}
-	live, err := rp.ensureOrLive(s)
-	if err != nil {
-		return false, nil, err
-	}
-	if live {
-		if _, err := rp.pollBelow(); err != nil {
-			return false, nil, err
-		}
-		ok, sts, err := rp.liveTestall(reqs)
-		if err == nil && !ok {
-			err = rp.ensureProbes(reqs) // as in liveWait
-		}
-		return ok, sts, err
-	}
-	s.learnSpecs(reqs)
-	if _, err := rp.poll(s); err != nil {
-		return false, nil, err
-	}
-	if s.consumeUnmatched() {
-		return false, nil, nil
-	}
-	_, sts, err := rp.matchedCall(s, reqs, true)
-	if err != nil {
+	ok, _, sts, err := rp.testFamily(s, reqs, -1, true)
+	if err != nil || !ok {
 		return false, nil, err
 	}
 	if len(sts) != len(reqs) {
@@ -1748,7 +1629,7 @@ func (rp *Replayer) Wait(req *simmpi.Request) (simmpi.Status, error) {
 	if err != nil {
 		return simmpi.Status{}, err
 	}
-	_, sts, err := rp.waitFamily(s, []*simmpi.Request{req}, false, "Wait", 1)
+	_, sts, err := rp.matchedCall(s, []*simmpi.Request{req}, 1, false, true)
 	if err != nil {
 		return simmpi.Status{}, err
 	}
@@ -1764,7 +1645,7 @@ func (rp *Replayer) Waitany(reqs []*simmpi.Request) (int, simmpi.Status, error) 
 	if err != nil {
 		return -1, simmpi.Status{}, err
 	}
-	idxs, sts, err := rp.waitFamily(s, reqs, false, "Waitany", 1)
+	idxs, sts, err := rp.matchedCall(s, reqs, 1, false, true)
 	if err != nil {
 		return -1, simmpi.Status{}, err
 	}
@@ -1780,7 +1661,7 @@ func (rp *Replayer) Waitsome(reqs []*simmpi.Request) ([]int, []simmpi.Status, er
 	if err != nil {
 		return nil, nil, err
 	}
-	return rp.waitFamily(s, reqs, false, "Waitsome", -1)
+	return rp.matchedCall(s, reqs, -1, false, true)
 }
 
 // Waitall replays a wait for every request. The record's with_next group
@@ -1794,7 +1675,7 @@ func (rp *Replayer) Waitall(reqs []*simmpi.Request) ([]simmpi.Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, sts, err := rp.waitFamily(s, reqs, true, "Waitall", -1)
+	_, sts, err := rp.matchedCall(s, reqs, -1, true, true)
 	if err != nil {
 		return nil, err
 	}

@@ -178,8 +178,8 @@ type SalvagePlan struct {
 	// Finished is the salvaged run's Manifest.Finished: the source's
 	// finished ranks whose record the cut keeps whole. A trimmed rank's
 	// writer has to resume onto its kept prefix, and a salvaged blob
-	// closes cleanly whatever was cut from it, so a later salvage could
-	// not tell.
+	// closes cleanly whatever was cut from it, so a later salvage of the
+	// run reads only this list as proof that a rank is whole.
 	Finished []int
 }
 
@@ -211,6 +211,13 @@ func PlanSalvage(m Manifest, openRank func(rank int) (io.ReadCloser, error)) (*S
 		}
 	}
 
+	// A salvage closes every blob it rewrites cleanly, trimmed or not, so
+	// on a run a salvage already wrote only Finished proves a rank whole.
+	if m.Salvaged {
+		for r := range clean {
+			clean[r] = clean[r] && slices.Contains(m.Finished, r)
+		}
+	}
 	keep, frontiers := ConsistentCut(sums, make([]uint64, n), clean)
 	plan := &SalvagePlan{Report: report, Keep: make([][]*Segment, n)}
 	for r := 0; r < n; r++ {
